@@ -109,6 +109,7 @@ from .forms import (
     DEFAULT_ALPHAS,
     ContractionReport,
     FormMatrices,
+    Resolvent,
     ResolventIdentityReport,
     ResolventSweepReport,
     SectorReport,

@@ -214,7 +214,12 @@ def cmd_resolvent(cfg: ExperimentConfig, emit_plots: bool) -> int:
     mesh, cs, density, decomposition = _density_pipeline(cfg)
     form = assemble_form(mesh, cs, density, decomposition, d_mode=cfg.d_mode)
     sweep = resolvent_sweep(
-        form, alphas=cfg.alphas, backend=cfg.backend, seed=cfg.seed
+        form,
+        alphas=cfg.alphas,
+        backend=cfg.backend,
+        seed=cfg.seed,
+        tol=cfg.tol,
+        maxiter=cfg.maxiter,
     )
     _write_csv(
         out / "resolvent.csv",
@@ -255,7 +260,14 @@ def cmd_experiment(cfg: ExperimentConfig, emit_plots: bool) -> int:
     h_tilde = density.rho
     constants = compute_constants(cs, density, cutoff, h_tilde)
     report = run_experiment(
-        form, cutoff, h_tilde, constants, alphas=cfg.alphas, backend=cfg.backend
+        form,
+        cutoff,
+        h_tilde,
+        constants,
+        alphas=cfg.alphas,
+        backend=cfg.backend,
+        tol=cfg.tol,
+        maxiter=cfg.maxiter,
     )
     diag = convergence_diagnostics(report)
     _write_csv(

@@ -43,7 +43,7 @@ from .fem import (
     scalar_at_quad,
     vector_at_quad,
 )
-from .forms import DEFAULT_ALPHAS, FormMatrices, solve_resolvent
+from .forms import DEFAULT_ALPHAS, FormMatrices, Resolvent, solve_resolvent
 from .mesh import SimplicialMesh
 from .quadrature import QuadratureRule, quadrature_rule
 
@@ -434,12 +434,15 @@ def run_experiment(
     constants: ConstantsReport,
     alphas=DEFAULT_ALPHAS,
     backend: str = "direct",
+    tol: float = 1e-10,
+    maxiter: int = 10000,
 ) -> EnergyBoundReport:
     """Sweep alpha and test sup E(chi alpha G_alpha h) <= C1^2 + 2 C2.
 
     h = h_tilde / rho nodewise; the cutoff is applied by nodal
     multiplication with its vertex interpolant. The form must be assembled
     in skew mode for the energy identity and contraction to be exact.
+    backend, tol and maxiter configure the resolvent solves.
     """
     mesh = form.mesh
     h_vals = h_tilde.values / form.rho.values
@@ -458,8 +461,9 @@ def run_experiment(
     cutoff_gaps = np.zeros(n)
     h1_seminorms = np.zeros(n)
     chi_u_norms = np.zeros(n)
+    res = Resolvent(form, backend=backend, tol=tol, maxiter=maxiter)
     for i, alpha in enumerate(alphas):
-        u = solve_resolvent(form, alpha, h_vals, backend=backend)
+        u = solve_resolvent(res, alpha, h_vals)
         scaled = alpha * u.values
         x = chi * scaled
         energies[i] = form.energy(x)

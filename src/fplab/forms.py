@@ -26,7 +26,6 @@ from .errors import (
 )
 from .fem import (
     FeFunction,
-    apply_dirichlet,
     assemble_drift,
     assemble_weighted_mass,
     assemble_weighted_stiffness,
@@ -177,26 +176,83 @@ def sector_constant(
     )
 
 
-def _interior_system(form: FormMatrices, alpha: float, lumped: bool = False):
-    interior = form.interior
-    if lumped:
-        diag = np.asarray(form.m.sum(axis=1)).ravel()
-        m = sp.diags(diag).tocsr()
-    else:
-        m = form.m
-    k = (alpha * m + form.s + form.d).tocsr()
-    k_int = k[interior][:, interior]
-    return k_int, m
+class Resolvent:
+    """G_alpha = (alpha M + S + D)^{-1} on the interior DOFs of one form.
+
+    The interior blocks are sliced once. The system for one alpha is
+    factored on its first solve and the factor is reused for every further
+    solve at that alpha; a solve at another alpha replaces it, so at most
+    one system factor is held. The interior mass LU (for M^{-1}, needed by
+    the generator) is built on first use and kept. A Resolvent is meant to
+    live for one computation: the form itself stores no factors, so holding
+    on to them never stacks on the memory of later stages.
+
+    lumped=True replaces M by its row-sum diagonal (the sub-Markov scheme).
+    backend "direct" uses a sparse LU; "gmres" uses ILU-preconditioned
+    GMRES with relative tolerance tol and at most maxiter restarts. Solves
+    go through solve_resolvent, which records the residual norm of the
+    latest solve in `residual`.
+    """
+
+    def __init__(
+        self,
+        form: FormMatrices,
+        backend: str = "direct",
+        lumped: bool = False,
+        tol: float = 1e-10,
+        maxiter: int = 10000,
+    ):
+        if backend not in ("direct", "gmres"):
+            raise ValueError(f"unknown backend {backend!r}")
+        self.form = form
+        self.backend = backend
+        self.tol = tol
+        self.maxiter = maxiter
+        interior = form.interior
+        if lumped:
+            self.m = sp.diags(np.asarray(form.m.sum(axis=1)).ravel()).tocsr()
+        else:
+            self.m = form.m
+        self._m_int = self.m[interior][:, interior]
+        self._s_int = form.s[interior][:, interior]
+        self._d_int = form.d[interior][:, interior]
+        self._alpha = None
+        self._k_int = None
+        self._factor = None
+        self._mass_lu = None
+        self.residual = None
+
+    def _system(self, alpha: float):
+        """Interior matrix alpha M + S + D and its factor (or preconditioner)."""
+        if alpha != self._alpha:
+            # drop the old factor before building the next one
+            self._alpha = self._k_int = self._factor = None
+            k_int = (alpha * self._m_int + self._s_int + self._d_int).tocsr()
+            if self.backend == "direct":
+                factor = spla.splu(k_int.tocsc()).solve
+            else:
+                try:
+                    ilu = spla.spilu(k_int.tocsc(), drop_tol=1e-6, fill_factor=20)
+                except RuntimeError as exc:
+                    raise SolverDivergence(f"ILU factorization failed: {exc}") from exc
+                factor = spla.LinearOperator(k_int.shape, ilu.solve)
+            self._alpha, self._k_int, self._factor = alpha, k_int, factor
+        return self._k_int, self._factor
+
+    def mass_solve(self, z: np.ndarray) -> np.ndarray:
+        """M^{-1} z on interior DOFs (the mass LU is factored once)."""
+        if self._mass_lu is None:
+            self._mass_lu = spla.splu(self._m_int.tocsc())
+        return self._mass_lu.solve(z)
 
 
 def solve_resolvent(
-    form: FormMatrices,
+    form,
     alpha: float,
     f,
     backend: str = "direct",
     tol: float = 1e-10,
     maxiter: int = 10000,
-    _lumped: bool = False,
 ) -> FeFunction:
     """Solve (alpha M + S + D) u = M f on interior DOFs with zero boundary.
 
@@ -207,44 +263,48 @@ def solve_resolvent(
     M-projection of f, leaving an alpha-independent gap for data with a
     nonzero boundary trace).
 
+    `form` is a FormMatrices or a Resolvent. A Resolvent reuses its factor
+    across solves at the same alpha and its own backend, tol and maxiter
+    apply; a FormMatrices gets a one-shot Resolvent built from the keyword
+    arguments.
+
     backend "direct" uses a sparse LU; "gmres" uses ILU-preconditioned
     GMRES and raises SolverDivergence if the iteration cap or tolerance
     fails. A residual check guards both paths.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    if isinstance(form, Resolvent):
+        res = form
+    else:
+        res = Resolvent(form, backend=backend, tol=tol, maxiter=maxiter)
     f_vec = f.values if isinstance(f, FeFunction) else np.asarray(f, dtype=float)
-    interior = form.interior
-    k_int, m_used = _interior_system(form, alpha, lumped=_lumped)
+    interior = res.form.interior
     f_zeroed = np.zeros_like(f_vec)
     f_zeroed[interior] = f_vec[interior]
-    rhs = (m_used @ f_zeroed)[interior]
-    if backend == "direct":
-        u_int = spla.splu(k_int.tocsc()).solve(rhs)
-    elif backend == "gmres":
-        try:
-            ilu = spla.spilu(k_int.tocsc(), drop_tol=1e-6, fill_factor=20)
-            precond = spla.LinearOperator(k_int.shape, ilu.solve)
-        except RuntimeError as exc:
-            raise SolverDivergence(f"ILU factorization failed: {exc}") from exc
+    rhs = (res.m @ f_zeroed)[interior]
+    k_int, factor = res._system(alpha)
+    if res.backend == "direct":
+        u_int = factor(rhs)
+    else:
         u_int, info = spla.gmres(
-            k_int, rhs, rtol=tol, atol=0.0, maxiter=maxiter, M=precond
+            k_int, rhs, rtol=res.tol, atol=0.0, maxiter=res.maxiter, M=factor
         )
         if info != 0:
             raise SolverDivergence(
-                f"gmres failed to reach rtol={tol:.1e} within {maxiter} iterations"
+                f"gmres failed to reach rtol={res.tol:.1e} "
+                f"within {res.maxiter} iterations"
             )
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
     resid = np.linalg.norm(k_int @ u_int - rhs)
     scale = np.linalg.norm(rhs)
-    if resid > max(1e-8, tol) * max(scale, 1e-30):
+    if resid > max(1e-8, res.tol) * max(scale, 1e-30):
         raise SolverDivergence(
             f"resolvent residual {resid:.3e} exceeds tolerance at alpha={alpha}"
         )
-    u = np.zeros(form.mesh.num_vertices)
+    res.residual = float(resid)
+    u = np.zeros(res.form.mesh.num_vertices)
     u[interior] = u_int
-    return FeFunction(mesh=form.mesh, values=u)
+    return FeFunction(mesh=res.form.mesh, values=u)
 
 
 @dataclass
@@ -266,13 +326,15 @@ def check_contraction(
     """
     rng = np.random.default_rng(seed)
     n = form.mesh.num_vertices
+    res = Resolvent(form)
     rows = []
     worst = 0.0
+    # alpha-major: all trials at one alpha share its factor
     for alpha in alphas:
         for t in range(trials):
             f = np.zeros(n)
             f[form.interior] = rng.standard_normal(form.interior.size)
-            u = solve_resolvent(form, alpha, f)
+            u = solve_resolvent(res, alpha, f)
             ratio = alpha * form.l2_norm(u.values) / form.l2_norm(f)
             rows.append((float(alpha), t, float(ratio)))
             worst = max(worst, ratio)
@@ -295,9 +357,19 @@ def check_resolvent_identity(
     form: FormMatrices, alpha: float, beta: float, f
 ) -> ResolventIdentityReport:
     """Defect of G_alpha - G_beta - (beta - alpha) G_alpha G_beta applied to f."""
-    u_a = solve_resolvent(form, alpha, f)
-    u_b = solve_resolvent(form, beta, f)
-    w = solve_resolvent(form, alpha, u_b)
+    res = Resolvent(form)
+    # beta first, so that both alpha solves share one factor
+    u_b = solve_resolvent(res, beta, f)
+    u_a = solve_resolvent(res, alpha, f)
+    return _identity_report(res, alpha, beta, f, u_a, u_b)
+
+
+def _identity_report(
+    res: Resolvent, alpha: float, beta: float, f, u_a: FeFunction, u_b: FeFunction
+) -> ResolventIdentityReport:
+    """Identity defect from u_a = G_alpha f and u_b = G_beta f."""
+    form = res.form
+    w = solve_resolvent(res, alpha, u_b)
     defect_vec = u_a.values - u_b.values - (beta - alpha) * w.values
     defect = form.l2_norm(defect_vec)
     f_vec = f.values if isinstance(f, FeFunction) else np.asarray(f, dtype=float)
@@ -339,7 +411,7 @@ def check_submarkov(
         f_vec = f.values if isinstance(f, FeFunction) else np.asarray(f, dtype=float)
     if f_vec.min() < -1e-14 or f_vec.max() > 1 + 1e-14:
         raise ValueError("submarkov trial data must satisfy 0 <= f <= 1")
-    u = solve_resolvent(form, alpha, f_vec, _lumped=lump_mass)
+    u = solve_resolvent(Resolvent(form, lumped=lump_mass), alpha, f_vec)
     lo = float(alpha * u.values.min())
     hi = float(alpha * u.values.max())
     if lo < -tol or hi > 1.0 + tol:
@@ -349,17 +421,19 @@ def check_submarkov(
     return SubmarkovReport(alpha=float(alpha), min_value=lo, max_value=hi, lumped=lump_mass)
 
 
-def apply_generator(form: FormMatrices, u) -> FeFunction:
+def apply_generator(form, u) -> FeFunction:
     """L_h u = -M^-1 (S + D) u on interior DOFs (zero on the boundary).
 
     Satisfies E(u, v) = -<M L_h u, v> for interior v, and together with the
-    resolvent: (alpha - L_h) G_alpha f = f exactly.
+    resolvent: (alpha - L_h) G_alpha f = f exactly. `form` may be a
+    Resolvent, whose mass factor is then reused across calls.
     """
+    res = form if isinstance(form, Resolvent) else Resolvent(form)
+    form = res.form
     u_vec = u.values if isinstance(u, FeFunction) else np.asarray(u, dtype=float)
     interior = form.interior
     z = ((form.s + form.d) @ u_vec)[interior]
-    m_int = form.m[interior][:, interior].tocsc()
-    w = spla.splu(m_int).solve(z)
+    w = res.mass_solve(z)
     out = np.zeros(form.mesh.num_vertices)
     out[interior] = -w
     return FeFunction(mesh=form.mesh, values=out)
@@ -414,13 +488,13 @@ def strong_continuity_gaps(
     f_vec = np.zeros_like(f_raw)
     f_vec[interior] = f_raw[interior]
     alphas = np.asarray(sorted(float(a) for a in alphas))
+    res = Resolvent(form)
     gaps = np.zeros(alphas.size)
     for i, alpha in enumerate(alphas):
-        u = solve_resolvent(form, alpha, f_vec)
+        u = solve_resolvent(res, alpha, f_vec)
         gaps[i] = form.l2_norm(alpha * u.values - f_vec)
     z = ((form.s + form.d) @ f_vec)[interior]
-    m_int = form.m[interior][:, interior].tocsc()
-    w = spla.splu(m_int).solve(z)
+    w = res.mass_solve(z)
     final_bound = float(np.sqrt(max(z @ w, 0.0))) / alphas[-1]
     monotone = bool((np.diff(gaps) <= 1e-12 + 1e-9 * gaps[:-1]).all())
     return StrongContinuityReport(
@@ -447,26 +521,32 @@ def resolvent_sweep(
     alphas=DEFAULT_ALPHAS,
     backend: str = "direct",
     seed: int = 0,
+    tol: float = 1e-10,
+    maxiter: int = 10000,
 ) -> ResolventSweepReport:
-    """Run the standard per-alpha checks used by the resolvent report."""
+    """Run the standard per-alpha checks used by the resolvent report.
+
+    The residuals are those of the solver's residual guard. The identity
+    check at (alphas[0], alphas[2]) reuses the sweep's own G_alpha f solves.
+    """
     rng = np.random.default_rng(seed)
     n = form.mesh.num_vertices
     f = np.zeros(n)
     f[form.interior] = rng.standard_normal(form.interior.size)
     f_norm = form.l2_norm(f)
+    res = Resolvent(form, backend=backend, tol=tol, maxiter=maxiter)
+    j = min(2, len(alphas) - 1)
     ratios = []
     residuals = []
-    for alpha in alphas:
-        u = solve_resolvent(form, alpha, f, backend=backend)
+    for i, alpha in enumerate(alphas):
+        u = solve_resolvent(res, alpha, f)
         ratios.append(float(alpha * form.l2_norm(u.values) / f_norm))
-        k_int, m_used = _interior_system(form, alpha)
-        rhs = (m_used @ f)[form.interior]
-        residuals.append(
-            float(np.linalg.norm(k_int @ u.values[form.interior] - rhs))
-        )
-    ident = check_resolvent_identity(
-        form, alphas[0], alphas[min(2, len(alphas) - 1)], f
-    )
+        residuals.append(res.residual)
+        if i == 0:
+            u_a = u
+        if i == j:
+            u_b = u
+    ident = _identity_report(res, alphas[0], alphas[j], f, u_a, u_b)
     sub = check_submarkov(form, alphas[0])
     return ResolventSweepReport(
         alphas=[float(a) for a in alphas],

@@ -7,6 +7,7 @@ generated, to keep the package dependency-free and the numbers frozen.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,9 +132,18 @@ def reference_monomial_integral(dim: int, exponents) -> float:
     return num / factorial(dim + sum(exponents))
 
 
+@functools.lru_cache(maxsize=64)
+def _leggauss(n: int):
+    """Read-only reference nodes and weights on [-1, 1], computed once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_legendre(n: int, lo: float, hi: float):
     """Nodes and weights of the n-point Gauss-Legendre rule on [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     return mid + half * x, half * w

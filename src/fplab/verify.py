@@ -43,6 +43,7 @@ from .experiment import (
 from .fem import FeFunction, interpolate, l2_error, quadrature_norm
 from .forms import (
     FormMatrices,
+    Resolvent,
     apply_generator,
     assemble_form,
     check_contraction,
@@ -323,8 +324,9 @@ def criterion_resolvent_axioms(ctx: VerificationContext) -> CriterionResult:
     for dim in (2, 3):
         pipe = ctx.pipeline("identity", dim)
         lam, psi = ctx.eigenpair("identity", dim)
+        res = Resolvent(pipe.form)
         for alpha in (1.0, 10.0):
-            u = solve_resolvent(pipe.form, alpha, psi.values)
+            u = solve_resolvent(res, alpha, psi.values)
             model = (alpha / (alpha + lam)) * psi.values
             dev = pipe.form.l2_norm(alpha * u.values - model)
             eig_worst = max(eig_worst, dev / pipe.form.l2_norm(model))
@@ -431,13 +433,14 @@ def criterion_generator_identities(ctx: VerificationContext) -> CriterionResult:
     for dim in (2, 3):
         pipe = ctx.pipeline("gaussian_gradient", dim)
         form = pipe.form
+        res = Resolvent(form)
         n = form.mesh.num_vertices
         for _ in range(10):
             u = np.zeros(n)
             v = np.zeros(n)
             u[form.interior] = rng.standard_normal(form.interior.size)
             v[form.interior] = rng.standard_normal(form.interior.size)
-            lu = apply_generator(form, u)
+            lu = apply_generator(res, u)
             lhs = form.energy(u, v)
             rhs = -float(v @ (form.m @ lu.values))
             scale = np.sqrt(form.energy(u) * form.energy(v))

@@ -171,6 +171,23 @@ def test_cli_resolvent_with_plot_data(tmp_path):
     assert max(report["contraction_ratios"]) <= 1.0 + 1e-10
 
 
+@pytest.mark.parametrize("stage", ["resolvent", "experiment"])
+def test_cli_solver_divergence_exits_three(tmp_path, capsys, stage):
+    # rtol = 1e-30 is out of GMRES's reach; three restarts keep the failure quick
+    cfg = write_config(
+        tmp_path,
+        "[run]\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+        "[domain]\nkind = ball\ndim = 3\nradius = 1.0\nlevel = 1\n"
+        "[coefficients]\npreset = gaussian_gradient\n"
+        "[cutoff]\ninner = 0.5\nouter = 0.9\n"
+        "[resolvent]\nalphas = dyadic:3\nbackend = gmres\ntol = 1e-30\nmaxiter = 3\n",
+    )
+    assert main([stage, "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "SolverDivergence" in err and "within 3 iterations" in err
+
+
 def test_cli_experiment_small_case(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import fplab.forms
 from fplab import (
+    DEFAULT_ALPHAS,
     DimensionUnsupported,
+    Resolvent,
     apply_generator,
     assemble_form,
     build_ball_mesh,
@@ -236,3 +240,125 @@ def test_resolvent_sweep_report(box_form):
     assert rep.submarkov_min >= -1e-8
     assert rep.submarkov_max <= 1.0 + 1e-8
     assert rep.backend == "direct" and rep.d_mode == "skew"
+
+
+class CountingSpla:
+    """Stands in for scipy.sparse.linalg inside fplab.forms, counting LUs."""
+
+    def __init__(self):
+        self.factorizations = 0
+
+    def splu(self, *args, **kwargs):
+        self.factorizations += 1
+        return spla.splu(*args, **kwargs)
+
+    def spilu(self, *args, **kwargs):
+        self.factorizations += 1
+        return spla.spilu(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+
+@pytest.fixture
+def lu_count(monkeypatch):
+    counter = CountingSpla()
+    monkeypatch.setattr(fplab.forms, "spla", counter)
+    return counter
+
+
+def interior_data(form, seed):
+    f = np.zeros(form.mesh.num_vertices)
+    f[form.interior] = np.random.default_rng(seed).standard_normal(form.interior.size)
+    return f
+
+
+def assert_form_untouched(form, before):
+    after = vars(form)
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
+
+
+def test_contraction_factors_once_per_alpha(gaussian2, lu_count):
+    form = gaussian2[4]
+    before = dict(vars(form))
+    alphas = (1.0, 10.0, 100.0, 1000.0)
+    rep = check_contraction(form, alphas=alphas, trials=5, seed=31)
+    assert lu_count.factorizations == 4
+    assert_form_untouched(form, before)
+    rng = np.random.default_rng(31)
+    one_shot = []
+    for alpha in alphas:
+        for _ in range(5):
+            f = np.zeros(form.mesh.num_vertices)
+            f[form.interior] = rng.standard_normal(form.interior.size)
+            u = solve_resolvent(form, alpha, f)
+            one_shot.append(alpha * form.l2_norm(u.values) / form.l2_norm(f))
+    assert np.array_equal([ratio for _, _, ratio in rep.rows], one_shot)
+
+
+def test_resolvent_identity_factors_twice(gaussian2, lu_count):
+    form = gaussian2[4]
+    before = dict(vars(form))
+    f = interior_data(form, 32)
+    rep = check_resolvent_identity(form, 1.0, 10.0, f)
+    assert lu_count.factorizations == 2
+    assert_form_untouched(form, before)
+    u_a = solve_resolvent(form, 1.0, f)
+    u_b = solve_resolvent(form, 10.0, f)
+    w = solve_resolvent(form, 1.0, u_b)
+    assert rep.defect == form.l2_norm(u_a.values - u_b.values - 9.0 * w.values)
+
+
+def test_strong_continuity_factors_each_alpha_and_mass_once(gaussian2, lu_count):
+    form = gaussian2[4]
+    before = dict(vars(form))
+    f = interior_data(form, 33)
+    rep = strong_continuity_gaps(form, f)
+    assert len(DEFAULT_ALPHAS) == 13
+    assert lu_count.factorizations == 13 + 1
+    assert_form_untouched(form, before)
+    one_shot = [
+        form.l2_norm(alpha * solve_resolvent(form, alpha, f).values - f)
+        for alpha in rep.alphas
+    ]
+    assert np.array_equal(rep.gaps, one_shot)
+
+
+def test_resolvent_holds_one_factor_and_matches_one_shot_solves(gaussian2, lu_count):
+    form = gaussian2[4]
+    before = dict(vars(form))
+    f = interior_data(form, 34)
+    g = interior_data(form, 35)
+    res = Resolvent(form)
+    solves = [(1.0, f), (1.0, g), (2.0, f), (1.0, f)]
+    shared = [solve_resolvent(res, alpha, data).values for alpha, data in solves]
+    # a new alpha replaces the held factor, so returning to alpha = 1 refactors
+    assert lu_count.factorizations == 3
+    assert res.residual is not None
+    for (alpha, data), u in zip(solves, shared):
+        assert np.array_equal(u, solve_resolvent(form, alpha, data).values)
+    generated = [apply_generator(res, data).values for data in (f, g, f)]
+    assert lu_count.factorizations == 3 + len(solves) + 1
+    for data, lu in zip((f, g, f), generated):
+        assert np.array_equal(lu, apply_generator(form, data).values)
+    assert_form_untouched(form, before)
+
+
+def test_resolvent_sweep_reuses_its_solves(box_form, lu_count):
+    before = dict(vars(box_form))
+    rep = resolvent_sweep(box_form, alphas=(1.0, 4.0, 16.0), seed=36)
+    # one LU per alpha, one to refactor alpha = 1 for G_1 G_16 f, one lumped
+    assert lu_count.factorizations == 3 + 1 + 1
+    assert_form_untouched(box_form, before)
+    f = interior_data(box_form, 36)
+    ident = check_resolvent_identity(box_form, 1.0, 16.0, f)
+    assert rep.identity_defect == ident.relative_defect
+    # the reported residuals are the guard's ||(alpha M + S + D) u - M f||
+    interior = box_form.interior
+    for alpha, residual in zip(rep.alphas, rep.residuals):
+        u = solve_resolvent(box_form, alpha, f).values
+        k = (alpha * box_form.m + box_form.s + box_form.d).tocsr()
+        k_int = k[interior][:, interior]
+        rhs = (box_form.m @ f)[interior]
+        assert residual == np.linalg.norm(k_int @ u[interior] - rhs)
