@@ -68,12 +68,13 @@ def stationarity_matrix(
     return (s + d).T.tocsr()
 
 
-def _pinned_solve(k: sp.csr_matrix, pin: int) -> np.ndarray:
+def _pinned_solve(k: sp.csr_matrix, pin: int, order: np.ndarray) -> np.ndarray:
     n = k.shape[0]
-    keep = np.concatenate([np.arange(pin), np.arange(pin + 1, n)])
+    # the unknowns in the mesh's nested-dissection order, factored as is
+    keep = order[order != pin]
     sub = k[keep][:, keep].tocsc()
     rhs = -np.asarray(k[keep][:, [pin]].todense()).ravel()
-    lu = spla.splu(sub)
+    lu = spla.splu(sub, permc_spec="NATURAL")
     x = lu.solve(rhs)
     full = np.empty(n)
     full[pin] = 1.0
@@ -81,10 +82,11 @@ def _pinned_solve(k: sp.csr_matrix, pin: int) -> np.ndarray:
     return full
 
 
-def _inverse_iteration(k: sp.csr_matrix, tol: float) -> np.ndarray:
+def _inverse_iteration(k: sp.csr_matrix, tol: float, order: np.ndarray) -> np.ndarray:
     scale = float(abs(k).sum() / k.shape[0]) or 1.0
+    k = k[order][:, order].tocsr()
     shifted = (k + (1e-10 * scale) * sp.identity(k.shape[0], format="csr")).tocsc()
-    lu = spla.splu(shifted)
+    lu = spla.splu(shifted, permc_spec="NATURAL")
     v = np.ones(k.shape[0])
     v /= np.linalg.norm(v)
     for _ in range(100):
@@ -92,7 +94,9 @@ def _inverse_iteration(k: sp.csr_matrix, tol: float) -> np.ndarray:
         v /= np.linalg.norm(v)
         if np.linalg.norm(k @ v) <= tol * scale:
             break
-    return v
+    full = np.empty_like(v)
+    full[order] = v
+    return full
 
 
 def solve_invariant_density(
@@ -128,12 +132,13 @@ def solve_invariant_density(
     weights = lumped_weights(mesh)
     volume = float(weights.sum())
 
+    order = mesh.dissection_order
     candidates = []
     for pin in pins:
         try:
-            v = _pinned_solve(k, pin)
+            v = _pinned_solve(k, pin, order)
         except RuntimeError:
-            v = _inverse_iteration(k, tol)
+            v = _inverse_iteration(k, tol, order)
         mean = float(weights @ v) / volume
         if abs(mean) < 1e-300:
             raise DensityNotPositive("kernel vector has vanishing mean")

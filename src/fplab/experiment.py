@@ -93,11 +93,15 @@ class CutoffSpec:
         safe = np.where(rad > 0.0, rad, 1.0)
         unit = (pts - self.center) / safe[:, None]
         dim = pts.shape[1]
+        # radial Hessian: g'' uu^T + (g'/r)(I - uu^T); zero on the plateaus.
+        # Built in place, so that at most two (n, dim, dim) arrays are held
         uu = unit[:, :, None] * unit[:, None, :]
-        eye = np.eye(dim)
-        # radial Hessian: g'' uu^T + (g'/r)(I - uu^T); zero on the plateaus
-        out = gpp[:, None, None] * uu + (gp / safe)[:, None, None] * (eye - uu)
-        out = np.where(rad[:, None, None] > 0.0, out, 0.0)
+        tangential = np.eye(dim) - uu
+        tangential *= (gp / safe)[:, None, None]
+        out = uu
+        out *= gpp[:, None, None]
+        out += tangential
+        out[~(rad > 0.0)] = 0.0
         return out[0] if single else out
 
 
@@ -166,14 +170,16 @@ def solve_double_divergence(
         g_vec = g.values.copy()
     else:
         g_vec = interpolate(mesh, g).values
-    interior = mesh.interior
+    # interior unknowns in the mesh's nested-dissection order, factored as is
+    order = mesh.dissection_order
+    interior = order[~mesh.boundary[order]]
     if interior.size == 0:
         raise EmptyInterior("mesh has no interior vertices")
     boundary = np.flatnonzero(mesh.boundary)
     rhs_int = rhs[interior] - k[interior][:, boundary] @ g_vec[boundary]
     k_int = k[interior][:, interior].tocsc()
     try:
-        u_int = spla.splu(k_int).solve(rhs_int)
+        u_int = spla.splu(k_int, permc_spec="NATURAL").solve(rhs_int)
     except RuntimeError as exc:
         raise IndefiniteSystem(
             f"double-divergence system is singular (zeroth-order term?): {exc}"
@@ -277,13 +283,14 @@ def _lb_chi_at_quad(mesh, cs, cutoff, rule, pts):
         )
     flat = pts.reshape(-1, mesh.dim)
     ne, nq = pts.shape[0], pts.shape[1]
-    grad_chi = np.asarray(cutoff.gradient(flat)).reshape(ne, nq, mesh.dim)
+    # the matrix fields are dropped before the vector fields are evaluated,
+    # so that they are never all held at once
     hess_chi = np.asarray(cutoff.hessian(flat)).reshape(ne, nq, mesh.dim, mesh.dim)
-    a_q = matrix_at_quad(cs.a, mesh, rule, pts)
+    lb = np.einsum("eqab,eqba->eq", matrix_at_quad(cs.a, mesh, rule, pts), hess_chi)
+    del hess_chi
+    grad_chi = np.asarray(cutoff.gradient(flat)).reshape(ne, nq, mesh.dim)
     drift_q = vector_at_quad(cs.drift, mesh, rule, pts)
-    lb = np.einsum("eqab,eqba->eq", a_q, hess_chi) + np.einsum(
-        "eqa,eqa->eq", diva_q + drift_q, grad_chi
-    )
+    lb += np.einsum("eqa,eqa->eq", diva_q + drift_q, grad_chi)
     return lb, recovered
 
 

@@ -9,6 +9,7 @@ Kuhn subdivision of a tensor grid. Meshes are immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -24,6 +25,9 @@ MAX_LEVELS = 8
 _BOUNDARY_RTOL = 1e-12
 
 _FACTORIAL = {2: 2.0, 3: 6.0}
+
+# parts of at most this many vertices are not dissected further
+_DISSECTION_LEAF = 64
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,20 @@ class SimplicialMesh:
     @property
     def interior(self) -> np.ndarray:
         return np.flatnonzero(~self.boundary)
+
+    @cached_property
+    def dissection_order(self) -> np.ndarray:
+        """Nested-dissection vertex order, computed once per mesh.
+
+        A permutation of range(num_vertices) that puts each part's vertex
+        separator after both halves it separates (George 1973), so a sparse
+        LU of a P1 system taken in this order fills far less than in the
+        mesh's own numbering. Slicing an index set in this order (for
+        instance `order[~boundary[order]]`) keeps the property.
+        """
+        order = _dissection_order(self.vertices, _mesh_edges(self.elements, self.dim))
+        order.setflags(write=False)
+        return order
 
     def element_coords(self) -> np.ndarray:
         """Vertex coordinates per element, shape (ne, dim + 1, dim)."""
@@ -294,7 +312,64 @@ def _mesh_edges(elements: np.ndarray, dim: int):
     pairs = list(combinations(range(dim + 1), 2))
     e = np.concatenate([elements[:, list(p)] for p in pairs], axis=0)
     e.sort(axis=1)
-    return np.unique(e, axis=0)
+    # one int64 key per pair sorts like the rows and uniques far faster
+    nv = int(elements.max()) + 1
+    key = np.unique(e[:, 0] * nv + e[:, 1])
+    return np.stack([key // nv, key % nv], axis=1)
+
+
+def _dissection_order(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Geometric nested dissection, built level by level over the edge list.
+
+    Every live part with more than _DISSECTION_LEAF vertices is cut at the
+    median of its longest coordinate axis (coord >= median goes right, so
+    ties on structured grids stay on one side of a straight cut); the
+    lower-side endpoints of the edges crossing the cut form the part's
+    separator. A part that cannot be cut becomes a leaf. Each vertex ends
+    in one tree node (path bits, depth); sorting the nodes in postorder
+    (left subtree, right subtree, separator) gives the order.
+    """
+    nv = vertices.shape[0]
+    path = np.zeros(nv, dtype=np.int64)
+    depth = np.zeros(nv, dtype=np.int64)
+    live = np.ones(nv, dtype=bool)
+    level = 0
+    while live.any():
+        idx = np.flatnonzero(live)
+        # group the live vertices by part
+        _, part, counts = np.unique(path[idx], return_inverse=True, return_counts=True)
+        grouped = np.argsort(part, kind="stable")
+        idx, part = idx[grouped], part[grouped]
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        x = vertices[idx]
+        extent = np.maximum.reduceat(x, starts, axis=0) - np.minimum.reduceat(
+            x, starts, axis=0
+        )
+        coord = x[np.arange(idx.size), np.argmax(extent, axis=1)[part]]
+        by_coord = coord[np.lexsort((coord, part))]
+        lower, upper = starts + (counts - 1) // 2, starts + counts // 2
+        median = 0.5 * (by_coord[lower] + by_coord[upper])
+        right = coord >= median[part]
+        n_left = np.bincount(part, weights=~right, minlength=counts.size)
+        cut = (counts > _DISSECTION_LEAF) & (n_left > 0)
+        # parts left uncut are leaves
+        live[idx[~cut[part]]] = False
+        idx, right = idx[cut[part]], right[cut[part]]
+        side = np.zeros(nv, dtype=bool)
+        side[idx] = right
+        a, b = edges[:, 0], edges[:, 1]
+        crossing = live[a] & live[b] & (path[a] == path[b]) & (side[a] != side[b])
+        separator = np.where(side[a], b, a)[crossing]
+        # the separator stays in the node being cut; the rest moves down
+        live[separator] = False
+        moved = idx[live[idx]]
+        path[moved] = 2 * path[moved] + side[moved]
+        level += 1
+        depth[moved] = level
+        edges = edges[live[a] & live[b]]
+    top = int(depth.max())
+    key = ((path + 1) << (top - depth)) - 1
+    return np.lexsort((-depth, key))
 
 
 def boundary_facets(mesh: SimplicialMesh):

@@ -185,7 +185,9 @@ def test_cli_solver_divergence_exits_three(tmp_path, capsys, stage):
     )
     assert main([stage, "--config", cfg]) == 3
     err = capsys.readouterr().err
-    assert "SolverDivergence" in err and "within 3 iterations" in err
+    assert "SolverDivergence" in err
+    # maxiter counts GMRES restart cycles, not inner iterations
+    assert "within 3 restart cycles of 20 iterations" in err
 
 
 def test_cli_experiment_small_case(tmp_path):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from fplab import (
+    KernelDimensionError,
+    SimplicialMesh,
     build_ball_mesh,
+    build_box_mesh,
     decompose_drift,
     divergence_free_residual,
     interpolate,
@@ -85,3 +88,18 @@ def test_decomposition_quadratic_defect_finite(disk2):
     # genuinely nonzero at finite h; it only vanishes in the continuum
     assert np.isfinite(dec.quadratic_defect)
     assert dec.quadratic_defect > 0.0
+
+
+def test_disconnected_mesh_raises_kernel_dimension_error():
+    # two disjoint 6 x 6 squares: each carries its own stationary density,
+    # so the kernel is two-dimensional and the pinned solves disagree
+    left = build_box_mesh((0.0, 0.0), (1.0, 1.0), 6)
+    right_vertices = left.vertices + np.array([2.0, 0.0])
+    mesh = SimplicialMesh(
+        dim=2,
+        vertices=np.vstack([left.vertices, right_vertices]),
+        elements=np.vstack([left.elements, left.elements + left.num_vertices]),
+        boundary=np.concatenate([left.boundary, left.boundary]),
+    )
+    with pytest.raises(KernelDimensionError):
+        solve_invariant_density(mesh, preset("gaussian_gradient", 2))

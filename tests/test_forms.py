@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings, strategies as st
 
 import fplab.forms
 from fplab import (
@@ -362,3 +363,73 @@ def test_resolvent_sweep_reuses_its_solves(box_form, lu_count):
         k_int = k[interior][:, interior]
         rhs = (box_form.m @ f)[interior]
         assert residual == np.linalg.norm(k_int @ u[interior] - rhs)
+
+
+def colamd_solve(form, alpha, f):
+    """One-shot reference: SuperLU's own COLAMD order on the mesh's interior."""
+    interior = form.mesh.interior
+    k = (alpha * form.m + form.s + form.d).tocsr()[interior][:, interior]
+    f_int = np.zeros_like(f)
+    f_int[interior] = f[interior]
+    u = np.zeros_like(f)
+    u[interior] = spla.splu(k.tocsc()).solve((form.m @ f_int)[interior])
+    return u
+
+
+def lu_fill(a, permc_spec):
+    lu = spla.splu(a.tocsc(), permc_spec=permc_spec)
+    return lu.L.nnz + lu.U.nnz - a.shape[0]
+
+
+@pytest.fixture(scope="module")
+def rotator3():
+    return make_pipeline("rotator", 3, 3)
+
+
+def test_dissection_order_fills_no_more_than_colamd(rotator3):
+    form = rotator3[4]
+    res = Resolvent(form)
+    k = (4.0 * form.m + form.s + form.d).tocsr()
+    nested = k[res.interior][:, res.interior]
+    natural = k[form.interior][:, form.interior]
+    assert lu_fill(nested, "NATURAL") <= lu_fill(natural, "COLAMD")
+
+
+def test_resolvent_interior_is_the_dissection_order(rotator3):
+    form = rotator3[4]
+    res = Resolvent(form)
+    order = form.mesh.dissection_order
+    assert np.array_equal(res.interior, order[~form.mesh.boundary[order]])
+    assert np.array_equal(np.sort(res.interior), form.interior)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 64.0])
+def test_resolvent_matches_colamd_solve(rotator3, alpha):
+    form = rotator3[4]
+    f = interior_data(form, 37)
+    u = solve_resolvent(form, alpha, f).values
+    ref = colamd_solve(form, alpha, f)
+    assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    cells=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+    stretch=st.floats(0.25, 4.0),
+)
+@example(cells=(1, 80), stretch=1.0)   # one cell thick: no interior at all
+@example(cells=(2, 60), stretch=0.05)  # one interior column of 59 vertices
+@example(cells=(24, 24), stretch=1.0)
+def test_dissection_order_on_random_boxes(cells, stretch):
+    mesh = build_box_mesh((0.0, 0.0), (1.0, stretch), cells)
+    order = mesh.dissection_order
+    assert np.array_equal(np.sort(order), np.arange(mesh.num_vertices))
+    if mesh.interior.size == 0:
+        return
+    cs = preset("rotator", 2)
+    density = solve_invariant_density(mesh, cs)
+    form = assemble_form(mesh, cs, density, decompose_drift(mesh, cs, density))
+    f = interior_data(form, 38)
+    u = solve_resolvent(form, 3.0, f).values
+    ref = colamd_solve(form, 3.0, f)
+    assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
