@@ -53,13 +53,11 @@ from .mesh import (
 )
 from .fem import (
     FeFunction,
-    apply_dirichlet,
     assemble_drift,
     assemble_load,
     assemble_weighted_mass,
     assemble_weighted_stiffness,
     element_geometry,
-    h1_seminorm,
     interpolate,
     l2_error,
     lumped_weights,
@@ -69,10 +67,6 @@ from .fem import (
     quadrature_norm,
     scalar_at_quad,
     vector_at_quad,
-    read_matrix,
-    read_vector,
-    write_matrix,
-    write_vector,
 )
 from .coefficients import (
     AnalyticFunction,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import version_string
 from .config import ExperimentConfig, parse_config, parse_config_text
 from .coefficients import (
     CoefficientSet,
@@ -96,10 +96,6 @@ level = 3
 """
 
 
-def _version_string() -> str:
-    return f"fplab-{__version__}"
-
-
 def _out_dir(cfg: ExperimentConfig) -> Path:
     path = Path(cfg.output_dir)
     path.mkdir(parents=True, exist_ok=True)
@@ -109,7 +105,7 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 def _write_json(path: Path, payload: dict, cfg: ExperimentConfig):
     payload = dict(payload)
     payload["config_sha256"] = cfg.sha256()
-    payload["version"] = _version_string()
+    payload["version"] = version_string()
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -407,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stationary Fokker-Planck laboratory: meshes, invariant "
         "densities, sectorial resolvents, and the cutoff energy-bound experiment.",
     )
-    parser.add_argument("--version", action="version", version=_version_string())
+    parser.add_argument("--version", action="version", version=version_string())
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} stage")

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .fem import (
     FeFunction,
+    _eval_callable,
     assemble_load,
     assemble_weighted_mass,
     element_geometry,
@@ -252,7 +253,7 @@ def ellipticity_audit(cs: CoefficientSet, domain, n: int = 1000, seed: int = 0) 
     rng = np.random.default_rng(seed)
     pts = sample_domain_points(domain, n, rng)
     xi = rng.standard_normal((n, cs.dim))
-    a_vals = _stack_eval(cs.a, pts, (cs.dim, cs.dim))
+    a_vals = _eval_callable(cs.a, pts, (cs.dim, cs.dim))
     quad = np.einsum("na,nab,nb->n", xi, a_vals, xi)
     nsq = (xi * xi).sum(axis=1)
     lower_ok = bool((quad >= cs.lam * nsq * (1 - 1e-12) - 1e-300).all())
@@ -282,14 +283,6 @@ def sample_domain_points(domain, n: int, rng) -> np.ndarray:
         hi = np.asarray(domain.hi)
         return lo + rng.random((n, len(lo))) * (hi - lo)
     raise TypeError(f"unsupported domain {type(domain).__name__}")
-
-
-def _sample_ball(center: np.ndarray, radius: float, n: int, rng) -> np.ndarray:
-    dim = center.shape[0]
-    u = rng.standard_normal((n, dim))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    r = radius * rng.random(n) ** (1.0 / dim)
-    return center + u * r[:, None]
 
 
 @dataclass
@@ -353,8 +346,8 @@ def vmo_modulus(
     for k, r in enumerate(radii):
         best, best_se = -np.inf, 0.0
         for z in centers:
-            x = _sample_ball(z, r, samples, rng)
-            y = _sample_ball(z, r, samples, rng)
+            x = sample_domain_points(Ball(z, r), samples, rng)
+            y = sample_domain_points(Ball(z, r), samples, rng)
             diff = np.abs(np.asarray(field(x)) - np.asarray(field(y)))
             est = w2 * float(diff.mean())
             se = w2 * float(diff.std(ddof=1)) / math.sqrt(samples)
@@ -420,8 +413,8 @@ def vmo_product_inequality_check(
             raise DegenerateRadius(f"radius {r!r} invalid for this domain")
         bf = bg = bfg = se = 0.0
         for z in centers:
-            x = _sample_ball(z, r, samples, rng)
-            y = _sample_ball(z, r, samples, rng)
+            x = sample_domain_points(Ball(z, r), samples, rng)
+            y = sample_domain_points(Ball(z, r), samples, rng)
             fx, fy = np.asarray(f(x)), np.asarray(f(y))
             gx, gy = np.asarray(g(x)), np.asarray(g(y))
             sup_f = max(sup_f, float(np.abs(fx).max()), float(np.abs(fy).max()))
@@ -550,23 +543,13 @@ def nondivergence_apply(cs: CoefficientSet, u: AnalyticFunction, points) -> np.n
     if u.hess is None:
         raise MissingDerivative("u does not provide an analytic Hessian")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    a_v = _stack_eval(cs.a, pts, (cs.dim, cs.dim))
-    h_v = _stack_eval(u.hess, pts, (cs.dim, cs.dim))
-    g_v = _stack_eval(u.grad, pts, (cs.dim,))
-    da = _stack_eval(cs.div_a, pts, (cs.dim,))
-    dr = _stack_eval(cs.drift, pts, (cs.dim,))
+    a_v = _eval_callable(cs.a, pts, (cs.dim, cs.dim))
+    h_v = _eval_callable(u.hess, pts, (cs.dim, cs.dim))
+    g_v = _eval_callable(u.grad, pts, (cs.dim,))
+    da = _eval_callable(cs.div_a, pts, (cs.dim,))
+    dr = _eval_callable(cs.drift, pts, (cs.dim,))
     out = np.einsum("nab,nba->n", a_v, h_v) + np.einsum("na,na->n", da + dr, g_v)
     return out if np.asarray(points).ndim > 1 else float(out[0])
-
-
-def _stack_eval(f: Callable, pts: np.ndarray, shape: tuple) -> np.ndarray:
-    try:
-        out = np.asarray(f(pts), dtype=float)
-        if out.shape == (pts.shape[0],) + shape:
-            return out
-    except Exception:
-        pass
-    return np.stack([np.asarray(f(x), dtype=float) for x in pts])
 
 
 def product_rule_div_check(
@@ -586,8 +569,8 @@ def product_rule_div_check(
     u_v = np.asarray(u.value(pts), dtype=float)
     if u_v.shape != (pts.shape[0],):
         u_v = np.array([float(u.value(x)) for x in pts])
-    g_v = _stack_eval(u.grad, pts, (pts.shape[1],))
-    f_v = _stack_eval(flux.value, pts, (pts.shape[1],))
+    g_v = _eval_callable(u.grad, pts, (pts.shape[1],))
+    f_v = _eval_callable(flux.value, pts, (pts.shape[1],))
     df_v = np.asarray(flux.div(pts), dtype=float)
     if df_v.shape != (pts.shape[0],):
         df_v = np.array([float(flux.div(x)) for x in pts])

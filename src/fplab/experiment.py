@@ -18,7 +18,6 @@ import scipy.sparse.linalg as spla
 from .coefficients import (
     AnalyticFunction,
     CoefficientSet,
-    _stack_eval,
     nondivergence_apply,
     weak_divergence_matrix,
 )
@@ -33,6 +32,7 @@ from .errors import (
 )
 from .fem import (
     FeFunction,
+    _eval_callable,
     assemble_load,
     assemble_weighted_mass,
     assemble_weighted_stiffness,
@@ -603,11 +603,11 @@ def product_rule_residual(cs: CoefficientSet, chi, u, points) -> float:
     lhs = nondivergence_apply(cs, AnalyticFunction(pval, pgrad, phess), pts)
     lb_chi = nondivergence_apply(cs, chi_f, pts)
     lb_u = nondivergence_apply(cs, u_f, pts)
-    a_v = _stack_eval(cs.a, pts, (cs.dim, cs.dim))
-    cg = _stack_eval(chi_f.grad, pts, (cs.dim,))
-    ug = _stack_eval(u_f.grad, pts, (cs.dim,))
-    cv = _stack_eval(chi_f.value, pts, ())
-    uv = _stack_eval(u_f.value, pts, ())
+    a_v = _eval_callable(cs.a, pts, (cs.dim, cs.dim))
+    cg = _eval_callable(chi_f.grad, pts, (cs.dim,))
+    ug = _eval_callable(u_f.grad, pts, (cs.dim,))
+    cv = _eval_callable(chi_f.value, pts, ())
+    uv = _eval_callable(u_f.value, pts, ())
     cross = np.einsum("na,nab,nb->n", ug, a_v, cg) + np.einsum(
         "na,nab,nb->n", cg, a_v, ug
     )

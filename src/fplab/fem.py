@@ -18,8 +18,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EmptyInterior, NonEllipticSample, NonFiniteValue, NonPositiveDensity
-from .mesh import SimplicialMesh
+from .errors import NonFiniteValue, NonPositiveDensity
+from .mesh import SimplicialMesh, _p1_gradients
 from .quadrature import DEFAULT_DEGREE, QuadratureRule, quadrature_rule
 
 
@@ -58,13 +58,7 @@ def element_geometry(mesh: SimplicialMesh):
         Column k holds grad of the barycentric basis function of vertex k.
     vols : ndarray, shape (ne,)
     """
-    coords = mesh.element_coords()
-    ne, nloc, dim = coords.shape
-    aug = np.concatenate([np.ones((ne, nloc, 1)), coords], axis=2)
-    cinv = np.linalg.inv(aug)
-    grads = cinv[:, 1:, :]
-    vols = mesh.volumes()
-    return grads, vols
+    return _p1_gradients(mesh.element_coords()), mesh.volumes()
 
 
 def physical_quad_points(mesh: SimplicialMesh, rule: QuadratureRule) -> np.ndarray:
@@ -294,33 +288,6 @@ def norm(u: FeFunction, p: float = 2.0, weight=None, rule=None) -> float:
     return quadrature_norm(u.mesh, u, p=p, weight=weight, rule=rule)
 
 
-def h1_seminorm(u: FeFunction, a=None, weight=None, rule=None) -> float:
-    """(int <a grad u, grad u> weight dx)^(1/2) with a = id by default.
-
-    Raises NonEllipticSample if the quadratic form goes negative beyond
-    roundoff at any quadrature point.
-    """
-    mesh = u.mesh
-    rule = rule or quadrature_rule(mesh.dim)
-    pts = physical_quad_points(mesh, rule)
-    grads, vols = element_geometry(mesh)
-    gu = np.einsum("eak,ek->ea", grads, u.values[mesh.elements])
-    if a is None:
-        q = np.einsum("ea,ea->e", gu, gu)[:, None] * np.ones(rule.weights.shape[0])
-    else:
-        a_q = matrix_at_quad(a, mesh, rule, pts)
-        q = np.einsum("ea,eqab,eb->eq", gu, a_q, gu)
-    scale = max(float(np.abs(q).max()), 1.0)
-    if (q < -1e-12 * scale).any():
-        raise NonEllipticSample(
-            f"quadratic form sample {q.min():.3e} is negative beyond roundoff"
-        )
-    q = np.clip(q, 0.0, None)
-    rho_q = _density_at_quad(weight, mesh, rule, pts)
-    total = np.einsum("eq,eq,q,e->", q, rho_q, rule.weights, vols)
-    return float(np.sqrt(total))
-
-
 def l2_error(u: FeFunction, exact, weight=None, rule=None) -> float:
     """L^2(weight dx) distance between an FE function and a callable."""
     mesh = u.mesh
@@ -329,56 +296,3 @@ def l2_error(u: FeFunction, exact, weight=None, rule=None) -> float:
     u_q = u.at_quad(rule)
     e_q = scalar_at_quad(exact, mesh, rule, pts)
     return quadrature_norm(mesh, u_q - e_q, p=2.0, weight=weight, rule=rule)
-
-
-def apply_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray, mesh: SimplicialMesh):
-    """Restrict a system to interior degrees of freedom (zero boundary data).
-
-    Returns (reduced_matrix, reduced_rhs, interior_indices).
-    """
-    interior = mesh.interior
-    if interior.size == 0:
-        raise EmptyInterior("mesh has no interior vertices")
-    m = matrix.tocsr()[interior][:, interior]
-    return m, rhs[interior], interior
-
-
-def write_matrix(path, matrix: sp.spmatrix):
-    """Coordinate-triplet text export: one `row col value` line per entry."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {float(v)!r}\n")
-
-
-def read_matrix(path) -> sp.csr_matrix:
-    with open(path) as fh:
-        nr, nc, nnz = (int(t) for t in fh.readline().split())
-        rows, cols, vals = [], [], []
-        for _ in range(nnz):
-            r, c, v = fh.readline().split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nr, nc)).tocsr()
-
-
-def write_vector(path, vec: np.ndarray, header: Optional[str] = None):
-    with open(path, "w") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for v in np.asarray(vec, dtype=float):
-            fh.write(f"{float(v)!r}\n")
-
-
-def read_vector(path) -> np.ndarray:
-    vals = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vals.append(float(line))
-    return np.asarray(vals)

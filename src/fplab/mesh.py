@@ -4,12 +4,17 @@ Construction is fully deterministic: ball meshes come from a fixed layered
 template (concentric rings in 2D, an octahedral fan in 3D) refined uniformly
 with radial projection of new boundary vertices; box meshes come from the
 Kuhn subdivision of a tensor grid. Meshes are immutable once built.
+
+All topology (boundary facets, the conformity audit, the boundary edges that
+refinement projects) comes from one facet table, and refinement and Kuhn
+subdivision are fixed local index tables applied to every element at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, permutations
 from typing import Optional, Union
 
 import numpy as np
@@ -25,6 +30,25 @@ MAX_LEVELS = 8
 _BOUNDARY_RTOL = 1e-12
 
 _FACTORIAL = {2: 2.0, 3: 6.0}
+
+# local edges and facets of a d-simplex, in itertools.combinations order
+_LOCAL_EDGES = {d: list(combinations(range(d + 1), 2)) for d in (1, 2, 3)}
+_LOCAL_FACETS = {d: list(combinations(range(d + 1), d)) for d in (2, 3)}
+
+# Red-refinement children as rows into an element's local vertex array: its
+# vertices, then its edge midpoints in _LOCAL_EDGES order (2D: 3 m01, 4 m02,
+# 5 m12; 3D: 4 m01, 5 m02, 6 m03, 7 m12, 8 m13, 9 m23).
+_RED_CHILDREN_2D = np.array([[0, 3, 4], [1, 5, 3], [2, 4, 5], [3, 5, 4]])
+_RED_CORNERS_3D = np.array([[0, 4, 5, 6], [1, 4, 7, 8], [2, 5, 7, 9], [3, 6, 8, 9]])
+# The inner octahedron is cut along one of its three diagonals (m01-m23,
+# m02-m13, m03-m12); each row holds the 4 tetrahedra around that diagonal,
+# one per pair of equatorial midpoints that share a parent vertex.
+_OCTAHEDRON_DIAGONALS = np.array([[4, 9], [5, 8], [6, 7]])
+_OCTAHEDRON_CHILDREN = np.array([
+    [[4, 9, 5, 6], [4, 9, 5, 7], [4, 9, 6, 8], [4, 9, 7, 8]],
+    [[5, 8, 4, 6], [5, 8, 4, 7], [5, 8, 6, 9], [5, 8, 7, 9]],
+    [[6, 7, 4, 5], [6, 7, 4, 8], [6, 7, 5, 9], [6, 7, 8, 9]],
+])
 
 # parts of at most this many vertices are not dissected further
 _DISSECTION_LEAF = 64
@@ -128,7 +152,8 @@ class SimplicialMesh:
         mesh's own numbering. Slicing an index set in this order (for
         instance `order[~boundary[order]]`) keeps the property.
         """
-        order = _dissection_order(self.vertices, _mesh_edges(self.elements, self.dim))
+        edges, _ = _mesh_edges(self)
+        order = _dissection_order(self.vertices, edges)
         order.setflags(write=False)
         return order
 
@@ -278,44 +303,47 @@ def build_box_mesh(lo, hi, cells_per_axis) -> SimplicialMesh:
     axes = [np.linspace(lo[d], hi[d], cells[d] + 1) for d in range(dim)]
     grids = np.meshgrid(*axes, indexing="ij")
     vertices = np.stack([g.ravel() for g in grids], axis=1)
-    shape = cells + 1
-
-    def vid(idx):
-        out = idx[0]
-        for d in range(1, dim):
-            out = out * shape[d] + idx[d]
-        return out
-
-    elements = []
-    from itertools import permutations, product
-
-    corner_ranges = [range(c) for c in cells]
-    perms = list(permutations(range(dim)))
-    for corner in product(*corner_ranges):
-        corner = np.asarray(corner)
-        for perm in perms:
-            # path simplex: walk from the cell's lo corner to its hi corner
-            idx = corner.copy()
-            simplex = [vid(idx)]
-            for axis in perm:
-                idx = idx.copy()
-                idx[axis] += 1
-                simplex.append(vid(idx))
-            elements.append(simplex)
+    # path simplices: each permutation of the axes walks from a cell's lo
+    # corner to its hi corner, one unit step per axis
+    steps = np.eye(dim, dtype=np.int64)[list(permutations(range(dim)))]
+    paths = np.pad(steps.cumsum(axis=1), ((0, 0), (1, 0), (0, 0)))  # lo corner first
+    corners = np.indices(cells).reshape(dim, -1).T
+    grid_index = corners[:, None, None, :] + paths  # (corner, path, step, axis)
+    # vertex ids follow the C order of the meshgrid above
+    elements = np.ravel_multi_index(np.moveaxis(grid_index, -1, 0), cells + 1)
     domain = Box(lo=tuple(lo), hi=tuple(hi))
-    return _orient_and_build(vertices, np.array(elements), dim, domain)
+    return _orient_and_build(vertices, elements.reshape(-1, dim + 1), dim, domain)
 
 
-def _mesh_edges(elements: np.ndarray, dim: int):
-    from itertools import combinations
-
-    pairs = list(combinations(range(dim + 1), 2))
-    e = np.concatenate([elements[:, list(p)] for p in pairs], axis=0)
-    e.sort(axis=1)
+def _mesh_edges(mesh: SimplicialMesh):
+    """Distinct edges as sorted rows in lexicographic order, shape (nE, 2),
+    and each element's edge ids in _LOCAL_EDGES order, shape (ne, nloc)."""
+    pairs = np.sort(mesh.elements[:, _LOCAL_EDGES[mesh.dim]], axis=2).reshape(-1, 2)
     # one int64 key per pair sorts like the rows and uniques far faster
-    nv = int(elements.max()) + 1
-    key = np.unique(e[:, 0] * nv + e[:, 1])
-    return np.stack([key // nv, key % nv], axis=1)
+    nv = mesh.num_vertices
+    keys, element_edges = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_inverse=True)
+    edges = np.stack([keys // nv, keys % nv], axis=1)
+    return edges, element_edges.reshape(mesh.num_elements, -1)
+
+
+def _facet_table(mesh: SimplicialMesh):
+    """Every element facet as a sorted row, with its distinct-facet id and count.
+
+    Rows are element-major: rows k*(dim+1) .. k*(dim+1)+dim are the facets of
+    element k in _LOCAL_FACETS order over its sorted vertex ids. Returns
+    (facets, ids, counts) with facets of shape (ne*(dim+1), dim), ids[row]
+    the row's distinct facet and counts[id] the number of rows sharing it.
+    """
+    dim, nv = mesh.dim, mesh.num_vertices
+    facets = np.sort(mesh.elements, axis=1)[:, _LOCAL_FACETS[dim]].reshape(-1, dim)
+    # one int64 key per row
+    key = facets[:, 0] * nv + facets[:, 1]
+    if dim == 3:
+        # rank the leading pair first: (f0 nv + f1) nv + f2 would overflow
+        # int64 beyond 2^21 vertices, the rank times nv does not
+        key = np.unique(key, return_inverse=True)[1] * nv + facets[:, 2]
+    _, ids, counts = np.unique(key, return_inverse=True, return_counts=True)
+    return facets, ids, counts
 
 
 def _dissection_order(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -378,16 +406,16 @@ def boundary_facets(mesh: SimplicialMesh):
     Returns
     -------
     list of (facet, element) pairs; facet is a sorted tuple of vertex ids.
+    The pairs come in element order, and an element's facets in
+    itertools.combinations order over its sorted vertex ids.
+    weak_divergence_matrix sums its boundary flux in this order, so the
+    order fixes the last bits of the recovered divergence and of the
+    constants computed from it.
     """
-    from itertools import combinations
-
-    count: dict = {}
-    owner: dict = {}
-    for ei, elem in enumerate(mesh.elements):
-        for f in combinations(sorted(elem.tolist()), mesh.dim):
-            count[f] = count.get(f, 0) + 1
-            owner[f] = ei
-    return [(f, owner[f]) for f, c in count.items() if c == 1]
+    facets, ids, counts = _facet_table(mesh)
+    rows = np.flatnonzero(counts[ids] == 1)
+    owners = rows // (mesh.dim + 1)
+    return list(zip(map(tuple, facets[rows].tolist()), owners.tolist()))
 
 
 def check_conformity(mesh: SimplicialMesh) -> dict:
@@ -396,23 +424,15 @@ def check_conformity(mesh: SimplicialMesh) -> dict:
     Every facet must be owned by one element (boundary) or exactly two
     (interior); boundary-facet vertices must carry the boundary flag.
     """
-    from itertools import combinations
-
-    count: dict = {}
-    for elem in mesh.elements:
-        for f in combinations(sorted(elem.tolist()), mesh.dim):
-            count[f] = count.get(f, 0) + 1
-    over = [f for f, c in count.items() if c > 2]
-    boundary = [f for f, c in count.items() if c == 1]
-    flag_errors = [
-        f for f in boundary if not all(mesh.boundary[v] for v in f)
-    ]
-    ok = not over and not flag_errors
+    facets, ids, counts = _facet_table(mesh)
+    boundary = facets[counts[ids] == 1]
+    over = int((counts > 2).sum())
+    flag_errors = int((~mesh.boundary[boundary].all(axis=1)).sum())
     return {
-        "conforming": ok,
+        "conforming": not over and not flag_errors,
         "num_boundary_facets": len(boundary),
-        "overshared_facets": len(over),
-        "flag_mismatches": len(flag_errors),
+        "overshared_facets": over,
+        "flag_mismatches": flag_errors,
     }
 
 
@@ -421,82 +441,49 @@ def refine_uniform(mesh: SimplicialMesh) -> SimplicialMesh:
 
     Midpoints of boundary edges of a ball mesh are projected onto the
     sphere. Triangles yield 4 children; tetrahedra yield 4 corner children
-    plus 4 from the inner octahedron, split along its shortest diagonal.
+    plus 4 from the inner octahedron, split along its shortest diagonal
+    (Bey 1995).
     """
-    from itertools import combinations
-
-    dim = mesh.dim
-    edges = _mesh_edges(mesh.elements, dim)
-    edge_index = {(int(a), int(b)): i for i, (a, b) in enumerate(edges)}
+    dim, nv = mesh.dim, mesh.num_vertices
+    edges, element_edges = _mesh_edges(mesh)
     mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
 
     if isinstance(mesh.domain, Ball):
+        facets, ids, counts = _facet_table(mesh)
+        facet_edges = facets[counts[ids] == 1][:, _LOCAL_EDGES[dim - 1]].reshape(-1, 2)
+        edge_keys = edges[:, 0] * nv + edges[:, 1]
         bmask = np.zeros(len(edges), dtype=bool)
-        for f, _ in boundary_facets(mesh):
-            for a, b in combinations(f, 2):
-                bmask[edge_index[(a, b)]] = True
+        bmask[np.searchsorted(edge_keys, facet_edges[:, 0] * nv + facet_edges[:, 1])] = True
         if bmask.any():
             c = np.asarray(mesh.domain.center)
             v = mids[bmask] - c
             norms = np.linalg.norm(v, axis=1, keepdims=True)
             mids[bmask] = c + mesh.domain.radius * v / norms
 
-    nv = mesh.num_vertices
     vertices = np.vstack([mesh.vertices, mids])
-
-    def mid(a, b):
-        key = (a, b) if a < b else (b, a)
-        return nv + edge_index[key]
-
-    children = []
+    local = np.concatenate([mesh.elements, nv + element_edges], axis=1)
     if dim == 2:
-        for t in mesh.elements:
-            v0, v1, v2 = (int(x) for x in t)
-            m01, m12, m02 = mid(v0, v1), mid(v1, v2), mid(v0, v2)
-            children += [
-                (v0, m01, m02),
-                (v1, m12, m01),
-                (v2, m02, m12),
-                (m01, m12, m02),
-            ]
+        children = local[:, _RED_CHILDREN_2D]
     else:
-        for t in mesh.elements:
-            v0, v1, v2, v3 = (int(x) for x in t)
-            m01, m02, m03 = mid(v0, v1), mid(v0, v2), mid(v0, v3)
-            m12, m13, m23 = mid(v1, v2), mid(v1, v3), mid(v2, v3)
-            children += [
-                (v0, m01, m02, m03),
-                (v1, m01, m12, m13),
-                (v2, m02, m12, m23),
-                (v3, m03, m13, m23),
-            ]
-            # inner octahedron: pick the shortest of the three diagonals
-            diags = [(m01, m23), (m02, m13), (m03, m12)]
-            lengths = [
-                float(np.sum((vertices[a] - vertices[b]) ** 2)) for a, b in diags
-            ]
-            da, db = diags[int(np.argmin(lengths))]
-            ring = [m01, m02, m03, m12, m13, m23]
-            ring = [m for m in ring if m not in (da, db)]
-            # ring holds the 4 equatorial midpoints; connect each adjacent
-            # pair (sharing a parent face) to the chosen diagonal
-            quads = []
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    a, b = ring[i], ring[j]
-                    quads.append((a, b))
-            for a, b in quads:
-                # adjacent iff the two midpoints share a parent vertex
-                ea = _parent_pair(a - nv, edges)
-                eb = _parent_pair(b - nv, edges)
-                if set(ea) & set(eb):
-                    children.append((da, db, a, b))
-    children = np.asarray(children, dtype=np.int64)
-    return _orient_and_build(vertices, children, dim, mesh.domain)
+        ends = vertices[local[:, _OCTAHEDRON_DIAGONALS]]  # (ne, 3, 2, dim)
+        lengths = ((ends[:, :, 0] - ends[:, :, 1]) ** 2).sum(axis=2)
+        octahedron = _OCTAHEDRON_CHILDREN[np.argmin(lengths, axis=1)]
+        rows = np.arange(len(local))[:, None, None]
+        children = np.concatenate(
+            [local[:, _RED_CORNERS_3D], local[rows, octahedron]], axis=1
+        )
+    return _orient_and_build(vertices, children.reshape(-1, dim + 1), dim, mesh.domain)
 
 
-def _parent_pair(edge_row: int, edges: np.ndarray):
-    return int(edges[edge_row, 0]), int(edges[edge_row, 1])
+def _p1_gradients(coords: np.ndarray) -> np.ndarray:
+    """Barycentric basis gradients from element coordinates (ne, dim + 1, dim).
+
+    Column k of each (dim, dim + 1) block is the gradient of vertex k's
+    basis function: rows 1.. of the inverse of [1 | x].
+    """
+    ne, nloc, _ = coords.shape
+    aug = np.concatenate([np.ones((ne, nloc, 1)), coords], axis=2)
+    return np.linalg.inv(aug)[:, 1:, :]
 
 
 def mesh_quality(mesh: SimplicialMesh) -> dict:
@@ -510,10 +497,7 @@ def mesh_quality(mesh: SimplicialMesh) -> dict:
     vols = mesh.volumes()
     ne, nloc, dim = coords.shape
 
-    # local P1 gradients: columns of C[1:, :] where C = inverse of [1 | x]
-    aug = np.concatenate([np.ones((ne, nloc, 1)), coords], axis=2)
-    cinv = np.linalg.inv(aug)
-    grads = cinv[:, 1:, :]  # (ne, dim, nloc)
+    grads = _p1_gradients(coords)  # (ne, dim, nloc)
 
     gram = np.einsum("edi,edj->eij", grads, grads) * vols[:, None, None]
     off = ~np.eye(nloc, dtype=bool)
@@ -528,9 +512,7 @@ def mesh_quality(mesh: SimplicialMesh) -> dict:
 
     # inradius = dim * vol / (sum of facet measures)
     facet_meas = np.zeros(ne)
-    from itertools import combinations
-
-    for f in combinations(range(nloc), dim):
+    for f in _LOCAL_FACETS[dim]:
         fc = coords[:, list(f), :]
         if dim == 2:
             facet_meas += np.linalg.norm(fc[:, 1] - fc[:, 0], axis=1)

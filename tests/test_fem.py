@@ -9,23 +9,17 @@ from fplab import (
     NonFiniteValue,
     NonPositiveDensity,
     SimplicialMesh,
-    apply_dirichlet,
     assemble_drift,
     assemble_load,
     assemble_weighted_mass,
     assemble_weighted_stiffness,
     build_box_mesh,
-    h1_seminorm,
     interpolate,
     l2_error,
     lumped_weights,
     norm,
     quadrature_norm,
     quadrature_rule,
-    read_matrix,
-    read_vector,
-    write_matrix,
-    write_vector,
 )
 
 
@@ -110,13 +104,6 @@ def test_norm_weighted():
     assert val == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-13)
 
 
-def test_h1_seminorm_linear():
-    mesh = build_box_mesh((0.0, 0.0), (1.0, 1.0), 4)
-    u = interpolate(mesh, lambda x: x[..., 0])
-    assert h1_seminorm(u) == pytest.approx(1.0, rel=1e-14)
-    assert h1_seminorm(u, a=2.0 * np.eye(2)) == pytest.approx(np.sqrt(2.0), rel=1e-14)
-
-
 def test_interpolate_and_l2_error():
     mesh = build_box_mesh((0.0, 0.0), (2.0, 2.0), 4)
 
@@ -142,16 +129,6 @@ def test_fe_function_shape_check():
         FeFunction(mesh=mesh, values=np.zeros(3))
 
 
-def test_apply_dirichlet_restricts_to_interior():
-    mesh = build_box_mesh((0.0, 0.0), (1.0, 1.0), 4)
-    s = assemble_weighted_stiffness(mesh, np.eye(2))
-    rhs = lumped_weights(mesh)
-    m, r, interior = apply_dirichlet(s, rhs, mesh)
-    assert m.shape == (interior.size, interior.size)
-    assert r.shape == (interior.size,)
-    assert interior.size == 3 * 3  # 5x5 grid minus the boundary ring
-
-
 def test_positivity_guard():
     mesh = build_box_mesh((0.0, 0.0), (1.0, 1.0), 2)
     with pytest.raises(NonPositiveDensity):
@@ -165,17 +142,3 @@ def test_nonfinite_field_rejected():
     mesh = build_box_mesh((0.0, 0.0), (1.0, 1.0), 2)
     with pytest.raises(NonFiniteValue):
         interpolate(mesh, lambda x: np.where(x[..., 0] > 0.4, np.nan, 1.0))
-
-
-def test_matrix_vector_io_roundtrip(tmp_path):
-    mesh = build_box_mesh((0.0, 0.0), (1.0, 1.0), 3)
-    s = assemble_weighted_stiffness(mesh, np.eye(2))
-    path = tmp_path / "s.txt"
-    write_matrix(path, s)
-    back = read_matrix(path)
-    assert (back != s).nnz == 0  # repr floats make the roundtrip exact
-
-    vec = np.array([0.1, -2.5, 1e-17, 3.0])
-    vpath = tmp_path / "v.txt"
-    write_vector(vpath, vec, header="test vector")
-    np.testing.assert_array_equal(read_vector(vpath), vec)

@@ -1,7 +1,11 @@
 """Mesh construction, refinement, conformity, and serialization."""
 
+import hashlib
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fplab import (
     Ball,
@@ -10,6 +14,7 @@ from fplab import (
     InvalidRadius,
     RefinementTooDeep,
     SimplicialMesh,
+    boundary_facets,
     build_ball_mesh,
     build_box_mesh,
     check_conformity,
@@ -105,6 +110,136 @@ def test_conformity_report(build):
     assert rep["overshared_facets"] == 0
     assert rep["flag_mismatches"] == 0
     assert rep["num_boundary_facets"] > 0
+
+
+def test_conformity_counts_an_overshared_facet():
+    # three triangles on the edge (0, 1): one facet owned three times
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    elements = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    mesh = SimplicialMesh(
+        dim=2, vertices=vertices, elements=elements, boundary=np.ones(5, dtype=bool)
+    )
+    rep = check_conformity(mesh)
+    assert rep["overshared_facets"] == 1
+    assert rep["conforming"] is False
+    assert rep["flag_mismatches"] == 0
+
+
+def test_conformity_counts_a_cleared_boundary_flag():
+    mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=1)
+    flags = mesh.boundary.copy()
+    flags[np.flatnonzero(flags)[0]] = False
+    cleared = SimplicialMesh(
+        dim=2, vertices=mesh.vertices, elements=mesh.elements, boundary=flags
+    )
+    rep = check_conformity(cleared)
+    # the cleared vertex sits on the two boundary facets around it
+    assert rep["flag_mismatches"] == 2
+    assert rep["conforming"] is False
+    assert rep["overshared_facets"] == 0
+
+
+def test_facets_of_a_mesh_with_more_than_2_21_vertices():
+    # facet keys of the form (f0 nv + f1) nv + f2 would overflow int64 here
+    nv = 3_000_000
+    top = nv - np.arange(1, 6)
+    mesh = SimplicialMesh(
+        dim=3,
+        vertices=np.broadcast_to(np.zeros(3), (nv, 3)),
+        elements=np.array([top[:4], top[1:]]),
+        boundary=np.broadcast_to(True, (nv,)),
+    )
+    assert boundary_facets(mesh) == _loop_boundary_facets(mesh)
+    assert check_conformity(mesh)["num_boundary_facets"] == 6
+
+
+def _digests(mesh):
+    return tuple(
+        hashlib.md5(np.ascontiguousarray(a).tobytes()).hexdigest()
+        for a in (mesh.vertices, mesh.elements, mesh.boundary)
+    )
+
+
+_BOX_2D = ((-1.0, 0.5), (2.0, 1.25), (5, 3))
+_BOX_3D = ((0.0, -1.0, 0.0), (1.0, 2.0, 0.5), (2, 3, 4))
+
+
+# md5 of (vertices, elements, boundary) as the per-element loops of the
+# original construction produced them; the vectorized construction must
+# reproduce every bit, since assembly and the reports read these arrays
+@pytest.mark.parametrize(
+    "build, digests",
+    [
+        (
+            lambda: build_ball_mesh((0.0, 0.0), 1.0, levels=3),
+            ("5a31d81e6bf080da162a7081f1380f53", "e9bc4811c269b9a66dc68a344dbac047",
+             "046cd17035eba9039dfb2b2e2f9286ad"),
+        ),
+        (
+            lambda: build_ball_mesh((0.0, 0.0, 0.0), 1.0, levels=2),
+            ("ad15a6d3513cacb0ca7006e8b9ba9ec9", "72daed003ff09dee8bef40dfa0e05c04",
+             "5d80f041418b5a89cd392c926b36daf8"),
+        ),
+        (
+            lambda: build_ball_mesh((1.0, 2.0, -0.5), 0.7, levels=2),
+            ("004e8edb0568321107fc5c54c52c353b", "df03530e3a34c28c4d38fb89cd1f951d",
+             "5d80f041418b5a89cd392c926b36daf8"),
+        ),
+        (
+            lambda: build_box_mesh(*_BOX_2D),
+            ("d043d30cec26d80cffc8ae503717055c", "d8d01c148eafb9a620b1b05974ddf9ba",
+             "06502d4924a874411a1c8844dea30abb"),
+        ),
+        (
+            lambda: refine_uniform(build_box_mesh(*_BOX_2D)),
+            ("48086819a09f7399c0c06f9dc053e1ae", "a60b0b46d4f3fb82bfcf1eb13b623d77",
+             "683f0c5137e077499a6daf92002e5304"),
+        ),
+        (
+            lambda: build_box_mesh(*_BOX_3D),
+            ("2438ed281b180e825bcabe9159f2a26e", "9487e46499fcb85396f28e7731feab48",
+             "1092a0124fe8d2fdd6e0e957da767516"),
+        ),
+        (
+            lambda: refine_uniform(build_box_mesh(*_BOX_3D)),
+            ("d0ba6dd27d29ba6574fc08f54e8baa29", "5d19aa0031ca8b72bbde8e86511fc225",
+             "671563d5b2f9ee11c9012309d2f72517"),
+        ),
+    ],
+    ids=["disk-L3", "ball-L2", "ball-off-center-L2", "box-2d", "box-2d-refined",
+         "box-3d", "box-3d-refined"],
+)
+def test_mesh_digests_are_pinned(build, digests):
+    assert _digests(build()) == digests
+
+
+def _loop_boundary_facets(mesh):
+    """Reference: count every facet in element order with a dict."""
+    count, owner = {}, {}
+    for ei, elem in enumerate(mesh.elements.tolist()):
+        for f in combinations(sorted(elem), mesh.dim):
+            count[f] = count.get(f, 0) + 1
+            owner[f] = ei
+    return [(f, owner[f]) for f, c in count.items() if c == 1]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    cells=st.lists(st.integers(1, 4), min_size=2, max_size=3),
+    stretch=st.floats(0.25, 4.0),
+)
+def test_box_topology_matches_the_loop_reference(cells, stretch):
+    dim = len(cells)
+    hi = (1.0,) * (dim - 1) + (stretch,)
+    mesh = build_box_mesh((0.0,) * dim, hi, cells)
+    fine = refine_uniform(mesh)
+    rep = check_conformity(fine)
+    assert rep["conforming"]
+    assert fine.total_volume() == pytest.approx(stretch, rel=1e-13)
+    for m in (mesh, fine):
+        facets = boundary_facets(m)
+        assert facets == _loop_boundary_facets(m)
+        assert len(facets) == check_conformity(m)["num_boundary_facets"]
 
 
 def test_refine_uniform_counts_and_flat_volume():
