@@ -109,11 +109,12 @@ def _write_json(path: Path, payload: dict, cfg: ExperimentConfig):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header, columns):
+    """Write 1-D columns and 2-D column blocks side by side, repr-exact."""
+    rows = np.column_stack(columns).tolist()
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _write_plot(path: Path, comment: str, rows):
@@ -183,11 +184,7 @@ def cmd_density(cfg: ExperimentConfig, emit_plots: bool) -> int:
     mesh, cs, density, decomposition = _density_pipeline(cfg)
     residual = divergence_free_residual(mesh, decomposition)
     header = [f"x{i}" for i in range(mesh.dim)] + ["rho"]
-    rows = [
-        list(mesh.vertices[i]) + [density.rho.values[i]]
-        for i in range(mesh.num_vertices)
-    ]
-    _write_csv(out / "density.csv", header, rows)
+    _write_csv(out / "density.csv", header, [mesh.vertices, density.rho.values])
     report = {
         "preset": cs.name,
         "rho_min": density.rho_min,
@@ -220,7 +217,7 @@ def cmd_resolvent(cfg: ExperimentConfig, emit_plots: bool) -> int:
     _write_csv(
         out / "resolvent.csv",
         ["alpha", "contraction_ratio", "linear_residual"],
-        zip(sweep.alphas, sweep.contraction_ratios, sweep.residuals),
+        [sweep.alphas, sweep.contraction_ratios, sweep.residuals],
     )
     report = {
         "alphas": list(sweep.alphas),
@@ -269,7 +266,7 @@ def cmd_experiment(cfg: ExperimentConfig, emit_plots: bool) -> int:
     _write_csv(
         out / "experiment.csv",
         ["alpha", "energy", "l2_gap", "h1_seminorm"],
-        report.rows(),
+        [report.alphas, report.energies, report.l2_gaps, report.h1_seminorms],
     )
     payload = {
         "constants": constants.as_dict(),
@@ -324,7 +321,7 @@ def cmd_mollifier(cfg: ExperimentConfig, emit_plots: bool) -> int:
         _write_csv(
             out / f"{name}.csv",
             ["t", "phi", "phi_prime", "Phi", "Phi_prime"],
-            table,
+            [table],
         )
         phi = phi_eps(ts, eps)
         summary[f"{eps:g}"] = {
@@ -364,7 +361,7 @@ def cmd_vmo(cfg: ExperimentConfig, emit_plots: bool) -> int:
     _write_csv(
         out / "vmo.csv",
         ["radius", "raw_estimate", "modulus", "stderr"],
-        zip(report.radii, report.raw, report.modulus, report.stderr),
+        [report.radii, report.raw, report.modulus, report.stderr],
     )
     payload = {
         "field": f"a[0,0] of {cs.name}",

@@ -27,12 +27,11 @@ from .fem import (
     _eval_callable,
     assemble_load,
     assemble_weighted_mass,
-    element_geometry,
     lumped_weights,
     matrix_at_quad,
     physical_quad_points,
 )
-from .mesh import Ball, Box, SimplicialMesh, boundary_facets
+from .mesh import Ball, Box, SimplicialMesh, _facet_table
 from .quadrature import gauss_legendre, quadrature_rule
 
 
@@ -461,31 +460,43 @@ class WeakDivergence:
         return np.einsum("qk,ekd->eqd", rule.points, local)
 
 
-def _facet_quadrature(mesh: SimplicialMesh, facet, owner: int):
-    """Quadrature points, weights (summing to facet measure) and the outward
-    unit normal for one boundary facet."""
-    vs = mesh.vertices[list(facet)]
-    centroid = mesh.vertices[mesh.elements[owner]].mean(axis=0)
-    if mesh.dim == 2:
-        t = vs[1] - vs[0]
-        length = float(np.linalg.norm(t))
-        n = np.array([t[1], -t[0]]) / length
+def _boundary_facet_quadrature(mesh: SimplicialMesh):
+    """Quadrature on every boundary facet at once.
+
+    Returns the facets' sorted vertex ids (F, dim) in boundary_facets order,
+    the barycentric quadrature points of a facet (nq, dim), their physical
+    coordinates (F, nq, dim), weights (F, nq) summing to each facet's measure,
+    and outward unit normals (F, dim).
+    """
+    dim = mesh.dim
+    facets, ids, counts = _facet_table(mesh)
+    rows = np.flatnonzero(counts[ids] == 1)
+    facets = facets[rows]
+    vs = mesh.vertices[facets]  # (F, dim, dim)
+    if dim == 2:
+        t = vs[:, 1] - vs[:, 0]
+        measure = _row_norms(t)
+        normals = np.stack([t[:, 1], -t[:, 0]], axis=1) / measure[:, None]
         nodes, w = gauss_legendre(4, 0.0, 1.0)
-        pts = vs[0] + nodes[:, None] * t
-        weights = w * length
         bary = np.stack([1 - nodes, nodes], axis=1)
+        pts = vs[:, None, 0] + nodes[:, None] * t[:, None]
     else:
-        cr = np.cross(vs[1] - vs[0], vs[2] - vs[0])
-        area = 0.5 * float(np.linalg.norm(cr))
-        n = cr / np.linalg.norm(cr)
+        cross = np.cross(vs[:, 1] - vs[:, 0], vs[:, 2] - vs[:, 0])
+        norms = _row_norms(cross)
+        measure = 0.5 * norms
+        normals = cross / norms[:, None]
         rule = quadrature_rule(2, 4)
-        bary = rule.points
+        bary, w = rule.points, rule.weights
         pts = bary @ vs
-        weights = rule.weights * area
-    mid = vs.mean(axis=0)
-    if np.dot(n, mid - centroid) < 0:
-        n = -n
-    return pts, weights, bary, n
+    centroids = mesh.element_coords()[rows // (dim + 1)].mean(axis=1)
+    inward = np.einsum("fd,fd->f", normals, vs.mean(axis=1) - centroids) < 0
+    normals[inward] *= -1.0
+    return facets, bary, pts, w * measure[:, None], normals
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    # a stacked matmul takes the same dot product as np.linalg.norm of one row
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
 def weak_divergence_matrix(mesh: SimplicialMesh, a, rule=None) -> WeakDivergence:
@@ -512,15 +523,14 @@ def weak_divergence_matrix(mesh: SimplicialMesh, a, rule=None) -> WeakDivergence
     for l in range(dim):
         moments[:, l] = assemble_load(mesh, flux=a_q[:, :, :, l], rho=None, rule=rule)
 
+    facets, bary, fp, fw, normals = _boundary_facet_quadrature(mesh)
+    a_f = _eval_callable(a, fp.reshape(-1, dim), (dim, dim)).reshape(fp.shape + (dim,))
+    an = np.einsum("fqab,fa->fqb", a_f, normals)  # (a^T n)_b = (a e_b) . n
+    local = np.einsum("ql,fqb,fq->flb", bary, an, fw)
+    # rows in (facet, local vertex) order, so each vertex sums its facets in
+    # boundary_facets order
     flux = np.zeros((nv, dim))
-    for facet, owner in boundary_facets(mesh):
-        fp, fw, bary, n = _facet_quadrature(mesh, facet, owner)
-        a_f = np.asarray(a(fp), dtype=float)
-        if a_f.shape != (fp.shape[0], dim, dim):
-            a_f = np.stack([np.asarray(a(x), dtype=float) for x in fp])
-        an = np.einsum("qab,a->qb", a_f, n)  # (a^T n)_b = (a e_b) . n
-        for loc, v in enumerate(facet):
-            flux[v] += np.einsum("q,qb,q->b", bary[:, loc], an, fw)
+    np.add.at(flux, facets.ravel(), local.reshape(-1, dim))
 
     values = (flux - moments) / weights[:, None]
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonFiniteValue, NonPositiveDensity
-from .mesh import SimplicialMesh, _p1_gradients
+from .mesh import SimplicialMesh
 from .quadrature import DEFAULT_DEGREE, QuadratureRule, quadrature_rule
 
 
@@ -50,7 +50,7 @@ class FeFunction:
 
 
 def element_geometry(mesh: SimplicialMesh):
-    """Per-element basis gradients and volumes.
+    """Per-element basis gradients and volumes, read-only and cached on the mesh.
 
     Returns
     -------
@@ -58,13 +58,13 @@ def element_geometry(mesh: SimplicialMesh):
         Column k holds grad of the barycentric basis function of vertex k.
     vols : ndarray, shape (ne,)
     """
-    return _p1_gradients(mesh.element_coords()), mesh.volumes()
+    return mesh._gradients, mesh.volumes()
 
 
 def physical_quad_points(mesh: SimplicialMesh, rule: QuadratureRule) -> np.ndarray:
-    """Quadrature point coordinates, shape (ne, nq, dim)."""
-    coords = mesh.element_coords()
-    return np.einsum("qk,ekd->eqd", rule.points, coords)
+    """Quadrature point coordinates, shape (ne, nq, dim), read-only and cached
+    on the mesh per rule."""
+    return mesh._quad_points(rule.points)
 
 
 def _eval_callable(f: Callable, pts_flat: np.ndarray, out_shape: tuple):

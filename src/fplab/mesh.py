@@ -157,15 +157,49 @@ class SimplicialMesh:
         order.setflags(write=False)
         return order
 
+    # Element geometry (basis gradients, volumes, quadrature points per rule)
+    # is computed on first use and kept read-only for the life of the mesh;
+    # every assembly, norm and audit reads it. Element coordinates are not
+    # kept: each cached array gathers them once.
+
+    @cached_property
+    def _gradients(self) -> np.ndarray:
+        # a compact copy, not a view that keeps the whole inverse alive
+        return _read_only(np.ascontiguousarray(_p1_gradients(self.element_coords())))
+
+    @cached_property
+    def _volumes(self) -> np.ndarray:
+        return _read_only(signed_volumes(self.vertices, self.elements, self.dim))
+
+    @cached_property
+    def _quad_point_cache(self) -> dict:
+        return {}
+
     def element_coords(self) -> np.ndarray:
         """Vertex coordinates per element, shape (ne, dim + 1, dim)."""
         return self.vertices[self.elements]
 
     def volumes(self) -> np.ndarray:
-        return signed_volumes(self.vertices, self.elements, self.dim)
+        return self._volumes
 
     def total_volume(self) -> float:
         return float(self.volumes().sum())
+
+    def _quad_points(self, bary: np.ndarray) -> np.ndarray:
+        """Physical coordinates of barycentric points (nq, dim + 1) in every
+        element, shape (ne, nq, dim), cached per point set."""
+        key = bary.tobytes()
+        pts = self._quad_point_cache.get(key)
+        if pts is None:
+            pts = self._quad_point_cache[key] = _read_only(
+                np.einsum("qk,ekd->eqd", bary, self.element_coords())
+            )
+        return pts
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def signed_volumes(vertices: np.ndarray, elements: np.ndarray, dim: int) -> np.ndarray:
@@ -193,9 +227,12 @@ def _orient_and_build(vertices, elements, dim, domain, boundary=None) -> Simplic
     if boundary is None:
         boundary = domain.boundary_mask(vertices)
     boundary = np.ascontiguousarray(boundary, dtype=bool)
-    return SimplicialMesh(
+    mesh = SimplicialMesh(
         dim=dim, vertices=vertices, elements=elements, boundary=boundary, domain=domain
     )
+    # seed the cached volumes (cached_property keeps its value in __dict__)
+    mesh.__dict__["_volumes"] = _read_only(vols)
+    return mesh
 
 
 def _check_levels(levels: int):
@@ -497,7 +534,7 @@ def mesh_quality(mesh: SimplicialMesh) -> dict:
     vols = mesh.volumes()
     ne, nloc, dim = coords.shape
 
-    grads = _p1_gradients(coords)  # (ne, dim, nloc)
+    grads = mesh._gradients  # (ne, dim, nloc)
 
     gram = np.einsum("edi,edj->eij", grads, grads) * vols[:, None, None]
     off = ~np.eye(nloc, dtype=bool)
@@ -505,10 +542,9 @@ def mesh_quality(mesh: SimplicialMesh) -> dict:
     scale = np.abs(gram).max()
     acute = bool(max_off <= 1e-12 * scale)
 
-    edges_sq = (
-        (coords[:, None, :, :] - coords[:, :, None, :]) ** 2
-    ).sum(axis=3)
-    longest = np.sqrt(edges_sq.max(axis=(1, 2)))
+    ends = np.array(_LOCAL_EDGES[dim]).T
+    edges_sq = ((coords[:, ends[0]] - coords[:, ends[1]]) ** 2).sum(axis=2)
+    longest = np.sqrt(edges_sq.max(axis=1))
 
     # inradius = dim * vol / (sum of facet measures)
     facet_meas = np.zeros(ne)

@@ -5,7 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from fplab import ConfigError, ExperimentConfig, parse_alphas, parse_config, parse_config_text
+import fplab.cli
+from fplab import (
+    ConfigError,
+    ContractionViolation,
+    ExperimentConfig,
+    FplabError,
+    SubmarkovViolation,
+    parse_alphas,
+    parse_config,
+    parse_config_text,
+)
 from fplab.cli import main
 
 
@@ -188,6 +198,23 @@ def test_cli_solver_divergence_exits_three(tmp_path, capsys, stage):
     assert "SolverDivergence" in err
     # maxiter counts GMRES restart cycles, not inner iterations
     assert "within 3 restart cycles of 20 iterations" in err
+
+
+@pytest.mark.parametrize(
+    "error, code, message",
+    [
+        (ContractionViolation, 1, "density: verification failure: ratio 1.5"),
+        (SubmarkovViolation, 1, "density: verification failure: ratio 1.5"),
+        (FplabError, 3, "density: FplabError: ratio 1.5"),
+    ],
+)
+def test_cli_failure_families_exit_codes(monkeypatch, capsys, error, code, message):
+    def stage(cfg, emit_plots):
+        raise error("ratio 1.5")
+
+    monkeypatch.setitem(fplab.cli.COMMANDS, "density", stage)
+    assert main(["density"]) == code
+    assert capsys.readouterr().err.strip() == message
 
 
 def test_cli_experiment_small_case(tmp_path):

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fplab.mesh
 from fplab import (
     Box,
     FeFunction,
@@ -10,17 +12,26 @@ from fplab import (
     NonPositiveDensity,
     SimplicialMesh,
     assemble_drift,
+    assemble_form,
     assemble_load,
     assemble_weighted_mass,
     assemble_weighted_stiffness,
+    build_ball_mesh,
     build_box_mesh,
+    decompose_drift,
+    divergence_free_residual,
+    element_geometry,
     interpolate,
     l2_error,
     lumped_weights,
     norm,
+    physical_quad_points,
+    preset,
     quadrature_norm,
     quadrature_rule,
+    solve_invariant_density,
 )
+from fplab.mesh import _p1_gradients, signed_volumes
 
 
 def reference_triangle():
@@ -142,3 +153,93 @@ def test_nonfinite_field_rejected():
     mesh = build_box_mesh((0.0, 0.0), (1.0, 1.0), 2)
     with pytest.raises(NonFiniteValue):
         interpolate(mesh, lambda x: np.where(x[..., 0] > 0.4, np.nan, 1.0))
+
+
+def test_gradients_are_computed_once_per_mesh(monkeypatch):
+    calls = []
+
+    def counted(coords):
+        calls.append(coords.shape)
+        return _p1_gradients(coords)
+
+    monkeypatch.setattr(fplab.mesh, "_p1_gradients", counted)
+    for center in ((0.0, 0.0), (0.0, 0.0, 0.0)):
+        mesh = build_ball_mesh(center, 1.0, levels=1)
+        cs = preset("rotator", mesh.dim)
+        density = solve_invariant_density(mesh, cs)
+        decomposition = decompose_drift(mesh, cs, density)
+        assemble_form(mesh, cs, density, decomposition)
+        divergence_free_residual(mesh, decomposition)
+        assert calls == [(mesh.num_elements, mesh.dim + 1, mesh.dim)]
+        calls.clear()
+
+
+def _cached_geometry(mesh):
+    grads, vols = element_geometry(mesh)
+    pts = physical_quad_points(mesh, quadrature_rule(mesh.dim))
+    return {"grads": grads, "vols": vols, "pts": pts}
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.0, 0.0, 0.0)])
+def test_cached_geometry_is_read_only(center):
+    mesh = build_ball_mesh(center, 1.0, levels=1)
+    for arr in _cached_geometry(mesh).values():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0.0
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.2, -0.1, 0.3)])
+def test_cached_geometry_matches_a_fresh_computation(center):
+    mesh = build_ball_mesh(center, 1.5, levels=2)
+    vertices, elements = mesh.vertices.copy(), mesh.elements.copy()
+    coords = vertices[elements]
+    rule = quadrature_rule(mesh.dim)
+    fresh = {
+        "grads": _p1_gradients(coords),
+        "vols": signed_volumes(vertices, elements, mesh.dim),
+        "pts": np.einsum("qk,ekd->eqd", rule.points, coords),
+    }
+    cached = _cached_geometry(mesh)
+    for name in fresh:
+        assert np.array_equal(cached[name], fresh[name]), name
+    # a second read hands back the same arrays
+    again = _cached_geometry(mesh)
+    assert all(again[name] is cached[name] for name in cached)
+
+
+def _fresh_copy(mesh):
+    return SimplicialMesh(
+        dim=mesh.dim,
+        vertices=mesh.vertices.copy(),
+        elements=mesh.elements.copy(),
+        boundary=mesh.boundary.copy(),
+        domain=mesh.domain,
+    )
+
+
+def _assemble_sdm(mesh):
+    cs = preset("rotator", mesh.dim)
+    rho = lambda x: 1.0 + 0.25 * np.sin(x[..., 0]) * np.cos(x[..., -1])
+    return (
+        assemble_weighted_stiffness(mesh, cs.a, rho=rho),
+        assemble_drift(mesh, cs.drift, rho=rho),
+        assemble_weighted_mass(mesh, rho=rho),
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    cells=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+    stretch=st.floats(0.25, 4.0),
+)
+def test_cached_assembly_is_bitwise_repeatable(dim, cells, stretch):
+    hi = np.ones(dim)
+    hi[0] = stretch
+    mesh = build_box_mesh(np.zeros(dim), hi, cells[:dim])
+    first, second = _assemble_sdm(mesh), _assemble_sdm(mesh)
+    fresh = _assemble_sdm(_fresh_copy(mesh))
+    for a, b, c in zip(first, second, fresh):
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, attr), getattr(b, attr))
+            assert np.array_equal(getattr(a, attr), getattr(c, attr))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fplab.mesh
 from fplab import (
     Ball,
     Box,
@@ -23,6 +24,7 @@ from fplab import (
     refine_uniform,
     write_mesh,
 )
+from fplab.mesh import _p1_gradients, signed_volumes
 
 
 def test_disk_template_counts_and_area():
@@ -290,6 +292,92 @@ def test_quality_flags_obtuse_triangle():
 def test_quality_disk_levels_acute():
     for lv in range(3):
         assert mesh_quality(build_ball_mesh((0.0, 0.0), 1.0, levels=lv))["acute"]
+
+
+def _all_pairs_quality(mesh):
+    """mesh_quality from a fresh geometry and every ordered vertex pair."""
+    coords = mesh.vertices[mesh.elements]
+    vols = signed_volumes(mesh.vertices, mesh.elements, mesh.dim)
+    ne, nloc, dim = coords.shape
+    grads = _p1_gradients(coords)
+    gram = np.einsum("edi,edj->eij", grads, grads) * vols[:, None, None]
+    off = ~np.eye(nloc, dtype=bool)
+    acute = bool(gram[:, off].max() <= 1e-12 * np.abs(gram).max())
+    edges_sq = ((coords[:, None, :, :] - coords[:, :, None, :]) ** 2).sum(axis=3)
+    longest = np.sqrt(edges_sq.max(axis=(1, 2)))
+    facet_meas = np.zeros(ne)
+    for f in combinations(range(nloc), dim):
+        fc = coords[:, list(f), :]
+        if dim == 2:
+            facet_meas += np.linalg.norm(fc[:, 1] - fc[:, 0], axis=1)
+        else:
+            cr = np.cross(fc[:, 1] - fc[:, 0], fc[:, 2] - fc[:, 0])
+            facet_meas += 0.5 * np.linalg.norm(cr, axis=1)
+    inradius = dim * vols / facet_meas
+    return {
+        "min_volume": float(vols.min()),
+        "max_volume": float(vols.max()),
+        "total_volume": float(vols.sum()),
+        "shape_regularity": float((longest / inradius).max()),
+        "max_edge": float(longest.max()),
+        "acute": acute,
+        "num_vertices": mesh.num_vertices,
+        "num_elements": mesh.num_elements,
+    }
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_ball_mesh((0.0, 0.0), 1.0, levels=3),
+        lambda: build_ball_mesh((0.3, -0.2, 0.1), 1.7, levels=2),
+        lambda: build_box_mesh((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (2, 3, 4)),
+        lambda: refine_uniform(build_box_mesh((0.0, 0.0), (2.0, 1.0), (5, 3))),
+    ],
+)
+def test_quality_matches_the_all_pairs_reference(build):
+    mesh = build()
+    assert mesh_quality(mesh) == _all_pairs_quality(mesh)
+
+
+def test_build_seeds_the_cached_volumes(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return signed_volumes(*args)
+
+    monkeypatch.setattr(fplab.mesh, "signed_volumes", counted)
+    mesh = build_ball_mesh((0.0, 0.0, 0.0), 1.0, levels=1)
+    calls.clear()
+    vols = mesh.volumes()
+    assert mesh.total_volume() == float(vols.sum())
+    assert calls == []
+    # a mesh that no build produced computes them on first use, once
+    plain = SimplicialMesh(
+        dim=3,
+        vertices=mesh.vertices.copy(),
+        elements=mesh.elements.copy(),
+        boundary=mesh.boundary.copy(),
+    )
+    assert np.array_equal(plain.volumes(), vols)
+    plain.volumes()
+    assert calls == [3]
+
+
+def test_refined_mesh_has_its_own_cache():
+    mesh = build_ball_mesh((0.0, 0.0, 0.0), 1.0, levels=1)
+    coarse = (mesh._gradients, mesh.volumes())
+    fine = refine_uniform(mesh)
+    # only the volumes are computed by the build; the rest waits for first use
+    assert "_volumes" in vars(fine) and "_gradients" not in vars(fine)
+    cached = (fine._gradients, fine.volumes())
+    for c, f in zip(coarse, cached):
+        assert f.shape[0] == 8 * c.shape[0]
+        assert not np.shares_memory(c, f)
+    assert mesh._gradients is coarse[0]
+    # projected boundary midpoints make the refined ball strictly larger
+    assert fine.total_volume() > mesh.total_volume()
 
 
 def test_domain_descriptors():
