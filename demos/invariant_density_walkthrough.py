@@ -6,8 +6,6 @@ against the closed form, and then splits the drift into its density part and
 a divergence-free remainder.
 """
 
-import numpy as np
-
 from fplab import (
     FeFunction,
     build_ball_mesh,

@@ -140,15 +140,11 @@ def _domain(cfg: ExperimentConfig):
 
 def _coefficients(cfg: ExperimentConfig, mesh) -> CoefficientSet:
     if cfg.coeff_data:
-        cs = load_coefficient_data(cfg.coeff_data, mesh)
-    else:
-        radius = cfg.radius if cfg.domain_kind == "ball" else float(
-            np.max(np.asarray(cfg.box_hi) - np.asarray(cfg.box_lo))
-        )
-        cs = preset(cfg.preset_name, cfg.dim, radius=radius, omega=cfg.omega)
-    cs.p = cfg.p
-    cs.q = cfg.q
-    return cs
+        return load_coefficient_data(cfg.coeff_data, mesh)
+    radius = cfg.radius if cfg.domain_kind == "ball" else float(
+        np.max(np.asarray(cfg.box_hi) - np.asarray(cfg.box_lo))
+    )
+    return preset(cfg.preset_name, cfg.dim, radius=radius, omega=cfg.omega)
 
 
 def cmd_mesh(cfg: ExperimentConfig, emit_plots: bool) -> int:

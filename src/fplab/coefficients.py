@@ -59,8 +59,6 @@ class CoefficientSet:
         meaningful when div_a is None.
     c, f_data, flux_data : callable or None
         Zero-order coefficient and source data (None means identically 0).
-    p, q : float
-        Declared integrability exponents for drift/source data.
     reference_density : callable or None
         Known stationary density up to scaling, for oracle comparisons.
     """
@@ -76,8 +74,6 @@ class CoefficientSet:
     c: Optional[Callable] = None
     f_data: Optional[Callable] = None
     flux_data: Optional[Callable] = None
-    p: float = 4.0
-    q: float = 2.0
     reference_density: Optional[Callable] = None
 
 

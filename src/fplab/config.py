@@ -18,7 +18,7 @@ from .errors import ConfigError
 _KNOWN_KEYS = {
     "run": {"seed", "output_dir"},
     "domain": {"kind", "dim", "radius", "center", "lo", "hi", "level"},
-    "coefficients": {"preset", "data", "omega", "p", "q"},
+    "coefficients": {"preset", "data", "omega"},
     "cutoff": {"inner", "outer"},
     "resolvent": {"alphas", "d_mode", "backend", "tol", "maxiter"},
     "vmo": {"radii", "samples"},
@@ -71,8 +71,6 @@ class ExperimentConfig:
     preset_name: str = "gaussian_gradient"
     coeff_data: str = ""
     omega: float = 1.0
-    p: float = 4.0
-    q: float = 2.0
     cutoff_inner: float = 0.5
     cutoff_outer: float = 0.9
     alphas: Tuple[float, ...] = tuple(float(2**k) for k in range(13))
@@ -114,8 +112,6 @@ class ExperimentConfig:
             lines.append(f"data = {self.coeff_data}")
         lines += [
             f"omega = {self.omega!r}",
-            f"p = {self.p!r}",
-            f"q = {self.q!r}",
             "",
             "[cutoff]",
             f"inner = {self.cutoff_inner!r}",
@@ -204,8 +200,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
     cfg.preset_name = typed("coefficients", "preset", str, cfg.preset_name)
     cfg.coeff_data = typed("coefficients", "data", str, cfg.coeff_data)
     cfg.omega = typed("coefficients", "omega", float, cfg.omega)
-    cfg.p = typed("coefficients", "p", float, cfg.p)
-    cfg.q = typed("coefficients", "q", float, cfg.q)
     cfg.cutoff_inner = typed("cutoff", "inner", float, cfg.cutoff_inner)
     cfg.cutoff_outer = typed("cutoff", "outer", float, cfg.cutoff_outer)
     cfg.alphas = typed("resolvent", "alphas", parse_alphas, cfg.alphas)

@@ -20,9 +20,11 @@ from .coefficients import CoefficientSet
 from .errors import DensityNotPositive, KernelDimensionError
 from .fem import (
     FeFunction,
-    assemble_drift,
+    _drift_local,
+    _scatter,
+    _scatter_vector,
+    _stiffness_local,
     assemble_load,
-    assemble_weighted_stiffness,
     lumped_weights,
     matrix_at_quad,
     physical_quad_points,
@@ -60,20 +62,22 @@ def stationarity_matrix(
     """Matrix K with K[j, i] = int <a^T grad(phi_i) - phi_i H, grad(phi_j)> dx.
 
     Row j is the stationarity equation tested against phi_j; K is the
-    transpose of the assembled drift-diffusion operator S + D.
+    transpose of the assembled drift-diffusion operator S + D, scattered
+    transposed straight from the element matrices of S + D.
     """
     rule = rule or quadrature_rule(mesh.dim)
-    s = assemble_weighted_stiffness(mesh, cs.a, rho=None, rule=rule)
-    d = assemble_drift(mesh, cs.drift, rho=None, rule=rule)
-    return (s + d).T.tocsr()
+    local = _stiffness_local(mesh, cs.a, None, rule)
+    local += _drift_local(mesh, cs.drift, None, rule)
+    return _scatter(mesh, local, transpose=True)
 
 
 def _pinned_solve(k: sp.csr_matrix, pin: int, order: np.ndarray) -> np.ndarray:
     n = k.shape[0]
     # the unknowns in the mesh's nested-dissection order, factored as is
     keep = order[order != pin]
-    sub = k[keep][:, keep].tocsc()
-    rhs = -np.asarray(k[keep][:, [pin]].todense()).ravel()
+    rows = k[keep]
+    sub = rows[:, keep].tocsc()
+    rhs = -rows[:, [pin]].toarray().ravel()
     lu = spla.splu(sub, permc_spec="NATURAL")
     x = lu.solve(rhs)
     full = np.empty(n)
@@ -196,11 +200,13 @@ def decompose_drift(
     a_q = matrix_at_quad(cs.a, mesh, rule, pts)
     h_q = vector_at_quad(cs.drift, mesh, rule, pts)
     grad_rho = density.rho.element_gradients()
-    flux = np.einsum("eqba,eb->eqa", a_q, grad_rho)
+    # (a^T grad rho)_a = sum_b a_ba (grad rho)_b, one row of a at a time
+    flux = sum(grad_rho[:, None, b, None] * a_q[:, :, b] for b in range(mesh.dim))
     b_quad = h_q - flux / rho_q[:, :, None]
 
-    d_b = assemble_drift(mesh, b_quad, rho=density.rho, rule=rule)
-    defect_all = -2.0 * d_b.diagonal()
+    # int <B, grad(phi_j^2)> rho dx is -2 D[j, j] for the drift block of B
+    local = _drift_local(mesh, b_quad, rho_q, rule)
+    defect_all = -2.0 * _scatter_vector(mesh, np.diagonal(local, axis1=1, axis2=2))
     defect = float(np.abs(defect_all[mesh.interior]).max())
     return DriftDecomposition(
         b_quad=b_quad, rule=rule, rho=density.rho, quadratic_defect=defect

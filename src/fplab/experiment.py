@@ -10,7 +10,7 @@ from quadrature norms of the ingredients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla

@@ -8,19 +8,27 @@ Field arguments are flexible: scalars/arrays mean constants, callables are
 sampled at quadrature points (vectorized over an (n, dim) array when the
 callable supports it, pointwise otherwise), FeFunctions are interpolated,
 and pre-evaluated arrays of shape (ne, nq, ...) pass through unchanged.
+
+Element kernels weight the field samples elementwise (exact, into a fresh
+array) before batched matmuls contract them, so their bits do not depend
+on the memory layout of a sampled field. A matrix is one `np.bincount` of
+its element matrices onto the mesh's cached CSR plan (`mesh._csr_plan`),
+and its transpose is the same onto the plan's mirrored slots: duplicates
+sum in element order, deterministically and without a sort. Every matrix
+of a mesh shares one pattern, so a sum of matrices is a sum of data arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonFiniteValue, NonPositiveDensity
 from .mesh import SimplicialMesh
-from .quadrature import DEFAULT_DEGREE, QuadratureRule, quadrature_rule
+from .quadrature import QuadratureRule, quadrature_rule
 
 
 @dataclass
@@ -157,12 +165,61 @@ def interpolate(mesh: SimplicialMesh, f) -> FeFunction:
     return FeFunction(mesh=mesh, values=vals)
 
 
-def _scatter(mesh: SimplicialMesh, local: np.ndarray) -> sp.csr_matrix:
-    ne, nloc, _ = local.shape
-    rows = np.repeat(mesh.elements, nloc, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nloc)).ravel()
+def _csr(mesh: SimplicialMesh, data: np.ndarray) -> sp.csr_matrix:
+    """The matrix with the given data array on the mesh's P1 pattern."""
+    plan = mesh._csr_plan
     nv = mesh.num_vertices
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    return sp.csr_matrix((data, plan.indices, plan.indptr), shape=(nv, nv))
+
+
+def _scatter(
+    mesh: SimplicialMesh, local: np.ndarray, transpose: bool = False
+) -> sp.csr_matrix:
+    """Sum element matrices (ne, nloc, nloc) into a CSR matrix, or its transpose."""
+    plan = mesh._csr_plan
+    slots = plan.transpose[plan.slots] if transpose else plan.slots
+    data = np.bincount(slots.ravel(), local.ravel(), minlength=plan.indices.size)
+    return _csr(mesh, data)
+
+
+def _scatter_vector(mesh: SimplicialMesh, local: np.ndarray) -> np.ndarray:
+    """Sum element vectors (ne, nloc) into a vertex vector, in element order."""
+    return np.bincount(mesh.elements.ravel(), local.ravel(), minlength=mesh.num_vertices)
+
+
+def _quad_weights(mesh, rule, rho, pts, allow_signed=False) -> np.ndarray:
+    """rho times the physical quadrature weights, shape (ne, nq)."""
+    _, vols = element_geometry(mesh)
+    rho_q = _density_at_quad(rho, mesh, rule, pts, allow_signed=allow_signed)
+    return rho_q * (vols[:, None] * rule.weights)
+
+
+def _quad_sum(phi: np.ndarray, wr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_q phi[q, ...] wr[e, q] values[e, q, ...], shape (ne, *phi.shape[1:],
+    *values.shape[2:]); the product wr * values fixes the matmul's layout."""
+    ne, nq = wr.shape
+    weighted = wr.reshape(ne, nq, *(1,) * (values.ndim - 2)) * values
+    out = phi.T @ weighted.reshape(ne, nq, -1)
+    return out.reshape(ne, *phi.shape[1:], *values.shape[2:])
+
+
+def _stiffness_local(mesh, a, rho, rule) -> np.ndarray:
+    """Element matrices of S, shape (ne, nloc, nloc)."""
+    pts = physical_quad_points(mesh, rule)
+    grads, _ = element_geometry(mesh)
+    a_q = matrix_at_quad(a, mesh, rule, pts)
+    a_e = _quad_sum(np.ones(rule.weights.size), _quad_weights(mesh, rule, rho, pts), a_q)
+    return np.matmul(grads.transpose(0, 2, 1), a_e @ grads)
+
+
+def _drift_local(mesh, b, rho, rule) -> np.ndarray:
+    """Element matrices of D, shape (ne, nloc, nloc)."""
+    pts = physical_quad_points(mesh, rule)
+    grads, _ = element_geometry(mesh)
+    b_q = vector_at_quad(b, mesh, rule, pts)
+    # int phi_i b rho dx per element, shape (ne, nloc, dim)
+    b_e = _quad_sum(rule.points, _quad_weights(mesh, rule, rho, pts), b_q)
+    return -(b_e @ grads)
 
 
 def assemble_weighted_stiffness(
@@ -173,15 +230,7 @@ def assemble_weighted_stiffness(
 ) -> sp.csr_matrix:
     """Assemble S with S[i, j] = int <a grad(phi_j), grad(phi_i)> rho dx."""
     rule = rule or quadrature_rule(mesh.dim)
-    pts = physical_quad_points(mesh, rule)
-    grads, vols = element_geometry(mesh)
-    a_q = matrix_at_quad(a, mesh, rule, pts)
-    rho_q = _density_at_quad(rho, mesh, rule, pts)
-    local = np.einsum(
-        "eai,eqab,ebj,eq,q->eij", grads, a_q, grads, rho_q, rule.weights, optimize=True
-    )
-    local *= vols[:, None, None]
-    return _scatter(mesh, local)
+    return _scatter(mesh, _stiffness_local(mesh, a, rho, rule))
 
 
 def assemble_drift(
@@ -192,16 +241,7 @@ def assemble_drift(
 ) -> sp.csr_matrix:
     """Assemble D with D[i, j] = -int <b, grad(phi_j)> phi_i rho dx."""
     rule = rule or quadrature_rule(mesh.dim)
-    pts = physical_quad_points(mesh, rule)
-    grads, vols = element_geometry(mesh)
-    b_q = vector_at_quad(b, mesh, rule, pts)
-    rho_q = _density_at_quad(rho, mesh, rule, pts)
-    local = -np.einsum(
-        "qi,eqa,eaj,eq,q->eij", rule.points, b_q, grads, rho_q, rule.weights,
-        optimize=True,
-    )
-    local *= vols[:, None, None]
-    return _scatter(mesh, local)
+    return _scatter(mesh, _drift_local(mesh, b, rho, rule))
 
 
 def assemble_weighted_mass(
@@ -217,13 +257,10 @@ def assemble_weighted_mass(
     """
     rule = rule or quadrature_rule(mesh.dim)
     pts = physical_quad_points(mesh, rule)
-    _, vols = element_geometry(mesh)
-    rho_q = _density_at_quad(rho, mesh, rule, pts, allow_signed=allow_signed)
-    local = np.einsum(
-        "qi,qj,eq,q->eij", rule.points, rule.points, rho_q, rule.weights, optimize=True
-    )
-    local *= vols[:, None, None]
-    return _scatter(mesh, local)
+    wr = _quad_weights(mesh, rule, rho, pts, allow_signed=allow_signed)
+    nq, nloc = rule.points.shape
+    phi_phi = (rule.points[:, :, None] * rule.points[:, None, :]).reshape(nq, -1)
+    return _scatter(mesh, (wr[:, None, :] @ phi_phi).reshape(-1, nloc, nloc))
 
 
 def assemble_load(
@@ -236,19 +273,18 @@ def assemble_load(
     """Assemble the vector int f phi_i rho dx + int <flux, grad(phi_i)> rho dx."""
     rule = rule or quadrature_rule(mesh.dim)
     pts = physical_quad_points(mesh, rule)
-    grads, vols = element_geometry(mesh)
-    rho_q = _density_at_quad(rho, mesh, rule, pts, allow_signed=True)
+    grads, _ = element_geometry(mesh)
+    wr = _quad_weights(mesh, rule, rho, pts, allow_signed=True)
     local = np.zeros((mesh.num_elements, mesh.dim + 1))
     if f is not None:
-        f_q = scalar_at_quad(f, mesh, rule, pts)
-        local += np.einsum("eq,qi,eq,q->ei", f_q, rule.points, rho_q, rule.weights)
+        local += _quad_sum(rule.points, wr, scalar_at_quad(f, mesh, rule, pts))
     if flux is not None:
-        flux_q = vector_at_quad(flux, mesh, rule, pts)
-        local += np.einsum("eqa,eai,eq,q->ei", flux_q, grads, rho_q, rule.weights)
-    local *= vols[:, None]
-    out = np.zeros(mesh.num_vertices)
-    np.add.at(out, mesh.elements.ravel(), local.ravel())
-    return out
+        # flux . grad(phi_i) point by point, then the sum over the points;
+        # summing the points first moved weak_divergence_matrix's 2D residual,
+        # which cancels heavily, by 3e-14 between two samplings of one field
+        wf = wr[..., None] * vector_at_quad(flux, mesh, rule, pts)
+        local += (wf @ grads).sum(axis=1)
+    return _scatter_vector(mesh, local)
 
 
 def lumped_weights(mesh: SimplicialMesh, rho=None) -> np.ndarray:

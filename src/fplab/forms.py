@@ -9,7 +9,7 @@ energy E(f, f) collapses to the diffusion part alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,13 +26,14 @@ from .errors import (
 )
 from .fem import (
     FeFunction,
+    _csr,
     assemble_drift,
     assemble_weighted_mass,
     assemble_weighted_stiffness,
     quadrature_norm,
 )
 from .mesh import SimplicialMesh
-from .quadrature import QuadratureRule, quadrature_rule
+from .quadrature import QuadratureRule
 
 DEFAULT_ALPHAS = tuple(float(2**k) for k in range(13))
 # inner GMRES iterations per restart cycle; maxiter counts cycles
@@ -41,7 +42,10 @@ _GMRES_RESTART = 20
 
 @dataclass
 class FormMatrices:
-    """Assembled form blocks plus the interior index map."""
+    """Assembled form blocks plus the interior index map.
+
+    S, D and M are CSR matrices on one pattern, the mesh's P1 graph.
+    """
 
     mesh: SimplicialMesh
     s: sp.csr_matrix
@@ -85,10 +89,12 @@ def assemble_form(
     s = assemble_weighted_stiffness(mesh, cs.a, rho=density.rho, rule=rule)
     d_raw = assemble_drift(mesh, decomposition.b_quad, rho=density.rho, rule=rule)
     m = assemble_weighted_mass(mesh, rho=density.rho, rule=rule)
-    sym = 0.5 * (d_raw + d_raw.T)
-    defect_max = float(abs(sym).max()) if sym.nnz else 0.0
-    defect_fro = float(spla.norm(sym)) if sym.nnz else 0.0
-    d = (0.5 * (d_raw - d_raw.T)).tocsr() if d_mode == "skew" else d_raw
+    # S, D and M share the mesh's pattern: D^T is a permutation of D's data
+    mirrored = d_raw.data[mesh._csr_plan.transpose]
+    sym = 0.5 * (d_raw.data + mirrored)
+    defect_max = float(np.abs(sym).max())
+    defect_fro = float(np.linalg.norm(sym))
+    d = _csr(mesh, 0.5 * (d_raw.data - mirrored)) if d_mode == "skew" else d_raw
     return FormMatrices(
         mesh=mesh,
         s=s,
@@ -181,7 +187,8 @@ def sector_constant(
 class Resolvent:
     """G_alpha = (alpha M + S + D)^{-1} on the interior DOFs of one form.
 
-    The interior blocks are sliced once. The system for one alpha is
+    The interior block of the form's shared pattern is indexed once, so
+    the system for one alpha is a gather of alpha M + S + D data. It is
     factored on its first solve and the factor is reused for every further
     solve at that alpha; a solve at another alpha replaces it, so at most
     one system factor is held. The interior mass LU (for M^{-1}, needed by
@@ -219,13 +226,17 @@ class Resolvent:
         self.maxiter = maxiter
         order = form.mesh.dissection_order
         self.interior = interior = order[~form.mesh.boundary[order]]
+        m = form.m
+        for x in (form.s, form.d):
+            if not all(map(np.array_equal, (x.indptr, x.indices), (m.indptr, m.indices))):
+                raise ValueError("S, D and M of a form must share one CSR pattern")
         if lumped:
-            self.m = sp.diags(np.asarray(form.m.sum(axis=1)).ravel()).tocsr()
-        else:
-            self.m = form.m
-        self._m_int = self.m[interior][:, interior]
-        self._s_int = form.s[interior][:, interior]
-        self._d_int = form.d[interior][:, interior]
+            rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+            row_sums = np.asarray(m.sum(axis=1)).ravel()
+            lumped = np.where(rows == m.indices, row_sums[rows], 0.0)
+            m = sp.csr_matrix((lumped, m.indices, m.indptr), shape=m.shape)
+        self.m = m
+        self._csr, self._csc = _interior_block(m, interior)
         self._alpha = None
         self._k_int = None
         self._factor = None
@@ -237,12 +248,13 @@ class Resolvent:
         if alpha != self._alpha:
             # drop the old factor before building the next one
             self._alpha = self._k_int = self._factor = None
-            k_int = (alpha * self._m_int + self._s_int + self._d_int).tocsr()
+            k = alpha * self.m.data + self.form.s.data + self.form.d.data
+            k_int = _gather(self._csr, k)
             if self.backend == "direct":
-                factor = spla.splu(k_int.tocsc(), permc_spec="NATURAL").solve
+                factor = spla.splu(_gather(self._csc, k), permc_spec="NATURAL").solve
             else:
                 try:
-                    ilu = spla.spilu(k_int.tocsc(), drop_tol=1e-6, fill_factor=20)
+                    ilu = spla.spilu(_gather(self._csc, k), drop_tol=1e-6, fill_factor=20)
                 except RuntimeError as exc:
                     raise SolverDivergence(f"ILU factorization failed: {exc}") from exc
                 factor = spla.LinearOperator(k_int.shape, ilu.solve)
@@ -252,8 +264,22 @@ class Resolvent:
     def mass_solve(self, z: np.ndarray) -> np.ndarray:
         """M^{-1} z on interior DOFs (the mass LU is factored once)."""
         if self._mass_lu is None:
-            self._mass_lu = spla.splu(self._m_int.tocsc(), permc_spec="NATURAL")
+            m_int = _gather(self._csc, self.m.data)
+            self._mass_lu = spla.splu(m_int, permc_spec="NATURAL")
         return self._mass_lu.solve(z)
+
+
+def _interior_block(a: sp.csr_matrix, interior: np.ndarray):
+    """a[interior][:, interior] as CSR and CSC templates holding indices into a.data."""
+    ids = sp.csr_matrix((np.arange(a.nnz), a.indices, a.indptr), shape=a.shape)
+    block = ids[interior][:, interior]
+    return block, block.tocsc()
+
+
+def _gather(template, data: np.ndarray):
+    """The matrix of `template`'s pattern and format with data[template.data]."""
+    arrays = (data[template.data], template.indices, template.indptr)
+    return type(template)(arrays, shape=template.shape)
 
 
 def solve_resolvent(
@@ -544,7 +570,9 @@ def resolvent_sweep(
     """Run the standard per-alpha checks used by the resolvent report.
 
     The residuals are those of the solver's residual guard. The identity
-    check at (alphas[0], alphas[2]) reuses the sweep's own G_alpha f solves.
+    check at (alphas[0], alphas[2]) reuses the sweep's own G_alpha f solves:
+    alphas[2] is solved first, so that the identity's extra alphas[0] solve
+    reuses the factor of the sweep's own alphas[0] solve.
     """
     rng = np.random.default_rng(seed)
     n = form.mesh.num_vertices
@@ -553,17 +581,16 @@ def resolvent_sweep(
     f_norm = form.l2_norm(f)
     res = Resolvent(form, backend=backend, tol=tol, maxiter=maxiter)
     j = min(2, len(alphas) - 1)
-    ratios = []
-    residuals = []
-    for i, alpha in enumerate(alphas):
-        u = solve_resolvent(res, alpha, f)
-        ratios.append(float(alpha * form.l2_norm(u.values) / f_norm))
-        residuals.append(res.residual)
-        if i == 0:
-            u_a = u
+    ratios = [0.0] * len(alphas)
+    residuals = [0.0] * len(alphas)
+    for i in [j] + [i for i in range(len(alphas)) if i != j]:
+        u = solve_resolvent(res, alphas[i], f)
+        ratios[i] = float(alphas[i] * form.l2_norm(u.values) / f_norm)
+        residuals[i] = res.residual
         if i == j:
             u_b = u
-    ident = _identity_report(res, alphas[0], alphas[j], f, u_a, u_b)
+        if i == 0:
+            ident = _identity_report(res, alphas[0], alphas[j], f, u, u_b)
     sub = check_submarkov(form, alphas[0])
     return ResolventSweepReport(
         alphas=[float(a) for a in alphas],

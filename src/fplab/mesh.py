@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -152,15 +152,20 @@ class SimplicialMesh:
         mesh's own numbering. Slicing an index set in this order (for
         instance `order[~boundary[order]]`) keeps the property.
         """
-        edges, _ = _mesh_edges(self)
+        # the P1 graph's edges (i < j), in lexicographic order
+        plan = self._csr_plan
+        rows = plan.rows()
+        upper = plan.indices > rows
+        edges = np.stack([rows[upper], plan.indices[upper]], axis=1)
         order = _dissection_order(self.vertices, edges)
         order.setflags(write=False)
         return order
 
     # Element geometry (basis gradients, volumes, quadrature points per rule)
-    # is computed on first use and kept read-only for the life of the mesh;
-    # every assembly, norm and audit reads it. Element coordinates are not
-    # kept: each cached array gathers them once.
+    # and the CSR plan of the P1 graph are computed on first use and kept
+    # read-only for the life of the mesh; every assembly, norm and audit
+    # reads them. Element coordinates are not kept: each cached array
+    # gathers them once.
 
     @cached_property
     def _gradients(self) -> np.ndarray:
@@ -174,6 +179,10 @@ class SimplicialMesh:
     @cached_property
     def _quad_point_cache(self) -> dict:
         return {}
+
+    @cached_property
+    def _csr_plan(self) -> CsrPlan:
+        return _csr_plan(self)
 
     def element_coords(self) -> np.ndarray:
         """Vertex coordinates per element, shape (ne, dim + 1, dim)."""
@@ -200,6 +209,39 @@ class SimplicialMesh:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+class CsrPlan(NamedTuple):
+    """The CSR pattern (sorted columns) of a mesh's P1 graph, read-only int32.
+
+    Element e's local entry (i, j) has data index slots[e, i, j], and the
+    entry mirroring data index k across the diagonal has transpose[k].
+    """
+
+    indptr: np.ndarray  # (nv + 1,)
+    indices: np.ndarray  # (nnz,)
+    slots: np.ndarray  # (ne, nloc, nloc)
+    transpose: np.ndarray  # (nnz,)
+
+    def rows(self) -> np.ndarray:
+        """The row of every entry, shape (nnz,)."""
+        return np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
+
+
+def _csr_plan(mesh: SimplicialMesh) -> CsrPlan:
+    nv, elements = mesh.num_vertices, mesh.elements
+    # one int64 key per entry sorts like (row, column), the CSR order
+    keys, slots = np.unique(
+        elements[:, :, None] * nv + elements[:, None, :], return_inverse=True
+    )
+    slots = slots.reshape(elements.shape + elements.shape[1:])
+    indptr = np.zeros(nv + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // nv, minlength=nv), out=indptr[1:])
+    # local (j, i) mirrors local (i, j) in every element
+    transpose = np.empty(keys.size, dtype=np.int64)
+    transpose[slots] = slots.transpose(0, 2, 1)
+    arrays = (indptr, keys % nv, slots, transpose)
+    return CsrPlan(*(_read_only(a.astype(np.int32)) for a in arrays))
 
 
 def signed_volumes(vertices: np.ndarray, elements: np.ndarray, dim: int) -> np.ndarray:
@@ -516,11 +558,18 @@ def _p1_gradients(coords: np.ndarray) -> np.ndarray:
     """Barycentric basis gradients from element coordinates (ne, dim + 1, dim).
 
     Column k of each (dim, dim + 1) block is the gradient of vertex k's
-    basis function: rows 1.. of the inverse of [1 | x].
+    basis function. For k >= 1 it is column k of the inverse of the matrix
+    with rows e_j = x_j - x_0, formed by cofactors (in 3D, e.g., the cross
+    product of the two other edges over the determinant); the gradients sum
+    to zero.
     """
-    ne, nloc, _ = coords.shape
-    aug = np.concatenate([np.ones((ne, nloc, 1)), coords], axis=2)
-    return np.linalg.inv(aug)[:, 1:, :]
+    e = coords[:, 1:] - coords[:, :1]
+    if coords.shape[2] == 2:
+        cof = np.stack([e[:, 1, ::-1] * [1.0, -1.0], e[:, 0, ::-1] * [-1.0, 1.0]], axis=2)
+    else:
+        cof = np.stack([np.cross(e[:, (k + 1) % 3], e[:, (k + 2) % 3]) for k in range(3)], axis=2)
+    grads = cof / np.einsum("ed,ed->e", e[:, 0], cof[:, :, 0])[:, None, None]
+    return np.concatenate([-grads.sum(axis=2, keepdims=True), grads], axis=2)
 
 
 def mesh_quality(mesh: SimplicialMesh) -> dict:

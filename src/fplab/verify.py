@@ -40,7 +40,7 @@ from .experiment import (
     product_rule_residual,
     run_experiment,
 )
-from .fem import FeFunction, interpolate, l2_error, quadrature_norm
+from .fem import interpolate, l2_error, quadrature_norm
 from .forms import (
     FormMatrices,
     Resolvent,

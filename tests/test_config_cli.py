@@ -71,6 +71,16 @@ def test_config_unknown_section_and_key():
         parse_config_text("[domain]\nkind = ball\nradius = 1.0\nwobble = 3\n")
 
 
+def test_dropped_exponent_keys_are_unknown(tmp_path, capsys):
+    # [coefficients] p and q were parsed and hashed but never read
+    for key in ("p", "q"):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config_text(f"[coefficients]\npreset = identity\n{key} = 4\n")
+    cfg = small_mesh_config(tmp_path, "[coefficients]\npreset = identity\np = 4\n")
+    assert main(["density", "--config", cfg]) == 2
+    capsys.readouterr()
+
+
 def test_config_validation_messages():
     with pytest.raises(ConfigError, match="radius"):
         parse_config_text("[domain]\nkind = ball\ndim = 2\n")

@@ -13,7 +13,6 @@ from fplab import (
     interpolate,
     norm,
     preset,
-    quadrature_rule,
     solve_invariant_density,
     vector_at_quad,
 )

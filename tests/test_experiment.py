@@ -6,7 +6,6 @@ import pytest
 from fplab import (
     AnalyticFunction,
     DimensionUnsupported,
-    FeFunction,
     InvalidRadii,
     assemble_form,
     build_ball_mesh,

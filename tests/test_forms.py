@@ -1,7 +1,10 @@
 """Dirichlet form assembly and resolvent family checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
@@ -131,6 +134,10 @@ def test_resolvent_input_validation(gaussian2):
         solve_resolvent(form, -1.0, f)
     with pytest.raises(ValueError):
         solve_resolvent(form, 1.0, f, backend="cg")
+    # the resolvent adds the blocks' data arrays, so they must share a pattern
+    diagonal = sp.identity(form.mesh.num_vertices, format="csr")
+    with pytest.raises(ValueError, match="pattern"):
+        Resolvent(dataclasses.replace(form, d=diagonal))
 
 
 def test_gmres_matches_direct(gaussian2):
@@ -349,16 +356,18 @@ def test_resolvent_holds_one_factor_and_matches_one_shot_solves(gaussian2, lu_co
 def test_resolvent_sweep_reuses_its_solves(box_form, lu_count):
     before = dict(vars(box_form))
     rep = resolvent_sweep(box_form, alphas=(1.0, 4.0, 16.0), seed=36)
-    # one LU per alpha, one to refactor alpha = 1 for G_1 G_16 f, one lumped
-    assert lu_count.factorizations == 3 + 1 + 1
+    # one LU per alpha (G_1 G_16 f reuses the alpha = 1 factor), one lumped
+    assert lu_count.factorizations == 3 + 1
     assert_form_untouched(box_form, before)
     f = interior_data(box_form, 36)
     ident = check_resolvent_identity(box_form, 1.0, 16.0, f)
     assert rep.identity_defect == ident.relative_defect
-    # the reported residuals are the guard's ||(alpha M + S + D) u - M f||
+    # the reported ratios and residuals are those of one-shot solves, and
+    # the residuals are the guard's ||(alpha M + S + D) u - M f||
     interior = box_form.interior
-    for alpha, residual in zip(rep.alphas, rep.residuals):
+    for alpha, ratio, residual in zip(rep.alphas, rep.contraction_ratios, rep.residuals):
         u = solve_resolvent(box_form, alpha, f).values
+        assert ratio == alpha * box_form.l2_norm(u) / box_form.l2_norm(f)
         k = (alpha * box_form.m + box_form.s + box_form.d).tocsr()
         k_int = k[interior][:, interior]
         rhs = (box_form.m @ f)[interior]
