@@ -98,6 +98,11 @@ def _inverse_iteration(k: sp.csr_matrix, tol: float, order: np.ndarray) -> np.nd
         v /= np.linalg.norm(v)
         if np.linalg.norm(k @ v) <= tol * scale:
             break
+    else:
+        raise KernelDimensionError(
+            f"inverse iteration left ||K v|| = {np.linalg.norm(k @ v):.3e} above "
+            f"{tol:.1e} * {scale:.3e} after 100 steps"
+        )
     full = np.empty_like(v)
     full[order] = v
     return full

@@ -16,6 +16,7 @@ from fplab import (
     solve_invariant_density,
     vector_at_quad,
 )
+from fplab.density import _inverse_iteration, stationarity_matrix
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +103,13 @@ def test_disconnected_mesh_raises_kernel_dimension_error():
     )
     with pytest.raises(KernelDimensionError):
         solve_invariant_density(mesh, preset("gaussian_gradient", 2))
+
+
+def test_inverse_iteration_reports_non_convergence(disk2):
+    k = stationarity_matrix(disk2, preset("gaussian_gradient", 2))
+    order = disk2.dissection_order
+    v = _inverse_iteration(k, 1e-9, order)
+    assert np.linalg.norm(k @ v) <= 1e-9 * float(abs(k).sum() / k.shape[0])
+    # no vector meets tol = 0, so the 100 steps run out
+    with pytest.raises(KernelDimensionError, match="after 100 steps"):
+        _inverse_iteration(k, 0.0, order)
