@@ -14,9 +14,7 @@ from .errors import (
     DegenerateRadius,
     DensityNotPositive,
     DimensionUnsupported,
-    EmptyInterior,
     FplabError,
-    IndefiniteSystem,
     InvalidBox,
     InvalidRadii,
     InvalidRadius,
@@ -70,20 +68,17 @@ from .fem import (
 )
 from .coefficients import (
     AnalyticFunction,
-    AnalyticVectorField,
     CoefficientSet,
     MeshInterpolant,
     PRESET_NAMES,
     VmoProductReport,
     VmoReport,
     WeakDivergence,
-    ellipticity_audit,
     example_i_phi,
     example_ii_profile,
     load_coefficient_data,
     nondivergence_apply,
     preset,
-    product_rule_div_check,
     sample_domain_points,
     sampled_coefficient_set,
     unit_ball_volume,
@@ -136,14 +131,12 @@ from .experiment import (
     ConstantsReport,
     ConvergenceDiagnostics,
     CutoffSpec,
-    DoubleDivergenceSolution,
     EnergyBoundReport,
     build_cutoff,
     compute_constants,
     convergence_diagnostics,
     product_rule_residual,
     run_experiment,
-    solve_double_divergence,
 )
 from .config import (
     ExperimentConfig,

@@ -33,9 +33,7 @@ from .errors import (
     DegenerateRadius,
     DensityNotPositive,
     DimensionUnsupported,
-    EmptyInterior,
     FplabError,
-    IndefiniteSystem,
     InvalidBox,
     InvalidRadii,
     InvalidRadius,
@@ -75,13 +73,11 @@ USAGE_ERRORS = (
 )
 SOLVER_ERRORS = (
     SolverDivergence,
-    IndefiniteSystem,
     KernelDimensionError,
     DensityNotPositive,
     NonPositiveDensity,
     SingularMass,
     SingularElement,
-    EmptyInterior,
     NonFiniteValue,
     NonEllipticSample,
 )

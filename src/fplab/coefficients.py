@@ -23,7 +23,6 @@ from .errors import (
     UnknownPreset,
 )
 from .fem import (
-    FeFunction,
     _eval_callable,
     assemble_load,
     assemble_weighted_mass,
@@ -84,14 +83,6 @@ class AnalyticFunction:
     value: Callable
     grad: Callable
     hess: Optional[Callable] = None
-
-
-@dataclass
-class AnalyticVectorField:
-    """Vector field with an analytic divergence callback."""
-
-    value: Callable
-    div: Callable
 
 
 def _isotropic(scalar: Callable, dim: int) -> Callable:
@@ -243,24 +234,6 @@ def preset(name: str, dim: int, radius: float = 1.0, omega: float = 1.0) -> Coef
     raise UnknownPreset(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
 
 
-def ellipticity_audit(cs: CoefficientSet, domain, n: int = 1000, seed: int = 0) -> dict:
-    """Sample <a xi, xi> at random domain points against the declared bounds."""
-    rng = np.random.default_rng(seed)
-    pts = sample_domain_points(domain, n, rng)
-    xi = rng.standard_normal((n, cs.dim))
-    a_vals = _eval_callable(cs.a, pts, (cs.dim, cs.dim))
-    quad = np.einsum("na,nab,nb->n", xi, a_vals, xi)
-    nsq = (xi * xi).sum(axis=1)
-    lower_ok = bool((quad >= cs.lam * nsq * (1 - 1e-12) - 1e-300).all())
-    upper_ok = bool((quad <= cs.dim * cs.m_bound * nsq * (1 + 1e-12)).all())
-    return {
-        "lower_ok": lower_ok,
-        "upper_ok": upper_ok,
-        "min_ratio": float((quad / nsq).min()),
-        "max_ratio": float((quad / nsq).max()),
-    }
-
-
 def unit_ball_volume(dim: int) -> float:
     return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
 
@@ -297,6 +270,42 @@ class VmoReport:
     seed: int
 
 
+def _vmo_pairs(domain, radii, samples: int, centers, num_centers: int, seed: int):
+    """Validate a VMO sampling grid and draw its sample pairs.
+
+    Returns the sorted radii, the centers (sampled uniformly from the domain
+    unless given) and a lazy stream of (k, x, y): for each radius radii[k]
+    and each center z, two independent draws of `samples` points uniform in
+    the ball of radius radii[k] around z. Every estimator draws from one
+    generator seeded with `seed`, centers first, in this order.
+    """
+    radii = np.sort(np.asarray(radii, dtype=float))
+    if radii.size == 0:
+        raise DegenerateRadius("empty radii grid")
+    if (radii <= 0).any():
+        raise DegenerateRadius(f"radii must be positive, got min {radii.min():.3e}")
+    if radii.max() > domain.diameter:
+        raise DegenerateRadius(
+            f"radius {radii.max():.3e} exceeds the domain diameter {domain.diameter:.3e}"
+        )
+    if samples < 1000:
+        raise ValueError(f"need at least 1000 sample pairs, got {samples}")
+    rng = np.random.default_rng(seed)
+    if centers is None:
+        centers = sample_domain_points(domain, num_centers, rng)
+    else:
+        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+
+    def pairs():
+        for k, r in enumerate(radii):
+            for z in centers:
+                x = sample_domain_points(Ball(z, r), samples, rng)
+                y = sample_domain_points(Ball(z, r), samples, rng)
+                yield k, x, y
+
+    return radii, centers, pairs()
+
+
 def vmo_modulus(
     field: Callable,
     domain,
@@ -317,39 +326,17 @@ def vmo_modulus(
     Centers may be supplied explicitly (e.g. on a discontinuity interface);
     otherwise they are sampled uniformly from the domain.
     """
-    radii = np.sort(np.asarray(radii, dtype=float))
-    if radii.size == 0:
-        raise DegenerateRadius("empty radii grid")
-    if (radii <= 0).any():
-        raise DegenerateRadius(f"radii must be positive, got min {radii.min():.3e}")
-    if radii.max() > domain.diameter:
-        raise DegenerateRadius(
-            f"radius {radii.max():.3e} exceeds the domain diameter {domain.diameter:.3e}"
-        )
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 sample pairs, got {samples}")
-    rng = np.random.default_rng(seed)
-    if centers is None:
-        centers = sample_domain_points(domain, num_centers, rng)
-    else:
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    dim = centers.shape[1]
-    w2 = unit_ball_volume(dim) ** 2
+    radii, centers, pairs = _vmo_pairs(domain, radii, samples, centers, num_centers, seed)
+    w2 = unit_ball_volume(centers.shape[1]) ** 2
 
-    raw = np.zeros(radii.size)
+    raw = np.full(radii.size, -np.inf)
     stderr = np.zeros(radii.size)
-    for k, r in enumerate(radii):
-        best, best_se = -np.inf, 0.0
-        for z in centers:
-            x = sample_domain_points(Ball(z, r), samples, rng)
-            y = sample_domain_points(Ball(z, r), samples, rng)
-            diff = np.abs(np.asarray(field(x)) - np.asarray(field(y)))
-            est = w2 * float(diff.mean())
-            se = w2 * float(diff.std(ddof=1)) / math.sqrt(samples)
-            if est > best:
-                best, best_se = est, se
-        raw[k] = best
-        stderr[k] = best_se
+    for k, x, y in pairs:
+        diff = np.abs(np.asarray(field(x)) - np.asarray(field(y)))
+        est = w2 * float(diff.mean())
+        if est > raw[k]:
+            raw[k] = est
+            stderr[k] = w2 * float(diff.std(ddof=1)) / math.sqrt(samples)
     modulus = np.maximum.accumulate(raw)
     return VmoReport(
         radii=radii,
@@ -389,13 +376,11 @@ def vmo_product_inequality_check(
     All three moduli are estimated from the SAME sample pairs, and the sup
     norms are taken over the sampled points, so the pointwise triangle
     inequality transfers to the estimates; the 3-standard-error slack in the
-    reported verdict only guards degenerate roundoff.
+    reported verdict only guards degenerate roundoff. The radii and sample
+    count are validated as in vmo_modulus.
     """
-    radii = np.sort(np.asarray(radii, dtype=float))
-    rng = np.random.default_rng(seed)
-    centers = sample_domain_points(domain, num_centers, rng)
-    dim = centers.shape[1]
-    w2 = unit_ball_volume(dim) ** 2
+    radii, centers, pairs = _vmo_pairs(domain, radii, samples, None, num_centers, seed)
+    w2 = unit_ball_volume(centers.shape[1]) ** 2
 
     nrad = radii.size
     raw_f = np.zeros(nrad)
@@ -403,25 +388,18 @@ def vmo_product_inequality_check(
     raw_fg = np.zeros(nrad)
     stderr = np.zeros(nrad)
     sup_f = sup_g = 0.0
-    for k, r in enumerate(radii):
-        if r <= 0 or r > domain.diameter:
-            raise DegenerateRadius(f"radius {r!r} invalid for this domain")
-        bf = bg = bfg = se = 0.0
-        for z in centers:
-            x = sample_domain_points(Ball(z, r), samples, rng)
-            y = sample_domain_points(Ball(z, r), samples, rng)
-            fx, fy = np.asarray(f(x)), np.asarray(f(y))
-            gx, gy = np.asarray(g(x)), np.asarray(g(y))
-            sup_f = max(sup_f, float(np.abs(fx).max()), float(np.abs(fy).max()))
-            sup_g = max(sup_g, float(np.abs(gx).max()), float(np.abs(gy).max()))
-            df = np.abs(fx - fy)
-            dg = np.abs(gx - gy)
-            dfg = np.abs(fx * gx - fy * gy)
-            bf = max(bf, w2 * float(df.mean()))
-            bg = max(bg, w2 * float(dg.mean()))
-            bfg = max(bfg, w2 * float(dfg.mean()))
-            se = max(se, w2 * float(dfg.std(ddof=1)) / math.sqrt(samples))
-        raw_f[k], raw_g[k], raw_fg[k], stderr[k] = bf, bg, bfg, se
+    for k, x, y in pairs:
+        fx, fy = np.asarray(f(x)), np.asarray(f(y))
+        gx, gy = np.asarray(g(x)), np.asarray(g(y))
+        sup_f = max(sup_f, float(np.abs(fx).max()), float(np.abs(fy).max()))
+        sup_g = max(sup_g, float(np.abs(gx).max()), float(np.abs(gy).max()))
+        df = np.abs(fx - fy)
+        dg = np.abs(gx - gy)
+        dfg = np.abs(fx * gx - fy * gy)
+        raw_f[k] = max(raw_f[k], w2 * float(df.mean()))
+        raw_g[k] = max(raw_g[k], w2 * float(dg.mean()))
+        raw_fg[k] = max(raw_fg[k], w2 * float(dfg.mean()))
+        stderr[k] = max(stderr[k], w2 * float(dfg.std(ddof=1)) / math.sqrt(samples))
     mod_f = np.maximum.accumulate(raw_f)
     mod_g = np.maximum.accumulate(raw_g)
     mod_fg = np.maximum.accumulate(raw_fg)
@@ -447,9 +425,6 @@ class WeakDivergence:
     values: np.ndarray  # (nv, dim)
     residual: float     # max normalized defect against interior tests
     mesh: SimplicialMesh
-
-    def component(self, j: int) -> FeFunction:
-        return FeFunction(mesh=self.mesh, values=self.values[:, j].copy())
 
     def at_quad(self, rule) -> np.ndarray:
         local = self.values[self.mesh.elements]
@@ -556,32 +531,6 @@ def nondivergence_apply(cs: CoefficientSet, u: AnalyticFunction, points) -> np.n
     dr = _eval_callable(cs.drift, pts, (cs.dim,))
     out = np.einsum("nab,nba->n", a_v, h_v) + np.einsum("na,na->n", da + dr, g_v)
     return out if np.asarray(points).ndim > 1 else float(out[0])
-
-
-def product_rule_div_check(
-    u: AnalyticFunction,
-    flux: AnalyticVectorField,
-    div_u_flux: Callable,
-    points,
-) -> float:
-    """Max residual of div(u F) = <grad u, F> + u div F at the given points.
-
-    div(u F) must be supplied analytically by the caller; no differencing.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    lhs = np.asarray(div_u_flux(pts), dtype=float)
-    if lhs.shape != (pts.shape[0],):
-        lhs = np.array([float(div_u_flux(x)) for x in pts])
-    u_v = np.asarray(u.value(pts), dtype=float)
-    if u_v.shape != (pts.shape[0],):
-        u_v = np.array([float(u.value(x)) for x in pts])
-    g_v = _eval_callable(u.grad, pts, (pts.shape[1],))
-    f_v = _eval_callable(flux.value, pts, (pts.shape[1],))
-    df_v = np.asarray(flux.div(pts), dtype=float)
-    if df_v.shape != (pts.shape[0],):
-        df_v = np.array([float(flux.div(x)) for x in pts])
-    rhs = np.einsum("na,na->n", g_v, f_v) + u_v * df_v
-    return float(np.abs(lhs - rhs).max())
 
 
 class MeshInterpolant:

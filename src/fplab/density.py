@@ -86,28 +86,6 @@ def _pinned_solve(k: sp.csr_matrix, pin: int, order: np.ndarray) -> np.ndarray:
     return full
 
 
-def _inverse_iteration(k: sp.csr_matrix, tol: float, order: np.ndarray) -> np.ndarray:
-    scale = float(abs(k).sum() / k.shape[0]) or 1.0
-    k = k[order][:, order].tocsr()
-    shifted = (k + (1e-10 * scale) * sp.identity(k.shape[0], format="csr")).tocsc()
-    lu = spla.splu(shifted, permc_spec="NATURAL")
-    v = np.ones(k.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(100):
-        v = lu.solve(v)
-        v /= np.linalg.norm(v)
-        if np.linalg.norm(k @ v) <= tol * scale:
-            break
-    else:
-        raise KernelDimensionError(
-            f"inverse iteration left ||K v|| = {np.linalg.norm(k @ v):.3e} above "
-            f"{tol:.1e} * {scale:.3e} after 100 steps"
-        )
-    full = np.empty_like(v)
-    full[order] = v
-    return full
-
-
 def solve_invariant_density(
     mesh: SimplicialMesh,
     cs: CoefficientSet,
@@ -118,16 +96,18 @@ def solve_invariant_density(
 
     Solves K rho = 0 by pinning one interior vertex to 1 and solving the
     reduced system; a second solve with a different pin certifies that the
-    kernel is one-dimensional. Falls back to inverse iteration if a pinned
-    system is singular. The result is normalized to unit mean over the mesh.
+    kernel is one-dimensional. The result is normalized to unit mean over
+    the mesh.
 
     Raises
     ------
     KernelDimensionError
-        If the two pinned solves disagree beyond 1e-8 after normalization,
-        or the kernel vector cannot be normalized.
+        If a pinned system is singular (the kernel has dimension above one),
+        the two pinned solves disagree beyond 1e-8 after normalization, or
+        the stationarity residual exceeds tol.
     DensityNotPositive
-        If any vertex value of the normalized density is <= 0.
+        If the kernel vector has vanishing mean, or any vertex value of the
+        normalized density is <= 0.
     """
     rule = rule or quadrature_rule(mesh.dim)
     k = stationarity_matrix(mesh, cs, rule)
@@ -146,8 +126,10 @@ def solve_invariant_density(
     for pin in pins:
         try:
             v = _pinned_solve(k, pin, order)
-        except RuntimeError:
-            v = _inverse_iteration(k, tol, order)
+        except RuntimeError as exc:
+            raise KernelDimensionError(
+                f"stationarity system pinned at vertex {pin} is singular: {exc}"
+            ) from exc
         mean = float(weights @ v) / volume
         if abs(mean) < 1e-300:
             raise DensityNotPositive("kernel vector has vanishing mean")

@@ -41,10 +41,6 @@ class NonEllipticSample(FplabError):
     """A diffusion sample failed the quadratic-form positivity check."""
 
 
-class EmptyInterior(FplabError):
-    """Dirichlet reduction removed every degree of freedom."""
-
-
 # coefficient fields
 
 class UnknownPreset(FplabError):
@@ -89,10 +85,6 @@ class ContractionViolation(FplabError):
 
 class SubmarkovViolation(FplabError):
     """alpha G_alpha applied to an indicator left [0, 1] beyond tolerance."""
-
-
-class IndefiniteSystem(FplabError):
-    """A linear system that must be solvable is singular."""
 
 
 # cutoffs and configuration

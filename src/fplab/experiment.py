@@ -1,10 +1,11 @@
 """Uniform energy-bound experiment for the resolvent approximation.
 
-Pipeline: solve the double-divergence problem for h_tilde, divide by the
-invariant density to get h, build a radial quintic cutoff chi, sweep the
-resolvent over a dyadic alpha grid, and compare the energies of
-chi * alpha G_alpha h against the explicit constant C1^2 + 2 C2 assembled
-from quadrature norms of the ingredients.
+Pipeline: the caller supplies h_tilde, a solution of the double-divergence
+problem (the CLI and `verify` pass the invariant density rho, which solves
+the homogeneous problem), divide it by rho to get h, build a radial
+quintic cutoff chi, sweep the resolvent over a dyadic alpha grid, and
+compare the energies of chi * alpha G_alpha h against the explicit
+constant C1^2 + 2 C2 assembled from quadrature norms of the ingredients.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .coefficients import (
     AnalyticFunction,
@@ -21,20 +21,11 @@ from .coefficients import (
     nondivergence_apply,
     weak_divergence_matrix,
 )
-from .density import DensityField, stationarity_matrix
-from .errors import (
-    DimensionUnsupported,
-    EmptyInterior,
-    IndefiniteSystem,
-    InvalidRadii,
-    MissingDerivative,
-    SolverDivergence,
-)
+from .density import DensityField
+from .errors import DimensionUnsupported, InvalidRadii, MissingDerivative
 from .fem import (
     FeFunction,
     _eval_callable,
-    assemble_load,
-    assemble_weighted_mass,
     assemble_weighted_stiffness,
     interpolate,
     matrix_at_quad,
@@ -44,7 +35,6 @@ from .fem import (
     vector_at_quad,
 )
 from .forms import DEFAULT_ALPHAS, FormMatrices, Resolvent, solve_resolvent
-from .mesh import SimplicialMesh
 from .quadrature import QuadratureRule, quadrature_rule
 
 # max of d/dt (6t^5 - 15t^4 + 10t^3) = 30 t^2 (1-t)^2 on [0, 1], at t = 1/2
@@ -117,92 +107,6 @@ def build_cutoff(center, inner: float, outer: float) -> CutoffSpec:
             f"cutoff radii must satisfy 0 < inner < outer, got {inner}, {outer}"
         )
     return CutoffSpec(center=center, inner=float(inner), outer=float(outer))
-
-
-@dataclass
-class DoubleDivergenceSolution:
-    """Discrete solution of the double-divergence problem with its residual."""
-
-    h_tilde: FeFunction
-    residual: float
-    residual_scale: float
-
-
-def solve_double_divergence(
-    mesh: SimplicialMesh,
-    cs: CoefficientSet,
-    g,
-    c_coef=None,
-    f_data=None,
-    flux_data=None,
-    rule: Optional[QuadratureRule] = None,
-) -> DoubleDivergenceSolution:
-    """Solve the weak double-divergence problem with Dirichlet data g.
-
-    The weak form, tested against interior hat functions phi:
-
-        int <A^T grad h, grad phi> - int h <H, grad phi> - int c h phi
-            = -int f phi - int <F, grad phi>     (Lebesgue measure).
-
-    c_coef, f_data, flux_data default to the coefficient set's own c,
-    f_data, flux_data; pass 0.0 to force a term off. The invariant density
-    itself solves the homogeneous problem (c = f = F = 0, g = rho on the
-    boundary), which is the main oracle for this routine.
-    """
-    rule = rule or quadrature_rule(mesh.dim)
-    c_eff = cs.c if c_coef is None else c_coef
-    f_eff = cs.f_data if f_data is None else f_data
-    flux_eff = cs.flux_data if flux_data is None else flux_data
-    k = stationarity_matrix(mesh, cs, rule=rule).tocsr()
-    if c_eff is not None and not (np.isscalar(c_eff) and float(c_eff) == 0.0):
-        k = (k - assemble_weighted_mass(mesh, rho=c_eff, rule=rule, allow_signed=True)).tocsr()
-    rhs = np.zeros(mesh.num_vertices)
-    has_f = f_eff is not None and not (np.isscalar(f_eff) and float(f_eff) == 0.0)
-    has_flux = flux_eff is not None
-    if has_f or has_flux:
-        rhs = -assemble_load(
-            mesh,
-            f=f_eff if has_f else None,
-            flux=flux_eff if has_flux else None,
-            rule=rule,
-        )
-    if isinstance(g, FeFunction):
-        g_vec = g.values.copy()
-    else:
-        g_vec = interpolate(mesh, g).values
-    # interior unknowns in the mesh's nested-dissection order, factored as is
-    order = mesh.dissection_order
-    interior = order[~mesh.boundary[order]]
-    if interior.size == 0:
-        raise EmptyInterior("mesh has no interior vertices")
-    boundary = np.flatnonzero(mesh.boundary)
-    rhs_int = rhs[interior] - k[interior][:, boundary] @ g_vec[boundary]
-    k_int = k[interior][:, interior].tocsc()
-    try:
-        u_int = spla.splu(k_int, permc_spec="NATURAL").solve(rhs_int)
-    except RuntimeError as exc:
-        raise IndefiniteSystem(
-            f"double-divergence system is singular (zeroth-order term?): {exc}"
-        ) from exc
-    if not np.isfinite(u_int).all():
-        raise IndefiniteSystem("double-divergence solve produced non-finite values")
-    residual = float(np.abs(k_int @ u_int - rhs_int).max()) if u_int.size else 0.0
-    scale = max(
-        float(np.abs(k_int).max()) * max(float(np.abs(u_int).max()), 1e-300),
-        float(np.abs(rhs_int).max()) if rhs_int.size else 0.0,
-        1e-300,
-    )
-    if residual > 1e-6 * scale:
-        raise SolverDivergence(
-            f"double-divergence residual {residual:.3e} exceeds 1e-6 of scale {scale:.3e}"
-        )
-    values = g_vec
-    values[interior] = u_int
-    return DoubleDivergenceSolution(
-        h_tilde=FeFunction(mesh=mesh, values=values),
-        residual=residual,
-        residual_scale=scale,
-    )
 
 
 @dataclass

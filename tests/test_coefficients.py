@@ -7,7 +7,6 @@ import pytest
 
 from fplab import (
     AnalyticFunction,
-    AnalyticVectorField,
     Ball,
     Box,
     ConfigError,
@@ -15,13 +14,13 @@ from fplab import (
     MeshInterpolant,
     MissingDerivative,
     NonEllipticSample,
+    PRESET_NAMES,
     UnknownPreset,
     assemble_load,
     assemble_weighted_mass,
     boundary_facets,
     build_ball_mesh,
     build_box_mesh,
-    ellipticity_audit,
     example_i_phi,
     example_ii_profile,
     gauss_legendre,
@@ -29,7 +28,6 @@ from fplab import (
     lumped_weights,
     nondivergence_apply,
     preset,
-    product_rule_div_check,
     quadrature_rule,
     sample_domain_points,
     sampled_coefficient_set,
@@ -115,17 +113,19 @@ def test_example_ii_profile_and_divergence():
     assert a[0, 0] == pytest.approx(example_ii_profile(abs(x[1])), rel=1e-14)
 
 
-def test_ellipticity_audit_identity_exact():
-    rep = ellipticity_audit(preset("identity", 2), DOMAIN2, n=500, seed=3)
-    assert rep["lower_ok"] and rep["upper_ok"]
-    assert rep["min_ratio"] == pytest.approx(1.0, rel=1e-12)
-    assert rep["max_ratio"] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_ellipticity_audit_example_ii():
-    cs = preset("example_ii", 2)
-    rep = ellipticity_audit(cs, DOMAIN2, n=2000, seed=4)
-    assert rep["lower_ok"] and rep["upper_ok"]
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_declared_bounds_hold(name, dim):
+    # the CoefficientSet contract on the unit ball the presets are built for:
+    # lam |xi|^2 <= <a xi, xi> and max_ij |a_ij| <= m_bound
+    cs = preset(name, dim)
+    rng = np.random.default_rng(4)
+    pts = sample_domain_points(Ball(center=np.zeros(dim), radius=1.0), 2000, rng)
+    xi = rng.standard_normal((2000, dim))
+    a = np.asarray(cs.a(pts))
+    quad = np.einsum("na,nab,nb->n", xi, a, xi)
+    assert (quad >= cs.lam * (xi * xi).sum(axis=1) * (1 - 1e-12)).all()
+    assert np.abs(a).max() <= cs.m_bound
 
 
 def test_sample_domain_points_inside():
@@ -147,16 +147,21 @@ def test_vmo_constant_field_zero():
     assert rep.modulus.max() == 0.0
 
 
-def test_vmo_radii_guards():
+@pytest.mark.parametrize(
+    "estimate",
+    [vmo_modulus, lambda f, *args, **kw: vmo_product_inequality_check(f, f, *args, **kw)],
+    ids=["modulus", "product"],
+)
+def test_vmo_radii_guards(estimate):
     field = lambda x: x[:, 0]
     with pytest.raises(DegenerateRadius):
-        vmo_modulus(field, DOMAIN2, [], seed=1)
+        estimate(field, DOMAIN2, [], seed=1)
     with pytest.raises(DegenerateRadius):
-        vmo_modulus(field, DOMAIN2, [-0.1, 0.2], seed=1)
+        estimate(field, DOMAIN2, [-0.1, 0.2], seed=1)
     with pytest.raises(DegenerateRadius):
-        vmo_modulus(field, DOMAIN2, [5.0], seed=1)  # exceeds the diameter
+        estimate(field, DOMAIN2, [5.0], seed=1)  # exceeds the diameter
     with pytest.raises(ValueError):
-        vmo_modulus(field, DOMAIN2, [0.1], samples=10, seed=1)
+        estimate(field, DOMAIN2, [0.1], samples=10, seed=1)
 
 
 def test_vmo_modulus_running_max_and_order():
@@ -276,21 +281,6 @@ def test_nondivergence_apply_quadratic():
     got = nondivergence_apply(cs, u, pts)
     expected = 4.0 - 2.0 * (pts**2).sum(axis=1)
     np.testing.assert_allclose(got, expected, atol=1e-13)
-
-
-def test_product_rule_div_check_polynomial():
-    u = AnalyticFunction(
-        value=lambda x: x[..., 0] * x[..., 1],
-        grad=lambda x: np.stack([x[..., 1], x[..., 0]], axis=-1),
-    )
-    flux = AnalyticVectorField(
-        value=lambda x: np.stack([x[..., 0], -x[..., 1]], axis=-1),
-        div=lambda x: np.zeros(np.asarray(x).shape[:-1]),
-    )
-    # div(u F) for u = xy, F = (x, -y): d/dx(x^2 y) + d/dy(-x y^2) = 0
-    pts = np.random.default_rng(6).random((50, 2))
-    res = product_rule_div_check(u, flux, lambda x: np.zeros(x.shape[0]), pts)
-    assert res <= 1e-13
 
 
 def test_mesh_interpolant_reproduces_linears():

@@ -16,7 +16,6 @@ from fplab import (
     solve_invariant_density,
     vector_at_quad,
 )
-from fplab.density import _inverse_iteration, stationarity_matrix
 
 
 @pytest.fixture(scope="module")
@@ -105,11 +104,16 @@ def test_disconnected_mesh_raises_kernel_dimension_error():
         solve_invariant_density(mesh, preset("gaussian_gradient", 2))
 
 
-def test_inverse_iteration_reports_non_convergence(disk2):
-    k = stationarity_matrix(disk2, preset("gaussian_gradient", 2))
-    order = disk2.dissection_order
-    v = _inverse_iteration(k, 1e-9, order)
-    assert np.linalg.norm(k @ v) <= 1e-9 * float(abs(k).sum() / k.shape[0])
-    # no vector meets tol = 0, so the 100 steps run out
-    with pytest.raises(KernelDimensionError, match="after 100 steps"):
-        _inverse_iteration(k, 0.0, order)
+@pytest.mark.parametrize("name", ["identity", "gaussian_gradient"])
+def test_singular_pinned_system_raises_kernel_dimension_error(name):
+    # a vertex in no element adds its own unit vector to the kernel, so
+    # every pinned system is singular and no density can be certified
+    box = build_box_mesh((0.0, 0.0), (1.0, 1.0), 4)
+    mesh = SimplicialMesh(
+        dim=2,
+        vertices=np.vstack([box.vertices, [[0.3, 0.6]]]),
+        elements=box.elements,
+        boundary=np.append(box.boundary, False),
+    )
+    with pytest.raises(KernelDimensionError, match="singular"):
+        solve_invariant_density(mesh, preset(name, 2))

@@ -1,4 +1,4 @@
-"""Cutoff calculus, double-divergence solves, and the energy bound sweep."""
+"""Cutoff calculus and the energy bound sweep."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from fplab import (
     preset,
     product_rule_residual,
     run_experiment,
-    solve_double_divergence,
     solve_invariant_density,
 )
 
@@ -75,25 +74,6 @@ def test_cutoff_derivatives_match_differences():
             assert abs(fd_g - g[k]) <= 2e-5
             fd_h = (chi.gradient(x + e) - chi.gradient(x - e)) / (2 * h)
             np.testing.assert_allclose(fd_h, hess[:, k], atol=5e-4)
-
-
-def test_double_divergence_reproduces_linear_harmonic():
-    mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=2)
-    cs = preset("identity", 2)
-    sol = solve_double_divergence(mesh, cs, g=lambda x: x[..., 0])
-    # P1 discrete harmonic extension of linear boundary data is that linear
-    expected = mesh.vertices[:, 0]
-    assert np.abs(sol.h_tilde.values - expected).max() <= 1e-10
-    assert sol.residual <= 1e-6 * sol.residual_scale
-
-
-def test_double_divergence_reproduces_invariant_density():
-    mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=2)
-    cs = preset("gaussian_gradient", 2)
-    density = solve_invariant_density(mesh, cs)
-    sol = solve_double_divergence(mesh, cs, g=density.rho)
-    err = np.abs(sol.h_tilde.values - density.rho.values).max()
-    assert err <= 1e-8 * density.rho_max
 
 
 @pytest.fixture(scope="module")
