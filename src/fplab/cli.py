@@ -239,6 +239,15 @@ def cmd_resolvent(cfg: ExperimentConfig, emit_plots: bool) -> int:
 def cmd_experiment(cfg: ExperimentConfig, emit_plots: bool) -> int:
     out = _out_dir(cfg)
     mesh, cs, density, decomposition = _density_pipeline(cfg)
+    sources = {"c": cs.c, "f": cs.f_data, "flux": cs.flux_data}
+    present = [name for name, value in sources.items() if value is not None]
+    if present:
+        # the sweep takes h_tilde = rho, which solves the double-divergence
+        # problem without source terms, while the bound counts their norms
+        raise ConfigError(
+            f"the experiment solves the homogeneous problem (h_tilde = rho); "
+            f"coefficient data {cfg.coeff_data} carries {', '.join(present)}"
+        )
     form = assemble_form(mesh, cs, density, decomposition, d_mode=cfg.d_mode)
     center = cfg.center or (0.0,) * cfg.dim
     cutoff = build_cutoff(center, cfg.cutoff_inner, cfg.cutoff_outer)

@@ -211,6 +211,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"[resolvent] backend must be direct or gmres, got {cfg.backend!r}"
         )
+    if cfg.backend == "gmres" and (cfg.domain_kind != "ball" or cfg.level < 1):
+        # the multigrid preconditioner runs on the refinement lineage of a
+        # ball mesh, which a box mesh and the unrefined template lack
+        raise ConfigError(
+            "[resolvent] backend = gmres needs a refined ball mesh "
+            "([domain] kind = ball, level >= 1)"
+        )
     cfg.tol = typed("resolvent", "tol", float, cfg.tol)
     cfg.maxiter = typed("resolvent", "maxiter", int, cfg.maxiter)
     cfg.vmo_radii = typed(

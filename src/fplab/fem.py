@@ -76,11 +76,18 @@ def physical_quad_points(mesh: SimplicialMesh, rule: QuadratureRule) -> np.ndarr
 
 
 def _eval_callable(f: Callable, pts_flat: np.ndarray, out_shape: tuple):
+    """f at every row of pts_flat, shape (n,) + out_shape.
+
+    f is called on the whole batch first. Only a result of the wrong shape,
+    or a ValueError or TypeError (the errors of a pointwise-only callable
+    handed an array), falls back to one call per point; any other error
+    propagates.
+    """
     try:
         out = np.asarray(f(pts_flat), dtype=float)
         if out.shape == (pts_flat.shape[0],) + out_shape:
             return out
-    except Exception:
+    except (ValueError, TypeError):
         pass
     out = np.empty((pts_flat.shape[0],) + out_shape)
     for i, x in enumerate(pts_flat):

@@ -6,13 +6,24 @@ its antisymmetric part, which makes the discrete analog of the
 divergence-free identity hold exactly: x^T D x = 0 for every x, so the
 energy E(f, f) collapses to the diffusion part alone.
 
+A Resolvent solves alpha M + S + D on the interior either by a sparse LU
+("direct") or by GMRES preconditioned with a geometric multigrid V-cycle
+on the mesh's refinement lineage ("gmres"), which only a mesh made by
+refine_uniform has. The skew part D is small next to the SPD part alpha M + S, so the
+iteration count does not grow under refinement (Eisenstat, Elman & Schultz
+1983). The checks (contraction, resolvent identity, sub-Markov range,
+strong continuity) use multigrid GMRES to a relative residual of 1e-12 on
+a refined mesh with at least 2000 interior unknowns, and a sparse LU
+otherwise.
+
 The resolvent checks solve one independent system per alpha. Resolvent.map
 runs that per-alpha work two alphas at a time on worker threads, because
 SciPy's sparse LU releases the interpreter lock: each alpha's factor is
 made, used and freed on one worker, and the results, the factorization
 count and the solve order at each alpha are those of a sequential sweep.
-With one usable CPU, or on systems too small to gain from it (fewer than
-2000 interior unknowns), the work runs inline and no thread is started.
+With one usable CPU, on systems too small to gain from it (fewer than 2000
+interior unknowns), or with multigrid GMRES, whose solves take
+milliseconds, the work runs inline and no thread is started.
 """
 
 from __future__ import annotations
@@ -64,6 +75,15 @@ _WORKERS = min(
 # LUs take milliseconds, and handing them to threads cost more than it
 # saved (a 13-alpha sweep with 63 unknowns took 9.7 ms instead of 5.3 ms)
 _POOL_MIN_UNKNOWNS = 2000
+# the checks solve with multigrid GMRES from this many interior unknowns of
+# a refined mesh on (a 3D level-4 LU takes 120-170 ms, a solve ~10 ms), to
+# this relative residual
+_MULTIGRID_MIN_UNKNOWNS = 2000
+_CHECK_RTOL = 1e-12
+# the V-cycle: damped Jacobi weight, and sweeps before and after the
+# coarse-level correction
+_JACOBI_WEIGHT = 0.6
+_SMOOTHING_SWEEPS = 2
 
 
 @functools.cache
@@ -255,11 +275,17 @@ class Resolvent:
     far less than SuperLU's own COLAMD ordering of P1 systems.
 
     lumped=True replaces M by its row-sum diagonal (the sub-Markov scheme).
-    backend "direct" uses a sparse LU; "gmres" uses ILU-preconditioned
-    GMRES with relative tolerance tol and at most maxiter restart cycles
-    of 20 inner iterations each. Solves go through solve_resolvent, which
-    records the residual norm of the calling thread's latest solve in
-    `residual`.
+    backend "direct" uses a sparse LU. "gmres" uses GMRES (restart 20)
+    with relative tolerance tol and at most maxiter restart cycles,
+    preconditioned by a V(2,2)-cycle: damped Jacobi (weight 0.6) on every
+    level of the mesh's refinement lineage and a sparse LU on the coarsest
+    level that has interior unknowns. The Galerkin operators P^T M P and
+    P^T (S + D) P of every level are built once, so an alpha only costs
+    alpha M_l + (S + D)_l and one small LU; the mesh must have a lineage
+    (be made by refine_uniform), else ValueError. Solves go
+    through solve_resolvent, which records the residual norm of the
+    calling thread's latest solve in `residual` and its GMRES iteration
+    count in `iterations`.
     """
 
     def __init__(
@@ -282,20 +308,31 @@ class Resolvent:
         for x in (form.s, form.d):
             if not all(map(np.array_equal, (x.indptr, x.indices), (m.indptr, m.indices))):
                 raise ValueError("S, D and M of a form must share one CSR pattern")
+        self.lumped = lumped
         if lumped:
             rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
             row_sums = np.asarray(m.sum(axis=1)).ravel()
-            lumped = np.where(rows == m.indices, row_sums[rows], 0.0)
-            m = sp.csr_matrix((lumped, m.indices, m.indptr), shape=m.shape)
+            diagonal = np.where(rows == m.indices, row_sums[rows], 0.0)
+            m = sp.csr_matrix((diagonal, m.indices, m.indptr), shape=m.shape)
         self.m = m
         self._csr, self._csc = _interior_block(m, interior)
         self._held = _Held()
         self._mass_lu = None
+        self._levels = None
+        if backend == "gmres":
+            k = _gather(self._csr, form.s.data + form.d.data)
+            self._levels = _Hierarchy(form.mesh, interior, _gather(self._csr, m.data), k)
 
     @property
     def residual(self):
         """Residual norm of the calling thread's latest solve (None before it)."""
         return self._held.residual
+
+    @property
+    def iterations(self):
+        """GMRES iterations of the calling thread's latest solve (None after
+        a direct solve or before the first)."""
+        return self._held.iterations
 
     def map(self, work, items) -> list:
         """[work(x, earlier) for x in items], two items at a time.
@@ -308,10 +345,14 @@ class Resolvent:
         it if need be) the result of items[k]; k must be below the index of
         x, because items start in order. The results come back in the order
         of items, and the first failing item in that order raises. With one
-        usable CPU, or fewer than 2000 interior unknowns, every item runs
-        inline, in order, on the calling thread.
+        usable CPU, fewer than 2000 interior unknowns or the gmres backend,
+        every item runs inline, in order, on the calling thread.
         """
-        if _WORKERS < 2 or self.interior.size < _POOL_MIN_UNKNOWNS:
+        if (
+            _WORKERS < 2
+            or self.interior.size < _POOL_MIN_UNKNOWNS
+            or self.backend == "gmres"
+        ):
             results = []
             for x in items:
                 results.append(self._task(work, x, results.__getitem__))
@@ -343,7 +384,7 @@ class Resolvent:
             held.alpha = held.k_int = held.factor = None
 
     def _system(self, alpha: float):
-        """Interior matrix alpha M + S + D and its factor (or preconditioner)."""
+        """Interior matrix alpha M + S + D and its factor (or V-cycle)."""
         held = self._held
         if alpha != held.alpha:
             # drop the old factor before building the next one
@@ -353,11 +394,7 @@ class Resolvent:
             if self.backend == "direct":
                 factor = spla.splu(_gather(self._csc, k), permc_spec="NATURAL").solve
             else:
-                try:
-                    ilu = spla.spilu(_gather(self._csc, k), drop_tol=1e-6, fill_factor=20)
-                except RuntimeError as exc:
-                    raise SolverDivergence(f"ILU factorization failed: {exc}") from exc
-                factor = spla.LinearOperator(k_int.shape, ilu.solve)
+                factor = self._levels.v_cycle(alpha, k_int)
             held.alpha, held.k_int, held.factor = alpha, k_int, factor
         return held.k_int, held.factor
 
@@ -370,9 +407,72 @@ class Resolvent:
 
 
 class _Held(threading.local):
-    """One thread's held system: its alpha, matrix, factor and latest residual."""
+    """One thread's held system: its alpha, matrix and factor, and the
+    residual and GMRES iteration count of its latest solve."""
 
-    alpha = k_int = factor = residual = None
+    alpha = k_int = factor = residual = iterations = None
+
+
+class _Hierarchy:
+    """Galerkin levels of a Resolvent's M and S + D along the mesh's lineage.
+
+    Level 0 is the coarsest lineage mesh with interior unknowns, the last
+    level the Resolvent's own interior, in its order. With P the interior
+    prolongation from level l to level l + 1, level l holds P^T X P of
+    level l + 1's X, for X = M and X = S + D; the system at one alpha is
+    alpha M_l + (S + D)_l on every level.
+    """
+
+    def __init__(self, mesh: SimplicialMesh, interior, m_int, k_int):
+        if not mesh.lineage:
+            raise ValueError(
+                "the gmres backend needs a mesh with a refinement lineage "
+                "(one made by refine_uniform); this mesh has none"
+            )
+        p = list(mesh._prolongations)
+        # the finest prolongation's rows in the Resolvent's interior order
+        rank = np.cumsum(~mesh.boundary) - 1
+        p[-1] = p[-1][rank[interior]]
+        # drop the coarse levels without interior unknowns (a prefix, since
+        # refinement keeps every interior vertex interior)
+        self.p = [x for x in p if x.shape[1]]
+        self.pt = [x.T.tocsr() for x in self.p]
+        m, k = [m_int], [k_int]
+        for x, xt in zip(reversed(self.p), reversed(self.pt)):
+            m.append((xt @ m[-1] @ x).tocsr())
+            k.append((xt @ k[-1] @ x).tocsr())
+        self.m, self.k = m[:0:-1], k[:0:-1]
+
+    def v_cycle(self, alpha: float, a_fine) -> spla.LinearOperator:
+        """The V(2,2)-cycle for alpha M + S + D, whose finest matrix is a_fine."""
+        a = [(alpha * m + k).tocsr() for m, k in zip(self.m, self.k)] + [a_fine]
+        coarse = spla.splu(a[0].tocsc())
+        weights = [_JACOBI_WEIGHT / x.diagonal() for x in a]
+        p, pt = self.p, self.pt
+
+        def cycle(b, level):
+            if level == 0:
+                return coarse.solve(b)
+            x_a, w = a[level], weights[level]
+            x = w * b
+            for _ in range(_SMOOTHING_SWEEPS - 1):
+                x += w * (b - x_a @ x)
+            x += p[level - 1] @ cycle(pt[level - 1] @ (b - x_a @ x), level - 1)
+            for _ in range(_SMOOTHING_SWEEPS):
+                x += w * (b - x_a @ x)
+            return x
+
+        return spla.LinearOperator(
+            a_fine.shape, matvec=lambda b: cycle(np.ravel(b), len(a) - 1)
+        )
+
+
+def _check_resolvent(form: FormMatrices, lumped: bool = False) -> Resolvent:
+    """The Resolvent of a check: multigrid GMRES to _CHECK_RTOL on a refined
+    mesh with at least _MULTIGRID_MIN_UNKNOWNS interior unknowns, else LU."""
+    if form.mesh.lineage and form.interior.size >= _MULTIGRID_MIN_UNKNOWNS:
+        return Resolvent(form, backend="gmres", lumped=lumped, tol=_CHECK_RTOL)
+    return Resolvent(form, lumped=lumped)
 
 
 def _interior_block(a: sp.csr_matrix, interior: np.ndarray):
@@ -410,10 +510,10 @@ def solve_resolvent(
     apply; a FormMatrices gets a one-shot Resolvent built from the keyword
     arguments.
 
-    backend "direct" uses a sparse LU; "gmres" uses ILU-preconditioned
-    GMRES with at most maxiter restart cycles of 20 inner iterations and
-    raises SolverDivergence if it misses the tolerance within them. A
-    residual check guards both paths.
+    backend "direct" uses a sparse LU; "gmres" uses multigrid-preconditioned
+    GMRES (see Resolvent) with at most maxiter restart cycles of 20 inner
+    iterations and raises SolverDivergence if it misses the tolerance
+    within them. A residual check guards both paths.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -427,9 +527,16 @@ def solve_resolvent(
     f_zeroed[interior] = f_vec[interior]
     rhs = (res.m @ f_zeroed)[interior]
     k_int, factor = res._system(alpha)
+    iterations = None
     if res.backend == "direct":
         u_int = factor(rhs)
     else:
+        iterations = 0
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
         u_int, info = spla.gmres(
             k_int,
             rhs,
@@ -438,6 +545,8 @@ def solve_resolvent(
             restart=_GMRES_RESTART,
             maxiter=res.maxiter,
             M=factor,
+            callback=count,
+            callback_type="pr_norm",
         )
         if info != 0:
             raise SolverDivergence(
@@ -451,6 +560,7 @@ def solve_resolvent(
             f"resolvent residual {resid:.3e} exceeds tolerance at alpha={alpha}"
         )
     res._held.residual = float(resid)
+    res._held.iterations = iterations
     u = np.zeros(res.form.mesh.num_vertices)
     u[interior] = u_int
     return FeFunction(mesh=res.form.mesh, values=u)
@@ -475,7 +585,7 @@ def check_contraction(
     """
     rng = np.random.default_rng(seed)
     n = form.mesh.num_vertices
-    res = Resolvent(form)
+    res = _check_resolvent(form)
 
     def draw():
         f = np.zeros(n)
@@ -516,7 +626,7 @@ def check_resolvent_identity(
     form: FormMatrices, alpha: float, beta: float, f
 ) -> ResolventIdentityReport:
     """Defect of G_alpha - G_beta - (beta - alpha) G_alpha G_beta applied to f."""
-    res = Resolvent(form)
+    res = _check_resolvent(form)
 
     # beta's task starts first, and both alpha solves share one factor
     def work(k, earlier):
@@ -567,22 +677,27 @@ def check_submarkov(
     off-diagonals the system matrix is an M-matrix and the bounds are exact
     in exact arithmetic. Raises SubmarkovViolation beyond tol.
     """
-    n = form.mesh.num_vertices
+    return _submarkov(_check_resolvent(form, lumped=lump_mass), alpha, f, tol)
+
+
+def _submarkov(res: Resolvent, alpha: float, f, tol: float) -> SubmarkovReport:
+    """check_submarkov solved with res; f None means 1 on the interior."""
+    form = res.form
     if f is None:
-        f_vec = np.zeros(n)
+        f_vec = np.zeros(form.mesh.num_vertices)
         f_vec[form.interior] = 1.0
     else:
         f_vec = f.values if isinstance(f, FeFunction) else np.asarray(f, dtype=float)
     if f_vec.min() < -1e-14 or f_vec.max() > 1 + 1e-14:
         raise ValueError("submarkov trial data must satisfy 0 <= f <= 1")
-    u = solve_resolvent(Resolvent(form, lumped=lump_mass), alpha, f_vec)
+    u = solve_resolvent(res, alpha, f_vec)
     lo = float(alpha * u.values.min())
     hi = float(alpha * u.values.max())
     if lo < -tol or hi > 1.0 + tol:
         raise SubmarkovViolation(
             f"alpha G_alpha f has range [{lo:.3e}, {hi:.3e}] at alpha={alpha}"
         )
-    return SubmarkovReport(alpha=float(alpha), min_value=lo, max_value=hi, lumped=lump_mass)
+    return SubmarkovReport(alpha=float(alpha), min_value=lo, max_value=hi, lumped=res.lumped)
 
 
 def apply_generator(form, u) -> FeFunction:
@@ -652,7 +767,7 @@ def strong_continuity_gaps(
     f_vec = np.zeros_like(f_raw)
     f_vec[interior] = f_raw[interior]
     alphas = np.asarray(sorted(float(a) for a in alphas))
-    res = Resolvent(form)
+    res = _check_resolvent(form)
 
     def work(alpha, _):
         return form.l2_norm(alpha * solve_resolvent(res, alpha, f_vec).values - f_vec)
@@ -694,7 +809,8 @@ def resolvent_sweep(
     The residuals are those of the solver's residual guard. The identity
     check at (alphas[0], alphas[2]) reuses the sweep's own G_alpha f solves:
     alphas[2] is solved first, so that the identity's extra alphas[0] solve
-    reuses the factor of the sweep's own alphas[0] solve.
+    reuses the factor of the sweep's own alphas[0] solve. The sub-Markov
+    check at alphas[0] uses the sweep's backend, tol and maxiter as well.
     """
     rng = np.random.default_rng(seed)
     n = form.mesh.num_vertices
@@ -720,7 +836,8 @@ def resolvent_sweep(
         return u
 
     res.map(work, [j] + [i for i in range(len(alphas)) if i != j])
-    sub = check_submarkov(form, alphas[0])
+    lumped = Resolvent(form, backend=backend, lumped=True, tol=tol, maxiter=maxiter)
+    sub = _submarkov(lumped, alphas[0], None, 1e-8)
     return ResolventSweepReport(
         alphas=[float(a) for a in alphas],
         contraction_ratios=ratios,

@@ -12,12 +12,13 @@ subdivision are fixed local index tables applied to every element at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, permutations
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     InvalidBox,
@@ -117,6 +118,9 @@ class SimplicialMesh:
         when one is attached, otherwise as read from file).
     domain : Ball | Box | None
         Descriptor used for boundary detection and refinement projection.
+    lineage : tuple of RefinementLevel
+        The meshes this one was refined from by refine_uniform, coarsest
+        first; empty for a mesh that was built or read, not refined.
     """
 
     dim: int
@@ -124,6 +128,7 @@ class SimplicialMesh:
     elements: np.ndarray
     boundary: np.ndarray
     domain: Optional[Domain] = None
+    lineage: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices.setflags(write=False)
@@ -184,6 +189,28 @@ class SimplicialMesh:
     def _csr_plan(self) -> CsrPlan:
         return _csr_plan(self)
 
+    @cached_property
+    def _prolongations(self) -> tuple:
+        """Interior prolongations along the lineage, coarsest first.
+
+        Entry k maps interior values of lineage level k (its interior
+        vertices in index order) to interior values of the next finer mesh,
+        the last one to this mesh's: P = [I; (e_i + e_j) / 2], a coarse
+        vertex keeping its value and a midpoint taking the mean of its
+        edge's ends. Boundary values are zero on both sides.
+        """
+        fine_masks = [level.interior for level in self.lineage[1:]] + [~self.boundary]
+        out = []
+        for level, fine in zip(self.lineage, fine_masks):
+            nc, edges = level.num_vertices, level.edges
+            mids = np.arange(nc, nc + len(edges))
+            rows = np.concatenate([np.arange(nc), np.repeat(mids, 2)])
+            cols = np.concatenate([np.arange(nc), edges.ravel()])
+            vals = np.concatenate([np.ones(nc), np.full(edges.size, 0.5)])
+            p = sp.csr_matrix((vals, (rows, cols)), shape=(nc + len(edges), nc))
+            out.append(p[fine][:, level.interior])
+        return tuple(out)
+
     def element_coords(self) -> np.ndarray:
         """Vertex coordinates per element, shape (ne, dim + 1, dim)."""
         return self.vertices[self.elements]
@@ -209,6 +236,19 @@ class SimplicialMesh:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+class RefinementLevel(NamedTuple):
+    """A coarse mesh of a refinement lineage, as read-only arrays.
+
+    The finer mesh's vertices are the num_vertices coarse ones followed by
+    one midpoint per row of edges (its two parent vertices, int32, in
+    _mesh_edges order); interior is the coarse mesh's interior mask.
+    """
+
+    num_vertices: int
+    edges: np.ndarray  # (nE, 2)
+    interior: np.ndarray  # (num_vertices,)
 
 
 class CsrPlan(NamedTuple):
@@ -251,7 +291,9 @@ def signed_volumes(vertices: np.ndarray, elements: np.ndarray, dim: int) -> np.n
     return det / _FACTORIAL[dim]
 
 
-def _orient_and_build(vertices, elements, dim, domain, boundary=None) -> SimplicialMesh:
+def _orient_and_build(
+    vertices, elements, dim, domain, boundary=None, lineage=()
+) -> SimplicialMesh:
     vertices = np.ascontiguousarray(vertices, dtype=float)
     elements = np.ascontiguousarray(elements, dtype=np.int64)
     vols = signed_volumes(vertices, elements, dim)
@@ -270,7 +312,12 @@ def _orient_and_build(vertices, elements, dim, domain, boundary=None) -> Simplic
         boundary = domain.boundary_mask(vertices)
     boundary = np.ascontiguousarray(boundary, dtype=bool)
     mesh = SimplicialMesh(
-        dim=dim, vertices=vertices, elements=elements, boundary=boundary, domain=domain
+        dim=dim,
+        vertices=vertices,
+        elements=elements,
+        boundary=boundary,
+        domain=domain,
+        lineage=lineage,
     )
     # seed the cached volumes (cached_property keeps its value in __dict__)
     mesh.__dict__["_volumes"] = _read_only(vols)
@@ -521,7 +568,8 @@ def refine_uniform(mesh: SimplicialMesh) -> SimplicialMesh:
     Midpoints of boundary edges of a ball mesh are projected onto the
     sphere. Triangles yield 4 children; tetrahedra yield 4 corner children
     plus 4 from the inner octahedron, split along its shortest diagonal
-    (Bey 1995).
+    (Bey 1995). The refined mesh's lineage is the coarse mesh's plus the
+    coarse mesh itself, kept as a RefinementLevel.
     """
     dim, nv = mesh.dim, mesh.num_vertices
     edges, element_edges = _mesh_edges(mesh)
@@ -551,7 +599,16 @@ def refine_uniform(mesh: SimplicialMesh) -> SimplicialMesh:
         children = np.concatenate(
             [local[:, _RED_CORNERS_3D], local[rows, octahedron]], axis=1
         )
-    return _orient_and_build(vertices, children.reshape(-1, dim + 1), dim, mesh.domain)
+    level = RefinementLevel(
+        nv, _read_only(edges.astype(np.int32)), _read_only(~mesh.boundary)
+    )
+    return _orient_and_build(
+        vertices,
+        children.reshape(-1, dim + 1),
+        dim,
+        mesh.domain,
+        lineage=mesh.lineage + (level,),
+    )
 
 
 def _p1_gradients(coords: np.ndarray) -> np.ndarray:

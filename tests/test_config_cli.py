@@ -303,3 +303,39 @@ def test_cli_coefficient_data_file(tmp_path):
     assert main(["density", "--config", cfg]) == 0
     report = json.loads((tmp_path / "out" / "density_report.json").read_text())
     assert report["rho_min"] > 0.0
+
+
+@pytest.mark.parametrize("sources", [("c", "f"), ("flux",)])
+def test_cli_experiment_rejects_source_terms(tmp_path, capsys, sources):
+    # the experiment sweeps h_tilde = rho, the solution without c, f and flux,
+    # while its bound would count their norms: c = f = 5 on the 3D level-2
+    # ball with identity a moved the bound and left the swept energies alone
+    from fplab import build_ball_mesh
+
+    mesh = build_ball_mesh((0.0, 0.0, 0.0), 1.0, levels=2)
+    nv = mesh.num_vertices
+    fields = {"a": np.broadcast_to(np.eye(3), (nv, 3, 3)).copy()}
+    shapes = {"c": (nv,), "f": (nv,), "flux": (nv, 3)}
+    with_sources = tmp_path / "sources.npz"
+    np.savez(with_sources, **fields, **{k: np.full(shapes[k], 5.0) for k in sources})
+    homogeneous = tmp_path / "homogeneous.npz"
+    np.savez(homogeneous, **fields)
+
+    def run(stage, data):
+        out = tmp_path / f"out_{stage}_{data.stem}"
+        cfg = write_config(
+            tmp_path,
+            f"[run]\noutput_dir = {out}\n"
+            "[domain]\nkind = ball\ndim = 3\nradius = 1.0\nlevel = 2\n"
+            f"[coefficients]\ndata = {data}\n"
+            "[resolvent]\nalphas = dyadic:3\n",
+        )
+        return main([stage, "--config", cfg]), out
+
+    code, out = run("experiment", with_sources)
+    assert code == 2
+    assert f"carries {', '.join(sources)}" in capsys.readouterr().err
+    assert not (out / "energy_bound.json").exists()
+    assert run("experiment", homogeneous)[0] == 0
+    # the other stages still take source data
+    assert run("density", with_sources)[0] == 0

@@ -155,6 +155,26 @@ def test_nonfinite_field_rejected():
         interpolate(mesh, lambda x: np.where(x[..., 0] > 0.4, np.nan, 1.0))
 
 
+def test_field_errors_surface_from_assembly():
+    mesh = build_box_mesh((0.0, 0.0), (1.0, 1.0), 2)
+
+    def a(x):
+        # fine point by point, broken on a batch by a real error
+        if x.ndim > 1:
+            raise ZeroDivisionError("batched coefficient")
+        return np.eye(2)
+
+    with pytest.raises(ZeroDivisionError, match="batched coefficient"):
+        assemble_weighted_stiffness(mesh, a)
+
+    def b(x):
+        # pointwise only: a batch fails with a TypeError, and falls back
+        return np.array([float(x[0]), 0.0])
+
+    ref = assemble_drift(mesh, lambda x: np.stack([x[..., 0], 0.0 * x[..., 1]], axis=-1))
+    np.testing.assert_allclose(assemble_drift(mesh, b).toarray(), ref.toarray(), atol=1e-15)
+
+
 def test_gradients_are_computed_once_per_mesh(monkeypatch):
     calls = []
 

@@ -260,10 +260,6 @@ class CountingSpla:
         self.factorizations += 1
         return spla.splu(*args, **kwargs)
 
-    def spilu(self, *args, **kwargs):
-        self.factorizations += 1
-        return spla.spilu(*args, **kwargs)
-
     def __getattr__(self, name):
         return getattr(spla, name)
 
