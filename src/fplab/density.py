@@ -5,6 +5,12 @@ The stationarity problem on a bounded mesh tests against EVERY P1 function
 identity int <a^T grad(rho) - rho H, grad(phi)> dx = 0. Its matrix is the
 transpose of the drift-diffusion operator matrix, so the density spans the
 kernel of the adjoint system, exactly as in the continuum.
+
+The density is found by pinning a vertex to 1, twice with different pins
+(solve_invariant_density): on a refined mesh with at least 4096 vertices
+by GMRES with the Galerkin V-cycle of fem._Multigrid along the lineage, as
+multilevel stationary-distribution solvers do (Horton & Leutenegger 1994),
+and below that by sparse LUs, which stay the test oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from .errors import DensityNotPositive, KernelDimensionError
 from .fem import (
     FeFunction,
     _drift_local,
+    _gmres,
+    _Multigrid,
     _scatter,
     _scatter_vector,
     _stiffness_local,
@@ -33,6 +41,15 @@ from .fem import (
 from .mesh import SimplicialMesh
 from .quadrature import QuadratureRule, quadrature_rule
 
+# on a mesh with a refinement lineage and at least this many vertices the
+# pinned systems are solved by multigrid GMRES to a relative residual of
+# _DENSITY_RTOL within _DENSITY_MAXITER restart cycles, else by sparse LUs
+_DENSITY_MULTIGRID_MIN_VERTICES = 4096
+_DENSITY_RTOL = 1e-12
+_DENSITY_MAXITER = 10
+# decompose_drift samples the coefficients in blocks of this many elements
+_BLOCK_ELEMENTS = 2**15
+
 
 @dataclass
 class DensityField:
@@ -44,6 +61,7 @@ class DensityField:
     residual: float
     residual_scale: float
     normalized: bool = True
+    iterations: tuple = ()  # GMRES iterations per pin; empty after LUs
 
 
 @dataclass
@@ -71,6 +89,41 @@ def stationarity_matrix(
     return _scatter(mesh, local, transpose=True)
 
 
+def _pinned_system(mesh: SimplicialMesh, k: sp.csr_matrix, pin: int):
+    """K without row and column pin, gathered through the mesh's CSR plan (K
+    lies on its pattern), and minus K's column pin without row pin."""
+    plan = mesh._csr_plan
+    rows, cols = plan.rows(), plan.indices
+    keep = (rows != pin) & (cols != pin)
+    column = (cols == pin) & (rows != pin)
+    # vertex indices once the pin is dropped
+    rows, cols = rows - (rows > pin), cols - (cols > pin)
+    n = mesh.num_vertices - 1
+    indptr = np.zeros(n + 1, dtype=plan.indptr.dtype)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+    sub = sp.csr_matrix((k.data[keep], cols[keep], indptr), shape=(n, n))
+    rhs = np.zeros(n)
+    rhs[rows[column]] = -k.data[column]
+    return sub, rhs
+
+
+def _multigrid_pinned_solve(mesh: SimplicialMesh, k: sp.csr_matrix, pin: int):
+    """The kernel vector with value 1 at pin by V-cycle-preconditioned GMRES
+    along the lineage, and the GMRES iteration count."""
+    sub, rhs = _pinned_system(mesh, k, pin)
+    sizes = [level.num_vertices for level in mesh.lineage] + [mesh.num_vertices]
+    levels = _Multigrid(mesh._prolongations([np.arange(n) != pin for n in sizes]), sub)
+    cycle = levels.v_cycle([x for x, in levels.levels] + [sub])
+    x, info, iterations = _gmres(sub, rhs, cycle, _DENSITY_RTOL, _DENSITY_MAXITER)
+    if info != 0 or not np.isfinite(x).all():
+        raise KernelDimensionError(
+            f"multigrid GMRES on the stationarity system pinned at vertex {pin} "
+            f"missed rtol={_DENSITY_RTOL:.0e} within {iterations} iterations; "
+            "the pinned system may be singular"
+        )
+    return np.insert(x, pin, 1.0), iterations
+
+
 def _pinned_solve(k: sp.csr_matrix, pin: int, order: np.ndarray) -> np.ndarray:
     n = k.shape[0]
     # the unknowns in the mesh's nested-dissection order, factored as is
@@ -94,38 +147,56 @@ def solve_invariant_density(
 ) -> DensityField:
     """Compute the positive kernel vector of the stationarity system.
 
-    Solves K rho = 0 by pinning one interior vertex to 1 and solving the
-    reduced system; a second solve with a different pin certifies that the
-    kernel is one-dimensional. The result is normalized to unit mean over
-    the mesh.
+    Solves K rho = 0 by pinning one vertex to 1 and solving the reduced
+    system; a second solve with a different pin certifies that the kernel
+    is one-dimensional. The result is normalized to unit mean over the mesh.
+
+    On a mesh with a refinement lineage and at least
+    _DENSITY_MULTIGRID_MIN_VERTICES (4096) vertices the pins are vertices 0
+    and 1, and each pinned system is solved by V(2,2)-cycle-preconditioned
+    GMRES (restart 20) to a relative residual of 1e-12 within 10 restart
+    cycles, with one coarse-level LU per pin; the iteration counts land in
+    `iterations`. Otherwise the pins are the interior vertices nearest to
+    and farthest from the vertex centroid, each pinned system is factored
+    by a sparse LU, and `iterations` is empty.
 
     Raises
     ------
     KernelDimensionError
         If a pinned system is singular (the kernel has dimension above one),
-        the two pinned solves disagree beyond 1e-8 after normalization, or
-        the stationarity residual exceeds tol.
+        multigrid GMRES misses its tolerance, the two pinned solves disagree
+        beyond 1e-8 after normalization, or the stationarity residual
+        exceeds tol.
     DensityNotPositive
         If the kernel vector has vanishing mean, or any vertex value of the
         normalized density is <= 0.
     """
     rule = rule or quadrature_rule(mesh.dim)
     k = stationarity_matrix(mesh, cs, rule)
-    interior = mesh.interior
-    center = mesh.vertices.mean(axis=0)
-    dist = np.linalg.norm(mesh.vertices[interior] - center, axis=1)
-    pins = [int(interior[np.argmin(dist)]), int(interior[np.argmax(dist)])]
-    if pins[0] == pins[1]:
-        pins[1] = int(interior[0]) if interior[0] != pins[0] else int(interior[-1])
+    multigrid = bool(mesh.lineage) and mesh.num_vertices >= _DENSITY_MULTIGRID_MIN_VERTICES
+    if multigrid:
+        # vertices of the lineage's first mesh keep their index on every level
+        pins = [0, 1]
+    else:
+        interior = mesh.interior
+        center = mesh.vertices.mean(axis=0)
+        dist = np.linalg.norm(mesh.vertices[interior] - center, axis=1)
+        pins = [int(interior[np.argmin(dist)]), int(interior[np.argmax(dist)])]
+        if pins[0] == pins[1]:
+            pins[1] = int(interior[0]) if interior[0] != pins[0] else int(interior[-1])
 
     weights = lumped_weights(mesh)
     volume = float(weights.sum())
 
-    order = mesh.dissection_order
     candidates = []
+    iterations = []
     for pin in pins:
         try:
-            v = _pinned_solve(k, pin, order)
+            if multigrid:
+                v, count = _multigrid_pinned_solve(mesh, k, pin)
+                iterations.append(count)
+            else:
+                v = _pinned_solve(k, pin, mesh.dissection_order)
         except RuntimeError as exc:
             raise KernelDimensionError(
                 f"stationarity system pinned at vertex {pin} is singular: {exc}"
@@ -162,6 +233,7 @@ def solve_invariant_density(
         rho_max=float(rho_vec.max()),
         residual=residual,
         residual_scale=scale,
+        iterations=tuple(iterations),
     )
 
 
@@ -175,7 +247,9 @@ def decompose_drift(
 
     B is invariant under rescaling of rho. The quadratic defect
     max_j |int <B, grad(phi_j^2)> rho dx| over interior j is reported (it
-    vanishes only in the continuum; it must decay under refinement).
+    vanishes only in the continuum; it must decay under refinement). The
+    coefficients are sampled in blocks of 2^15 elements into one
+    preallocated B, which bounds their temporaries.
     """
     rule = rule or quadrature_rule(mesh.dim)
     pts = physical_quad_points(mesh, rule)
@@ -184,12 +258,15 @@ def decompose_drift(
         raise DensityNotPositive(
             f"density is not positive at a quadrature point: {rho_q.min():.3e}"
         )
-    a_q = matrix_at_quad(cs.a, mesh, rule, pts)
-    h_q = vector_at_quad(cs.drift, mesh, rule, pts)
     grad_rho = density.rho.element_gradients()
-    # (a^T grad rho)_a = sum_b a_ba (grad rho)_b, one row of a at a time
-    flux = sum(grad_rho[:, None, b, None] * a_q[:, :, b] for b in range(mesh.dim))
-    b_quad = h_q - flux / rho_q[:, :, None]
+    b_quad = np.empty(pts.shape)
+    for start in range(0, mesh.num_elements, _BLOCK_ELEMENTS):
+        block = slice(start, start + _BLOCK_ELEMENTS)
+        a_q = matrix_at_quad(cs.a, mesh, rule, pts[block])
+        h_q = vector_at_quad(cs.drift, mesh, rule, pts[block])
+        # (a^T grad rho)_a = sum_b a_ba (grad rho)_b, one row of a at a time
+        flux = sum(grad_rho[block, None, b, None] * a_q[:, :, b] for b in range(mesh.dim))
+        b_quad[block] = h_q - flux / rho_q[block, :, None]
 
     # int <B, grad(phi_j^2)> rho dx is -2 D[j, j] for the drift block of B
     local = _drift_local(mesh, b_quad, rho_q, rule)

@@ -16,6 +16,11 @@ its element matrices onto the mesh's cached CSR plan (`mesh._csr_plan`),
 and its transpose is the same onto the plan's mirrored slots: duplicates
 sum in element order, deterministically and without a sort. Every matrix
 of a mesh shares one pattern, so a sum of matrices is a sum of data arrays.
+
+_Multigrid is the one geometric multigrid of the package: Galerkin levels
+along prolongations of a refinement lineage and a V(2,2)-cycle on them,
+which preconditions GMRES (_gmres) for the resolvent's gmres backend and
+for the invariant density's pinned systems alike.
 """
 
 from __future__ import annotations
@@ -25,10 +30,18 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import NonFiniteValue, NonPositiveDensity
 from .mesh import SimplicialMesh
 from .quadrature import QuadratureRule, quadrature_rule
+
+# inner GMRES iterations per restart cycle; maxiter counts cycles
+_GMRES_RESTART = 20
+# the V-cycle: damped Jacobi weight, and sweeps before and after the
+# coarse-level correction
+_JACOBI_WEIGHT = 0.6
+_SMOOTHING_SWEEPS = 2
 
 
 @dataclass
@@ -119,8 +132,13 @@ def scalar_at_quad(field, mesh, rule, pts=None) -> np.ndarray:
 
 
 def vector_at_quad(field, mesh, rule, pts=None) -> np.ndarray:
-    """Sample a vector field at quadrature points, shape (ne, nq, dim)."""
-    ne, nq, dim = mesh.num_elements, rule.weights.shape[0], mesh.dim
+    """Sample a vector field at quadrature points, shape (ne, nq, dim).
+
+    With pts (ne, nq, dim) given, a callable is sampled there, so ne may
+    count a block of the mesh's elements.
+    """
+    nq, dim = rule.weights.shape[0], mesh.dim
+    ne = mesh.num_elements if pts is None else pts.shape[0]
     if isinstance(field, np.ndarray):
         if field.shape == (ne, nq, dim):
             return field
@@ -135,8 +153,10 @@ def vector_at_quad(field, mesh, rule, pts=None) -> np.ndarray:
 
 
 def matrix_at_quad(field, mesh, rule, pts=None) -> np.ndarray:
-    """Sample a matrix field at quadrature points, shape (ne, nq, dim, dim)."""
-    ne, nq, dim = mesh.num_elements, rule.weights.shape[0], mesh.dim
+    """Sample a matrix field at quadrature points, shape (ne, nq, dim, dim),
+    at pts for a block of elements as vector_at_quad does."""
+    nq, dim = rule.weights.shape[0], mesh.dim
+    ne = mesh.num_elements if pts is None else pts.shape[0]
     if isinstance(field, np.ndarray):
         if field.shape == (ne, nq, dim, dim):
             return field
@@ -339,3 +359,66 @@ def l2_error(u: FeFunction, exact, weight=None, rule=None) -> float:
     u_q = u.at_quad(rule)
     e_q = scalar_at_quad(exact, mesh, rule, pts)
     return quadrature_norm(mesh, u_q - e_q, p=2.0, weight=weight, rule=rule)
+
+
+class _Multigrid:
+    """Galerkin levels of fine matrices along prolongations, and V-cycles.
+
+    prolongations[l] maps the unknowns of level l to those of level l + 1,
+    coarsest first, the last one to the unknowns of the fine matrices;
+    levels without unknowns (a prefix) are dropped. With P the prolongation
+    from level l to level l + 1, level l holds P^T X P of level l + 1's X
+    for every fine matrix X, built once: `levels` lists them per coarse
+    level, coarsest first, as tuples in the order of the fine matrices.
+    """
+
+    def __init__(self, prolongations, *fine):
+        self.p = [x for x in prolongations if x.shape[1]]
+        self.pt = [x.T.tocsr() for x in self.p]
+        levels = [fine]
+        for x, xt in zip(reversed(self.p), reversed(self.pt)):
+            levels.append(tuple((xt @ a @ x).tocsr() for a in levels[-1]))
+        self.levels = levels[:0:-1]
+
+    def v_cycle(self, a) -> spla.LinearOperator:
+        """The V(2,2)-cycle for the CSR level matrices a, coarsest first:
+        damped Jacobi (weight 0.6) on every level and a sparse LU of the
+        coarsest, which is factored here."""
+        coarse = spla.splu(a[0].tocsc())
+        weights = [_JACOBI_WEIGHT / x.diagonal() for x in a]
+        p, pt = self.p, self.pt
+
+        def cycle(b, level):
+            if level == 0:
+                return coarse.solve(b)
+            x_a, w = a[level], weights[level]
+            x = w * b
+            for _ in range(_SMOOTHING_SWEEPS - 1):
+                x += w * (b - x_a @ x)
+            x += p[level - 1] @ cycle(pt[level - 1] @ (b - x_a @ x), level - 1)
+            for _ in range(_SMOOTHING_SWEEPS):
+                x += w * (b - x_a @ x)
+            return x
+
+        return spla.LinearOperator(
+            a[-1].shape, matvec=lambda b: cycle(np.ravel(b), len(a) - 1)
+        )
+
+
+def _gmres(a, b, preconditioner, rtol: float, maxiter: int):
+    """GMRES (restart 20) on a x = b to relative residual rtol within maxiter
+    restart cycles: x, SciPy's info (0 when rtol was met) and the number of
+    inner iterations."""
+    residuals = []
+    x, info = spla.gmres(
+        a,
+        b,
+        rtol=rtol,
+        atol=0.0,
+        restart=_GMRES_RESTART,
+        maxiter=maxiter,
+        M=preconditioner,
+        callback=residuals.append,
+        callback_type="pr_norm",
+    )
+    return x, info, len(residuals)

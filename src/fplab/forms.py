@@ -14,7 +14,10 @@ iteration count does not grow under refinement (Eisenstat, Elman & Schultz
 1983). The checks (contraction, resolvent identity, sub-Markov range,
 strong continuity) use multigrid GMRES to a relative residual of 1e-12 on
 a refined mesh with at least 2000 interior unknowns, and a sparse LU
-otherwise.
+otherwise. The V-cycle is fem._Multigrid, which the invariant density
+shares. M^{-1} (the generator, the strong continuity bound) is applied by
+Jacobi-preconditioned CG to a relative residual of 1e-14 from 2000
+interior unknowns on, since M is well conditioned, and by a sparse LU below.
 
 The resolvent checks solve one independent system per alpha. Resolvent.map
 runs that per-alpha work two alphas at a time on worker threads, because
@@ -50,8 +53,11 @@ from .errors import (
     SubmarkovViolation,
 )
 from .fem import (
+    _GMRES_RESTART,
     FeFunction,
     _csr,
+    _gmres,
+    _Multigrid,
     assemble_drift,
     assemble_weighted_mass,
     assemble_weighted_stiffness,
@@ -61,8 +67,6 @@ from .mesh import SimplicialMesh
 from .quadrature import QuadratureRule
 
 DEFAULT_ALPHAS = tuple(float(2**k) for k in range(13))
-# inner GMRES iterations per restart cycle; maxiter counts cycles
-_GMRES_RESTART = 20
 # glibc's mallopt parameter number for the malloc arena limit
 _M_ARENA_MAX = -8
 # alphas factored at once by Resolvent.map, at most the usable CPUs; with
@@ -77,13 +81,11 @@ _WORKERS = min(
 _POOL_MIN_UNKNOWNS = 2000
 # the checks solve with multigrid GMRES from this many interior unknowns of
 # a refined mesh on (a 3D level-4 LU takes 120-170 ms, a solve ~10 ms), to
-# this relative residual
+# this relative residual; mass_solve runs CG from this many interior
+# unknowns on (3D level 5: 0.03 s against an 8.6 s LU), to _MASS_RTOL
 _MULTIGRID_MIN_UNKNOWNS = 2000
 _CHECK_RTOL = 1e-12
-# the V-cycle: damped Jacobi weight, and sweeps before and after the
-# coarse-level correction
-_JACOBI_WEIGHT = 0.6
-_SMOOTHING_SWEEPS = 2
+_MASS_RTOL = 1e-14
 
 
 @functools.cache
@@ -261,11 +263,12 @@ class Resolvent:
     386 MB, against 193 MB when each was freed where it was made.) Before
     it starts its threads, map() sets glibc's arena limit to 1, so that
     workers allocate from the main arena and a worker's last factor does
-    not stay resident after it is freed. The interior mass LU (for M^{-1},
-    needed by the generator) is built on first use and kept. A Resolvent
-    is meant to live for one computation: the form itself stores no
-    factors, so holding on to them never stacks on the memory of later
-    stages.
+    not stay resident after it is freed. mass_solve applies M^{-1} (needed
+    by the generator) by Jacobi-preconditioned CG from 2000 interior
+    unknowns on, else by an interior mass LU built on first use and kept.
+    A Resolvent is meant to live for one computation: the form itself
+    stores no factors, so holding on to them never stacks on the memory of
+    later stages.
 
     The interior unknowns are held in the mesh's nested-dissection order:
     `interior` is `order[~boundary[order]]` for `order =
@@ -277,15 +280,15 @@ class Resolvent:
     lumped=True replaces M by its row-sum diagonal (the sub-Markov scheme).
     backend "direct" uses a sparse LU. "gmres" uses GMRES (restart 20)
     with relative tolerance tol and at most maxiter restart cycles,
-    preconditioned by a V(2,2)-cycle: damped Jacobi (weight 0.6) on every
-    level of the mesh's refinement lineage and a sparse LU on the coarsest
-    level that has interior unknowns. The Galerkin operators P^T M P and
-    P^T (S + D) P of every level are built once, so an alpha only costs
-    alpha M_l + (S + D)_l and one small LU; the mesh must have a lineage
-    (be made by refine_uniform), else ValueError. Solves go
-    through solve_resolvent, which records the residual norm of the
-    calling thread's latest solve in `residual` and its GMRES iteration
-    count in `iterations`.
+    preconditioned by a V(2,2)-cycle (fem._Multigrid): damped Jacobi
+    (weight 0.6) on every level of the mesh's refinement lineage and a
+    sparse LU on the coarsest level that has interior unknowns. The
+    Galerkin operators P^T M P and P^T (S + D) P of every level are built
+    once, so an alpha only costs alpha M_l + (S + D)_l and one small LU;
+    the mesh must have a lineage (be made by refine_uniform), else
+    ValueError. Solves go through solve_resolvent, which records the
+    residual norm of the calling thread's latest solve in `residual` and
+    its GMRES iteration count in `iterations`.
     """
 
     def __init__(
@@ -317,11 +320,21 @@ class Resolvent:
         self.m = m
         self._csr, self._csc = _interior_block(m, interior)
         self._held = _Held()
-        self._mass_lu = None
+        self._mass = None
         self._levels = None
         if backend == "gmres":
+            mesh = form.mesh
+            if not mesh.lineage:
+                raise ValueError(
+                    "the gmres backend needs a mesh with a refinement lineage "
+                    "(one made by refine_uniform); this mesh has none"
+                )
+            keep = [level.interior for level in mesh.lineage] + [~mesh.boundary]
+            p = mesh._prolongations(keep)
+            # the finest prolongation's rows in the Resolvent's interior order
+            p[-1] = p[-1][(np.cumsum(keep[-1]) - 1)[interior]]
             k = _gather(self._csr, form.s.data + form.d.data)
-            self._levels = _Hierarchy(form.mesh, interior, _gather(self._csr, m.data), k)
+            self._levels = _Multigrid(p, _gather(self._csr, m.data), k)
 
     @property
     def residual(self):
@@ -394,16 +407,22 @@ class Resolvent:
             if self.backend == "direct":
                 factor = spla.splu(_gather(self._csc, k), permc_spec="NATURAL").solve
             else:
-                factor = self._levels.v_cycle(alpha, k_int)
+                levels = [(alpha * m + k).tocsr() for m, k in self._levels.levels]
+                factor = self._levels.v_cycle(levels + [k_int])
             held.alpha, held.k_int, held.factor = alpha, k_int, factor
         return held.k_int, held.factor
 
     def mass_solve(self, z: np.ndarray) -> np.ndarray:
-        """M^{-1} z on interior DOFs (the mass LU is factored once)."""
-        if self._mass_lu is None:
-            m_int = _gather(self._csc, self.m.data)
-            self._mass_lu = spla.splu(m_int, permc_spec="NATURAL")
-        return self._mass_lu.solve(z)
+        """M^{-1} z on interior DOFs: Jacobi-preconditioned CG to a relative
+        residual of 1e-14 from 2000 interior unknowns on, else a sparse LU
+        that is factored once. CG that misses it raises SolverDivergence."""
+        if self._mass is None:
+            if self.interior.size >= _MULTIGRID_MIN_UNKNOWNS:
+                self._mass = functools.partial(_mass_cg, _gather(self._csr, self.m.data))
+            else:
+                m_int = _gather(self._csc, self.m.data)
+                self._mass = spla.splu(m_int, permc_spec="NATURAL").solve
+        return self._mass(z)
 
 
 class _Held(threading.local):
@@ -413,58 +432,13 @@ class _Held(threading.local):
     alpha = k_int = factor = residual = iterations = None
 
 
-class _Hierarchy:
-    """Galerkin levels of a Resolvent's M and S + D along the mesh's lineage.
-
-    Level 0 is the coarsest lineage mesh with interior unknowns, the last
-    level the Resolvent's own interior, in its order. With P the interior
-    prolongation from level l to level l + 1, level l holds P^T X P of
-    level l + 1's X, for X = M and X = S + D; the system at one alpha is
-    alpha M_l + (S + D)_l on every level.
-    """
-
-    def __init__(self, mesh: SimplicialMesh, interior, m_int, k_int):
-        if not mesh.lineage:
-            raise ValueError(
-                "the gmres backend needs a mesh with a refinement lineage "
-                "(one made by refine_uniform); this mesh has none"
-            )
-        p = list(mesh._prolongations)
-        # the finest prolongation's rows in the Resolvent's interior order
-        rank = np.cumsum(~mesh.boundary) - 1
-        p[-1] = p[-1][rank[interior]]
-        # drop the coarse levels without interior unknowns (a prefix, since
-        # refinement keeps every interior vertex interior)
-        self.p = [x for x in p if x.shape[1]]
-        self.pt = [x.T.tocsr() for x in self.p]
-        m, k = [m_int], [k_int]
-        for x, xt in zip(reversed(self.p), reversed(self.pt)):
-            m.append((xt @ m[-1] @ x).tocsr())
-            k.append((xt @ k[-1] @ x).tocsr())
-        self.m, self.k = m[:0:-1], k[:0:-1]
-
-    def v_cycle(self, alpha: float, a_fine) -> spla.LinearOperator:
-        """The V(2,2)-cycle for alpha M + S + D, whose finest matrix is a_fine."""
-        a = [(alpha * m + k).tocsr() for m, k in zip(self.m, self.k)] + [a_fine]
-        coarse = spla.splu(a[0].tocsc())
-        weights = [_JACOBI_WEIGHT / x.diagonal() for x in a]
-        p, pt = self.p, self.pt
-
-        def cycle(b, level):
-            if level == 0:
-                return coarse.solve(b)
-            x_a, w = a[level], weights[level]
-            x = w * b
-            for _ in range(_SMOOTHING_SWEEPS - 1):
-                x += w * (b - x_a @ x)
-            x += p[level - 1] @ cycle(pt[level - 1] @ (b - x_a @ x), level - 1)
-            for _ in range(_SMOOTHING_SWEEPS):
-                x += w * (b - x_a @ x)
-            return x
-
-        return spla.LinearOperator(
-            a_fine.shape, matvec=lambda b: cycle(np.ravel(b), len(a) - 1)
-        )
+def _mass_cg(m_int: sp.csr_matrix, z: np.ndarray) -> np.ndarray:
+    """M^{-1} z by Jacobi-preconditioned CG to relative residual _MASS_RTOL."""
+    jacobi = sp.diags(1.0 / m_int.diagonal())
+    w, info = spla.cg(m_int, z, rtol=_MASS_RTOL, atol=0.0, M=jacobi)
+    if info != 0:
+        raise SolverDivergence(f"mass matrix CG missed rtol={_MASS_RTOL:.0e}")
+    return w
 
 
 def _check_resolvent(form: FormMatrices, lumped: bool = False) -> Resolvent:
@@ -531,23 +505,7 @@ def solve_resolvent(
     if res.backend == "direct":
         u_int = factor(rhs)
     else:
-        iterations = 0
-
-        def count(_):
-            nonlocal iterations
-            iterations += 1
-
-        u_int, info = spla.gmres(
-            k_int,
-            rhs,
-            rtol=res.tol,
-            atol=0.0,
-            restart=_GMRES_RESTART,
-            maxiter=res.maxiter,
-            M=factor,
-            callback=count,
-            callback_type="pr_norm",
-        )
+        u_int, info, iterations = _gmres(k_int, rhs, factor, res.tol, res.maxiter)
         if info != 0:
             raise SolverDivergence(
                 f"gmres failed to reach rtol={res.tol:.1e} "

@@ -189,27 +189,26 @@ class SimplicialMesh:
     def _csr_plan(self) -> CsrPlan:
         return _csr_plan(self)
 
-    @cached_property
-    def _prolongations(self) -> tuple:
-        """Interior prolongations along the lineage, coarsest first.
+    def _prolongations(self, keep) -> list:
+        """Prolongations along the lineage between kept vertices, coarsest first.
 
-        Entry k maps interior values of lineage level k (its interior
-        vertices in index order) to interior values of the next finer mesh,
-        the last one to this mesh's: P = [I; (e_i + e_j) / 2], a coarse
-        vertex keeping its value and a midpoint taking the mean of its
-        edge's ends. Boundary values are zero on both sides.
+        keep holds a boolean vertex mask for every lineage level and a last
+        one for this mesh. Entry k maps values at the kept vertices of
+        lineage level k (in index order) to values at the kept vertices of
+        the next finer mesh, the last one to this mesh's: P = [I; (e_i +
+        e_j) / 2], a coarse vertex keeping its value and a midpoint taking
+        the mean of its edge's ends. Values off the kept vertices are zero.
         """
-        fine_masks = [level.interior for level in self.lineage[1:]] + [~self.boundary]
         out = []
-        for level, fine in zip(self.lineage, fine_masks):
+        for level, coarse, fine in zip(self.lineage, keep, keep[1:]):
             nc, edges = level.num_vertices, level.edges
             mids = np.arange(nc, nc + len(edges))
             rows = np.concatenate([np.arange(nc), np.repeat(mids, 2)])
             cols = np.concatenate([np.arange(nc), edges.ravel()])
             vals = np.concatenate([np.ones(nc), np.full(edges.size, 0.5)])
             p = sp.csr_matrix((vals, (rows, cols)), shape=(nc + len(edges), nc))
-            out.append(p[fine][:, level.interior])
-        return tuple(out)
+            out.append(p[fine][:, coarse])
+        return out
 
     def element_coords(self) -> np.ndarray:
         """Vertex coordinates per element, shape (ne, dim + 1, dim)."""

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import fplab.density
+import fplab.fem
 from fplab import (
+    DensityNotPositive,
     KernelDimensionError,
     SimplicialMesh,
     build_ball_mesh,
@@ -11,10 +15,18 @@ from fplab import (
     decompose_drift,
     divergence_free_residual,
     interpolate,
+    lumped_weights,
     norm,
     preset,
+    refine_uniform,
     solve_invariant_density,
     vector_at_quad,
+)
+from fplab.cli import main
+from fplab.density import (
+    _DENSITY_MULTIGRID_MIN_VERTICES,
+    _pinned_solve,
+    stationarity_matrix,
 )
 
 
@@ -23,10 +35,17 @@ def disk2():
     return build_ball_mesh((0.0, 0.0), 1.0, levels=2)
 
 
+@pytest.fixture(scope="module")
+def disk5():
+    # 12481 vertices: above the size from which the density uses multigrid
+    return build_ball_mesh((0.0, 0.0), 1.0, levels=5)
+
+
 def test_identity_density_is_constant(disk2):
     density = solve_invariant_density(disk2, preset("identity", 2))
     assert np.abs(density.rho.values - 1.0).max() <= 1e-9
     assert density.normalized
+    assert density.iterations == ()
     assert density.rho_min > 0.0
     assert density.residual <= 1e-9 * max(density.residual_scale, 1.0)
 
@@ -117,3 +136,80 @@ def test_singular_pinned_system_raises_kernel_dimension_error(name):
     )
     with pytest.raises(KernelDimensionError, match="singular"):
         solve_invariant_density(mesh, preset(name, 2))
+
+
+def test_multigrid_density_matches_the_lu_path():
+    mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=5)
+    assert mesh.num_vertices >= _DENSITY_MULTIGRID_MIN_VERTICES
+    cs = preset("gaussian_gradient", 2)
+    density = solve_invariant_density(mesh, cs)
+    assert len(density.iterations) == 2
+    # no nested-dissection order was computed for the multigrid path
+    assert "dissection_order" not in vars(mesh)
+    # the LU of the same pinned systems is the oracle
+    k = stationarity_matrix(mesh, cs)
+    weights = lumped_weights(mesh)
+    for pin in (0, 1):
+        v = _pinned_solve(k, pin, mesh.dissection_order)
+        v *= weights.sum() / (weights @ v)
+        assert np.abs(v - density.rho.values).max() <= 1e-10 * np.abs(v).max()
+
+
+def test_density_iterations_do_not_grow_under_refinement(disk5):
+    cs = preset("gaussian_gradient", 2)
+    counts = [solve_invariant_density(m, cs).iterations for m in (disk5, refine_uniform(disk5))]
+    flat = [c for pins in counts for c in pins]
+    assert len(flat) == 4 and min(flat) >= 5
+    assert max(flat) - min(flat) <= 2, counts
+
+
+def test_cli_density_exits_three_when_multigrid_misses_its_tolerance(
+    disk5, tmp_path, capsys, monkeypatch
+):
+    # rtol = 1e-30 is out of GMRES's reach; one restart cycle keeps it quick
+    monkeypatch.setattr(fplab.density, "_DENSITY_RTOL", 1e-30)
+    monkeypatch.setattr(fplab.density, "_DENSITY_MAXITER", 1)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        f"[run]\noutput_dir = {tmp_path / 'out'}\n"
+        "[domain]\nkind = ball\ndim = 2\nradius = 1.0\nlevel = 5\n"
+        "[coefficients]\npreset = gaussian_gradient\n"
+    )
+    assert main(["density", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "KernelDimensionError" in err
+    assert "pinned at vertex 0 missed rtol=1e-30 within 20 iterations" in err
+
+
+class SingularSpla:
+    """Stands in for scipy.sparse.linalg inside fplab.fem: every LU is singular."""
+
+    def splu(self, *args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+
+def test_singular_multigrid_pinned_system_raises_kernel_dimension_error(disk5, monkeypatch):
+    monkeypatch.setattr(fplab.fem, "spla", SingularSpla())
+    with pytest.raises(KernelDimensionError, match="pinned at vertex 0 is singular"):
+        solve_invariant_density(disk5, preset("identity", 2))
+
+
+def test_disconnected_refined_mesh_has_no_positive_density():
+    # both pins lie in the left square, so the right square's equations keep
+    # their zero data and the multigrid density vanishes there
+    left = build_box_mesh((0.0, 0.0), (1.0, 1.0), 6)
+    mesh = SimplicialMesh(
+        dim=2,
+        vertices=np.vstack([left.vertices, left.vertices + np.array([2.0, 0.0])]),
+        elements=np.vstack([left.elements, left.elements + left.num_vertices]),
+        boundary=np.concatenate([left.boundary, left.boundary]),
+        domain=left.domain,
+    )
+    for _ in range(3):
+        mesh = refine_uniform(mesh)
+    assert mesh.num_vertices >= _DENSITY_MULTIGRID_MIN_VERTICES
+    with pytest.raises(DensityNotPositive, match="non-positive vertex value"):
+        solve_invariant_density(mesh, preset("gaussian_gradient", 2))

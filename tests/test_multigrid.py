@@ -5,10 +5,13 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import fplab.fem
 import fplab.forms
 from fplab import (
     ConfigError,
     Resolvent,
+    SolverDivergence,
+    apply_generator,
     assemble_form,
     build_ball_mesh,
     build_box_mesh,
@@ -27,7 +30,7 @@ from fplab import (
     write_mesh,
 )
 from fplab.cli import main
-from fplab.forms import _CHECK_RTOL
+from fplab.forms import _CHECK_RTOL, _MULTIGRID_MIN_UNKNOWNS
 
 
 def make_form(mesh, name="rotator"):
@@ -52,7 +55,8 @@ def disk_forms():
 
 
 class SizedSpla:
-    """Stands in for scipy.sparse.linalg inside fplab.forms, recording LU sizes."""
+    """Stands in for scipy.sparse.linalg inside fplab.forms and fplab.fem (the
+    V-cycle's coarse LU), recording LU sizes."""
 
     def __init__(self):
         self.sizes = []
@@ -69,6 +73,7 @@ class SizedSpla:
 def lu_sizes(monkeypatch):
     counter = SizedSpla()
     monkeypatch.setattr(fplab.forms, "spla", counter)
+    monkeypatch.setattr(fplab.fem, "spla", counter)
     return counter.sizes
 
 
@@ -103,12 +108,28 @@ def test_built_and_read_meshes_have_no_lineage(tmp_path):
 def test_prolongation_interpolates_coarse_interior_values():
     mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=2)
     level = mesh.lineage[-1]
-    p = mesh._prolongations[-1]
+    p = mesh._prolongations([lvl.interior for lvl in mesh.lineage] + [~mesh.boundary])[-1]
     assert p.shape == (mesh.interior.size, int(level.interior.sum()))
     coarse = np.zeros(level.num_vertices)
     coarse[level.interior] = np.random.default_rng(5).standard_normal(p.shape[1])
     fine = np.concatenate([coarse, coarse[level.edges].mean(axis=1)])
     np.testing.assert_array_equal(p @ coarse[level.interior], fine[mesh.interior])
+
+
+def test_prolongation_between_all_vertices_but_a_pin():
+    # the density's levels keep every vertex but the pinned one, a vertex of
+    # the lineage's first mesh, whose value counts as zero
+    mesh = build_ball_mesh((0.0, 0.0, 0.0), 1.0, levels=2)
+    pin = 1
+    sizes = [lvl.num_vertices for lvl in mesh.lineage] + [mesh.num_vertices]
+    keep = [np.arange(n) != pin for n in sizes]
+    p = mesh._prolongations(keep)
+    assert [x.shape for x in p] == [(n - 1, m - 1) for m, n in zip(sizes, sizes[1:])]
+    level = mesh.lineage[-1]
+    coarse = np.random.default_rng(6).standard_normal(level.num_vertices)
+    coarse[pin] = 0.0
+    fine = np.concatenate([coarse, coarse[level.edges].mean(axis=1)])
+    np.testing.assert_array_equal(p[-1] @ coarse[keep[-2]], fine[keep[-1]])
 
 
 @pytest.mark.parametrize("dim, level", [(2, 3), (2, 4), (2, 5), (3, 3)])
@@ -158,6 +179,38 @@ def test_iterations_is_none_after_a_direct_solve(disk_forms):
     assert isinstance(multigrid.iterations, int) and multigrid.iterations > 0
 
 
+def test_cg_mass_solve_matches_the_mass_lu(lu_sizes):
+    form = ball_form(3, 4)
+    del lu_sizes[:]
+    z = np.random.default_rng(59).standard_normal(form.interior.size)
+    for lumped in (False, True):
+        res = Resolvent(form, lumped=lumped)
+        assert res.interior.size >= _MULTIGRID_MIN_UNKNOWNS
+        w = res.mass_solve(z)
+        m_int = res.m[res.interior][:, res.interior].tocsc()
+        ref = spla.splu(m_int).solve(z)
+        assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert lu_sizes == []
+
+
+class StalledCg:
+    """Stands in for scipy.sparse.linalg inside fplab.forms: CG never converges."""
+
+    def cg(self, a, b, **kwargs):
+        return np.zeros_like(b), 100
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+
+def test_cg_mass_solve_that_misses_its_tolerance_raises(disk_forms, monkeypatch):
+    monkeypatch.setattr(fplab.forms, "_MULTIGRID_MIN_UNKNOWNS", 0)
+    monkeypatch.setattr(fplab.forms, "spla", StalledCg())
+    form = disk_forms[2]
+    with pytest.raises(SolverDivergence, match="mass matrix CG missed rtol=1e-14"):
+        apply_generator(form, interior_data(form, 60))
+
+
 def test_gmres_needs_a_lineage():
     form = make_form(build_box_mesh((0.0, 0.0), (1.0, 1.0), 8))
     with pytest.raises(ValueError, match="lineage"):
@@ -199,8 +252,9 @@ def test_checks_pick_multigrid_on_refined_meshes(disk_forms, lu_sizes, monkeypat
         check_submarkov(form, 10.0).max_value,
         strong_continuity_gaps(form, f).gaps,
     )
-    # only coarse-level LUs, plus the mass LU of the continuity bound
-    assert lu_sizes.count(n) == 1 and max(sorted(lu_sizes)[:-1]) < n
+    # only coarse-level LUs: at this size the continuity bound's mass solve
+    # runs CG as well
+    assert lu_sizes and max(lu_sizes) < n
     for (_, _, r_lu), (_, _, r_mg) in zip(direct[0], multigrid[0]):
         assert r_mg == pytest.approx(r_lu, rel=1e-10)
     assert multigrid[1] <= 1e-8
