@@ -23,9 +23,13 @@ from .errors import (
     UnknownPreset,
 )
 from .fem import (
+    _blocks,
     _eval_callable,
-    assemble_load,
+    _flux_local,
+    _quad_weights,
+    _scatter_vector,
     assemble_weighted_mass,
+    element_geometry,
     lumped_weights,
     matrix_at_quad,
     physical_quad_points,
@@ -426,8 +430,10 @@ class WeakDivergence:
     residual: float     # max normalized defect against interior tests
     mesh: SimplicialMesh
 
-    def at_quad(self, rule) -> np.ndarray:
-        local = self.values[self.mesh.elements]
+    def at_quad(self, rule, block: slice = slice(None)) -> np.ndarray:
+        """Values at the quadrature points of a block of elements, shape
+        (nb, nq, dim)."""
+        local = self.values[self.mesh.elements[block]]
         return np.einsum("qk,ekd->eqd", rule.points, local)
 
 
@@ -483,16 +489,21 @@ def weak_divergence_matrix(mesh: SimplicialMesh, a, rule=None) -> WeakDivergence
     """
     rule = rule or quadrature_rule(mesh.dim)
     pts = physical_quad_points(mesh, rule)
-    a_q = matrix_at_quad(a, mesh, rule, pts)
+    grads, _ = element_geometry(mesh)
+    wr = _quad_weights(mesh, rule, None, pts)
     dim, nv = mesh.dim, mesh.num_vertices
 
     weights = lumped_weights(mesh)
     if (weights <= 0).any():
         raise SingularMass(f"lumped weight {weights.min():.3e} is not positive")
 
-    moments = np.zeros((nv, dim))
-    for l in range(dim):
-        moments[:, l] = assemble_load(mesh, flux=a_q[:, :, :, l], rho=None, rule=rule)
+    # int <a e_l, grad phi_i> dx per column l and element, a sampled per block
+    local = np.empty((dim, mesh.num_elements, dim + 1))
+    for block in _blocks(mesh.num_elements):
+        a_q = matrix_at_quad(a, mesh, rule, pts[block])
+        for l in range(dim):
+            local[l, block] = _flux_local(wr[block], a_q[:, :, :, l], grads[block])
+    moments = np.stack([_scatter_vector(mesh, x) for x in local], axis=1)
 
     facets, bary, fp, fw, normals = _boundary_facet_quadrature(mesh)
     a_f = _eval_callable(a, fp.reshape(-1, dim), (dim, dim)).reshape(fp.shape + (dim,))

@@ -26,6 +26,7 @@ from .coefficients import CoefficientSet
 from .errors import DensityNotPositive, KernelDimensionError
 from .fem import (
     FeFunction,
+    _blocks,
     _drift_local,
     _gmres,
     _Multigrid,
@@ -47,8 +48,6 @@ from .quadrature import QuadratureRule, quadrature_rule
 _DENSITY_MULTIGRID_MIN_VERTICES = 4096
 _DENSITY_RTOL = 1e-12
 _DENSITY_MAXITER = 10
-# decompose_drift samples the coefficients in blocks of this many elements
-_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass
@@ -152,13 +151,14 @@ def solve_invariant_density(
     is one-dimensional. The result is normalized to unit mean over the mesh.
 
     On a mesh with a refinement lineage and at least
-    _DENSITY_MULTIGRID_MIN_VERTICES (4096) vertices the pins are vertices 0
-    and 1, and each pinned system is solved by V(2,2)-cycle-preconditioned
-    GMRES (restart 20) to a relative residual of 1e-12 within 10 restart
-    cycles, with one coarse-level LU per pin; the iteration counts land in
-    `iterations`. Otherwise the pins are the interior vertices nearest to
-    and farthest from the vertex centroid, each pinned system is factored
-    by a sparse LU, and `iterations` is empty.
+    _DENSITY_MULTIGRID_MIN_VERTICES (4096) vertices the pins are vertex 0
+    and the vertex of the lineage's first mesh farthest from it, and each
+    pinned system is solved by V(2,2)-cycle-preconditioned GMRES (restart
+    20) to a relative residual of 1e-12 within 10 restart cycles, with one
+    coarse-level LU per pin; the iteration counts land in `iterations`.
+    Otherwise the pins are the interior vertices nearest to and farthest
+    from the vertex centroid, each pinned system is factored by a sparse LU,
+    and `iterations` is empty.
 
     Raises
     ------
@@ -175,8 +175,10 @@ def solve_invariant_density(
     k = stationarity_matrix(mesh, cs, rule)
     multigrid = bool(mesh.lineage) and mesh.num_vertices >= _DENSITY_MULTIGRID_MIN_VERTICES
     if multigrid:
-        # vertices of the lineage's first mesh keep their index on every level
-        pins = [0, 1]
+        # vertices of the lineage's first mesh keep their index on every
+        # level; the second pin is the one of them farthest from vertex 0
+        base = mesh.vertices[: mesh.lineage[0].num_vertices]
+        pins = [0, int(np.argmax(np.linalg.norm(base - base[0], axis=1)))]
     else:
         interior = mesh.interior
         center = mesh.vertices.mean(axis=0)
@@ -248,8 +250,7 @@ def decompose_drift(
     B is invariant under rescaling of rho. The quadratic defect
     max_j |int <B, grad(phi_j^2)> rho dx| over interior j is reported (it
     vanishes only in the continuum; it must decay under refinement). The
-    coefficients are sampled in blocks of 2^15 elements into one
-    preallocated B, which bounds their temporaries.
+    coefficients are sampled per block of elements into one preallocated B.
     """
     rule = rule or quadrature_rule(mesh.dim)
     pts = physical_quad_points(mesh, rule)
@@ -260,8 +261,7 @@ def decompose_drift(
         )
     grad_rho = density.rho.element_gradients()
     b_quad = np.empty(pts.shape)
-    for start in range(0, mesh.num_elements, _BLOCK_ELEMENTS):
-        block = slice(start, start + _BLOCK_ELEMENTS)
+    for block in _blocks(mesh.num_elements):
         a_q = matrix_at_quad(cs.a, mesh, rule, pts[block])
         h_q = vector_at_quad(cs.drift, mesh, rule, pts[block])
         # (a^T grad rho)_a = sum_b a_ba (grad rho)_b, one row of a at a time

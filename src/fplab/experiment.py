@@ -11,6 +11,7 @@ constant C1^2 + 2 C2 assembled from quadrature norms of the ingredients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -25,6 +26,7 @@ from .density import DensityField
 from .errors import DimensionUnsupported, InvalidRadii, MissingDerivative
 from .fem import (
     FeFunction,
+    _blocks,
     _eval_callable,
     assemble_weighted_stiffness,
     interpolate,
@@ -114,7 +116,8 @@ class ConstantsReport:
     """Explicit constants of the uniform energy bound with their ingredients.
 
     big_c1 and big_c2 are the exact sums c1 + 2c2 + c4 + c5 + c6 + c7 + 2c9
-    and c3 + c8 + 2c10 of the stored fields; c3 = c8 = c10 by construction.
+    and c3 + c8 + 2c10 of the fields; c8 and c10 equal c3 by construction
+    and are read-only properties.
     `recovered` names ingredients that were finite-element recovered rather
     than analytic (currently only "div_a").
     """
@@ -129,9 +132,7 @@ class ConstantsReport:
     c5: float
     c6: float
     c7: float
-    c8: float
     c9: float
-    c10: float
     big_c1: float
     big_c2: float
     bound: float
@@ -146,6 +147,14 @@ class ConstantsReport:
     rho_min: float
     rho_max: float
     recovered: tuple = ()
+
+    @property
+    def c8(self) -> float:
+        return self.c3
+
+    @property
+    def c10(self) -> float:
+        return self.c3
 
     def as_dict(self) -> dict:
         out = {
@@ -173,28 +182,29 @@ class ConstantsReport:
 
 
 def _lb_chi_at_quad(mesh, cs, cutoff, rule, pts):
-    """trace(A hess chi) + <div A + H, grad chi> at quadrature points."""
+    """trace(A hess chi) + <div A + H, grad chi> at quadrature points, every
+    field sampled per block of elements."""
     recovered = ()
     if cs.div_a is not None:
-        diva_q = vector_at_quad(cs.div_a, mesh, rule, pts)
+        def div_a(block):
+            return vector_at_quad(cs.div_a, mesh, rule, pts[block])
     elif cs.div_a_recoverable:
-        wd = weak_divergence_matrix(mesh, cs.a, rule=rule)
-        diva_q = wd.at_quad(rule)
+        div_a = partial(weak_divergence_matrix(mesh, cs.a, rule=rule).at_quad, rule)
         recovered = ("div_a",)
     else:
         raise MissingDerivative(
             f"preset {cs.name!r} has no analytic div A and recovery is not meaningful"
         )
-    flat = pts.reshape(-1, mesh.dim)
-    ne, nq = pts.shape[0], pts.shape[1]
-    # the matrix fields are dropped before the vector fields are evaluated,
-    # so that they are never all held at once
-    hess_chi = np.asarray(cutoff.hessian(flat)).reshape(ne, nq, mesh.dim, mesh.dim)
-    lb = np.einsum("eqab,eqba->eq", matrix_at_quad(cs.a, mesh, rule, pts), hess_chi)
-    del hess_chi
-    grad_chi = np.asarray(cutoff.gradient(flat)).reshape(ne, nq, mesh.dim)
-    drift_q = vector_at_quad(cs.drift, mesh, rule, pts)
-    lb += np.einsum("eqa,eqa->eq", diva_q + drift_q, grad_chi)
+    ne, nq, dim = pts.shape
+    lb = np.empty((ne, nq))
+    for block in _blocks(ne):
+        p = pts[block]
+        flat = p.reshape(-1, dim)
+        hess_chi = np.asarray(cutoff.hessian(flat)).reshape(p.shape + (dim,))
+        lb[block] = np.einsum("eqab,eqba->eq", matrix_at_quad(cs.a, mesh, rule, p), hess_chi)
+        grad_chi = np.asarray(cutoff.gradient(flat)).reshape(p.shape)
+        drift_q = vector_at_quad(cs.drift, mesh, rule, p)
+        lb[block] += np.einsum("eqa,eqa->eq", div_a(block) + drift_q, grad_chi)
     return lb, recovered
 
 
@@ -220,7 +230,6 @@ def compute_constants(
         )
     rule = rule or quadrature_rule(d)
     pts = physical_quad_points(mesh, rule)
-    rho_q = density.rho.at_quad(rule)
     lb_chi, recovered = _lb_chi_at_quad(mesh, cs, cutoff, rule, pts)
 
     gamma = 2.0 * (d - 1) / (d - 2)
@@ -237,13 +246,14 @@ def compute_constants(
     else:
         c_ld = 0.0
     if cs.f_data is not None:
-        f_mu = scalar_at_quad(cs.f_data, mesh, rule, pts) / rho_q
+        f_mu = scalar_at_quad(cs.f_data, mesh, rule, pts) / density.rho.at_quad(rule)
         f_l2star = quadrature_norm(
             mesh, f_mu, p=2.0 * d / (d + 2.0), weight=density.rho, rule=rule
         )
     else:
         f_l2star = 0.0
     if cs.flux_data is not None:
+        rho_q = density.rho.at_quad(rule)
         flux_mu = vector_at_quad(cs.flux_data, mesh, rule, pts) / rho_q[:, :, None]
         flux_l2 = quadrature_norm(
             mesh,
@@ -277,9 +287,7 @@ def compute_constants(
         c5=float(c5),
         c6=float(c6),
         c7=float(c7),
-        c8=float(c3),
         c9=float(c9),
-        c10=float(c3),
         big_c1=float(big_c1),
         big_c2=float(big_c2),
         bound=float(big_c1**2 + 2.0 * big_c2),

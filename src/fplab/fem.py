@@ -8,6 +8,15 @@ Field arguments are flexible: scalars/arrays mean constants, callables are
 sampled at quadrature points (vectorized over an (n, dim) array when the
 callable supports it, pointwise otherwise), FeFunctions are interpolated,
 and pre-evaluated arrays of shape (ne, nq, ...) pass through unchanged.
+The samplers scalar_at_quad, vector_at_quad and matrix_at_quad share one
+block contract: ne is the mesh's element count, or with pts (ne, nq, dim)
+given pts.shape[0], which may count a block of elements, and an array or
+FeFunction field must have that ne. Fields are sampled and the element
+kernels run per block of _BLOCK_ELEMENTS (2^12) elements (_blocks) into one
+preallocated full-size result, which bounds temporaries by a block (Cuvelier,
+Japhet & Scarella, BIT 2016). Reductions over all elements (the bincounts,
+quadrature_norm's einsum) stay single calls, so no bit depends on the block
+size.
 
 Element kernels weight the field samples elementwise (exact, into a fresh
 array) before batched matmuls contract them, so their bits do not depend
@@ -36,6 +45,8 @@ from .errors import NonFiniteValue, NonPositiveDensity
 from .mesh import SimplicialMesh
 from .quadrature import QuadratureRule, quadrature_rule
 
+# quadrature fields and element kernels run over blocks of this many elements
+_BLOCK_ELEMENTS = 2**12
 # inner GMRES iterations per restart cycle; maxiter counts cycles
 _GMRES_RESTART = 20
 # the V-cycle: damped Jacobi weight, and sweeps before and after the
@@ -113,11 +124,39 @@ def _finite_or_raise(arr: np.ndarray, what: str):
         raise NonFiniteValue(f"{what} produced a non-finite value")
 
 
+def _blocks(ne: int):
+    """Slices of at most _BLOCK_ELEMENTS consecutive elements covering ne."""
+    size = _BLOCK_ELEMENTS
+    return [slice(start, start + size) for start in range(0, ne, size)]
+
+
+def _sample(f: Callable, pts: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """f at quadrature points pts (ne, nq, dim), shape (ne, nq) + shape,
+    called per block of elements, so that its own temporaries are bounded
+    by a block."""
+    ne, nq, dim = pts.shape
+    out = np.empty((ne, nq) + shape)
+    for block in _blocks(ne):
+        p = pts[block]
+        out[block] = _eval_callable(f, p.reshape(-1, dim), shape).reshape(p.shape[:2] + shape)
+    _finite_or_raise(out, what)
+    return out
+
+
+def _block_field(field, block: slice, ndim: int):
+    """A pre-evaluated full-size field with ndim axes, cut to a block of
+    elements; any other field as it is."""
+    if isinstance(field, np.ndarray) and field.ndim == ndim:
+        return field[block]
+    return field
+
+
 def scalar_at_quad(field, mesh, rule, pts=None) -> np.ndarray:
     """Sample a scalar field at quadrature points, shape (ne, nq)."""
-    ne, nq = mesh.num_elements, rule.weights.shape[0]
+    nq = rule.weights.shape[0]
+    ne = mesh.num_elements if pts is None else pts.shape[0]
     if isinstance(field, FeFunction):
-        return field.at_quad(rule)
+        field = field.at_quad(rule)
     if np.isscalar(field):
         return np.full((ne, nq), float(field))
     if isinstance(field, np.ndarray):
@@ -126,17 +165,11 @@ def scalar_at_quad(field, mesh, rule, pts=None) -> np.ndarray:
         raise ValueError(f"scalar field array has shape {field.shape}, expected ({ne}, {nq})")
     if pts is None:
         pts = physical_quad_points(mesh, rule)
-    out = _eval_callable(field, pts.reshape(-1, mesh.dim), ()).reshape(ne, nq)
-    _finite_or_raise(out, "scalar field")
-    return out
+    return _sample(field, pts, (), "scalar field")
 
 
 def vector_at_quad(field, mesh, rule, pts=None) -> np.ndarray:
-    """Sample a vector field at quadrature points, shape (ne, nq, dim).
-
-    With pts (ne, nq, dim) given, a callable is sampled there, so ne may
-    count a block of the mesh's elements.
-    """
+    """Sample a vector field at quadrature points, shape (ne, nq, dim)."""
     nq, dim = rule.weights.shape[0], mesh.dim
     ne = mesh.num_elements if pts is None else pts.shape[0]
     if isinstance(field, np.ndarray):
@@ -147,14 +180,11 @@ def vector_at_quad(field, mesh, rule, pts=None) -> np.ndarray:
         raise ValueError(f"vector field array has shape {field.shape}")
     if pts is None:
         pts = physical_quad_points(mesh, rule)
-    out = _eval_callable(field, pts.reshape(-1, dim), (dim,)).reshape(ne, nq, dim)
-    _finite_or_raise(out, "vector field")
-    return out
+    return _sample(field, pts, (dim,), "vector field")
 
 
 def matrix_at_quad(field, mesh, rule, pts=None) -> np.ndarray:
-    """Sample a matrix field at quadrature points, shape (ne, nq, dim, dim),
-    at pts for a block of elements as vector_at_quad does."""
+    """Sample a matrix field at quadrature points, shape (ne, nq, dim, dim)."""
     nq, dim = rule.weights.shape[0], mesh.dim
     ne = mesh.num_elements if pts is None else pts.shape[0]
     if isinstance(field, np.ndarray):
@@ -165,9 +195,7 @@ def matrix_at_quad(field, mesh, rule, pts=None) -> np.ndarray:
         raise ValueError(f"matrix field array has shape {field.shape}")
     if pts is None:
         pts = physical_quad_points(mesh, rule)
-    out = _eval_callable(field, pts.reshape(-1, dim), (dim, dim)).reshape(ne, nq, dim, dim)
-    _finite_or_raise(out, "matrix field")
-    return out
+    return _sample(field, pts, (dim, dim), "matrix field")
 
 
 def _density_at_quad(rho, mesh, rule, pts, allow_signed=False) -> np.ndarray:
@@ -234,19 +262,40 @@ def _stiffness_local(mesh, a, rho, rule) -> np.ndarray:
     """Element matrices of S, shape (ne, nloc, nloc)."""
     pts = physical_quad_points(mesh, rule)
     grads, _ = element_geometry(mesh)
-    a_q = matrix_at_quad(a, mesh, rule, pts)
-    a_e = _quad_sum(np.ones(rule.weights.size), _quad_weights(mesh, rule, rho, pts), a_q)
-    return np.matmul(grads.transpose(0, 2, 1), a_e @ grads)
+    wr = _quad_weights(mesh, rule, rho, pts)
+    ones = np.ones(rule.weights.size)
+    local = np.empty(grads.shape[:1] + grads.shape[2:] * 2)
+    for block in _blocks(mesh.num_elements):
+        a_q = matrix_at_quad(_block_field(a, block, 4), mesh, rule, pts[block])
+        a_e = _quad_sum(ones, wr[block], a_q)
+        g = grads[block]
+        local[block] = np.matmul(g.transpose(0, 2, 1), a_e @ g)
+    return local
 
 
 def _drift_local(mesh, b, rho, rule) -> np.ndarray:
     """Element matrices of D, shape (ne, nloc, nloc)."""
     pts = physical_quad_points(mesh, rule)
     grads, _ = element_geometry(mesh)
-    b_q = vector_at_quad(b, mesh, rule, pts)
-    # int phi_i b rho dx per element, shape (ne, nloc, dim)
-    b_e = _quad_sum(rule.points, _quad_weights(mesh, rule, rho, pts), b_q)
-    return -(b_e @ grads)
+    wr = _quad_weights(mesh, rule, rho, pts)
+    local = np.empty(grads.shape[:1] + grads.shape[2:] * 2)
+    for block in _blocks(mesh.num_elements):
+        b_q = vector_at_quad(_block_field(b, block, 3), mesh, rule, pts[block])
+        # int phi_i b rho dx per element, shape (nb, nloc, dim)
+        b_e = _quad_sum(rule.points, wr[block], b_q)
+        local[block] = -(b_e @ grads[block])
+    return local
+
+
+def _flux_local(wr: np.ndarray, flux_q: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """int <flux, grad(phi_i)> rho dx per element, shape (ne, nloc), from the
+    weights wr (ne, nq), flux samples (ne, nq, dim) and basis gradients.
+
+    flux . grad(phi_i) is taken point by point, then summed over the points;
+    summing the points first moved weak_divergence_matrix's 2D residual,
+    which cancels heavily, by 3e-14 between two samplings of one field.
+    """
+    return ((wr[..., None] * flux_q) @ grads).sum(axis=1)
 
 
 def assemble_weighted_stiffness(
@@ -306,11 +355,9 @@ def assemble_load(
     if f is not None:
         local += _quad_sum(rule.points, wr, scalar_at_quad(f, mesh, rule, pts))
     if flux is not None:
-        # flux . grad(phi_i) point by point, then the sum over the points;
-        # summing the points first moved weak_divergence_matrix's 2D residual,
-        # which cancels heavily, by 3e-14 between two samplings of one field
-        wf = wr[..., None] * vector_at_quad(flux, mesh, rule, pts)
-        local += (wf @ grads).sum(axis=1)
+        for block in _blocks(mesh.num_elements):
+            flux_q = vector_at_quad(_block_field(flux, block, 3), mesh, rule, pts[block])
+            local[block] += _flux_local(wr[block], flux_q, grads[block])
     return _scatter_vector(mesh, local)
 
 
@@ -338,9 +385,12 @@ def quadrature_norm(
         return float(np.abs(vals).max())
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
+    # |vals|^p in place, one (ne, nq) temporary fewer
+    magnitude = np.abs(vals)
+    magnitude **= p
     rho_q = _density_at_quad(weight, mesh, rule, pts)
     _, vols = element_geometry(mesh)
-    total = np.einsum("eq,eq,q,e->", np.abs(vals) ** p, rho_q, rule.weights, vols)
+    total = np.einsum("eq,eq,q,e->", magnitude, rho_q, rule.weights, vols)
     return float(total ** (1.0 / p))
 
 

@@ -7,7 +7,6 @@ import scipy.sparse.linalg as spla
 import fplab.density
 import fplab.fem
 from fplab import (
-    DensityNotPositive,
     KernelDimensionError,
     SimplicialMesh,
     build_ball_mesh,
@@ -197,9 +196,10 @@ def test_singular_multigrid_pinned_system_raises_kernel_dimension_error(disk5, m
         solve_invariant_density(disk5, preset("identity", 2))
 
 
-def test_disconnected_refined_mesh_has_no_positive_density():
-    # both pins lie in the left square, so the right square's equations keep
-    # their zero data and the multigrid density vanishes there
+def test_disconnected_refined_mesh_raises_kernel_dimension_error():
+    # the pins are vertex 0 and the base vertex farthest from it (97), one
+    # in each square, so each multigrid density vanishes on the other
+    # square and the two-pin certificate sees the second kernel direction
     left = build_box_mesh((0.0, 0.0), (1.0, 1.0), 6)
     mesh = SimplicialMesh(
         dim=2,
@@ -211,5 +211,5 @@ def test_disconnected_refined_mesh_has_no_positive_density():
     for _ in range(3):
         mesh = refine_uniform(mesh)
     assert mesh.num_vertices >= _DENSITY_MULTIGRID_MIN_VERTICES
-    with pytest.raises(DensityNotPositive, match="non-positive vertex value"):
+    with pytest.raises(KernelDimensionError, match="pinned solves disagree"):
         solve_invariant_density(mesh, preset("gaussian_gradient", 2))
