@@ -26,13 +26,13 @@ from .fem import (
     _blocks,
     _eval_callable,
     _flux_local,
+    _p1_at_quad,
     _quad_weights,
     _scatter_vector,
     assemble_weighted_mass,
     element_geometry,
     lumped_weights,
     matrix_at_quad,
-    physical_quad_points,
 )
 from .mesh import Ball, Box, SimplicialMesh, _facet_table
 from .quadrature import gauss_legendre, quadrature_rule
@@ -433,8 +433,7 @@ class WeakDivergence:
     def at_quad(self, rule, block: slice = slice(None)) -> np.ndarray:
         """Values at the quadrature points of a block of elements, shape
         (nb, nq, dim)."""
-        local = self.values[self.mesh.elements[block]]
-        return np.einsum("qk,ekd->eqd", rule.points, local)
+        return _p1_at_quad(self.mesh, self.values, rule, block)
 
 
 def _boundary_facet_quadrature(mesh: SimplicialMesh):
@@ -488,9 +487,8 @@ def weak_divergence_matrix(mesh: SimplicialMesh, a, rule=None) -> WeakDivergence
     normalized by the test function mass.
     """
     rule = rule or quadrature_rule(mesh.dim)
-    pts = physical_quad_points(mesh, rule)
     grads, _ = element_geometry(mesh)
-    wr = _quad_weights(mesh, rule, None, pts)
+    wr = _quad_weights(mesh, rule, None)
     dim, nv = mesh.dim, mesh.num_vertices
 
     weights = lumped_weights(mesh)
@@ -500,7 +498,7 @@ def weak_divergence_matrix(mesh: SimplicialMesh, a, rule=None) -> WeakDivergence
     # int <a e_l, grad phi_i> dx per column l and element, a sampled per block
     local = np.empty((dim, mesh.num_elements, dim + 1))
     for block in _blocks(mesh.num_elements):
-        a_q = matrix_at_quad(a, mesh, rule, pts[block])
+        a_q = matrix_at_quad(a, mesh, rule, block=block)
         for l in range(dim):
             local[l, block] = _flux_local(wr[block], a_q[:, :, :, l], grads[block])
     moments = np.stack([_scatter_vector(mesh, x) for x in local], axis=1)
@@ -568,8 +566,8 @@ class MeshInterpolant:
         self.values = values
         coords = mesh.element_coords()
         self._origins = coords[:, 0, :]
-        edges = (coords[:, 1:, :] - self._origins[:, None, :]).transpose(0, 2, 1)
-        self._inv = np.linalg.inv(edges)
+        # grad of the barycentric coordinates of vertices 1..dim, (ne, dim, dim)
+        self._grads = mesh._gradients[:, :, 1:]
         from scipy.spatial import cKDTree
 
         self._tree = cKDTree(coords.mean(axis=1))
@@ -582,7 +580,7 @@ class MeshInterpolant:
         _, cand = self._tree.query(pts, k=self._k)
         cand = cand.reshape(n, self._k)
         diffs = pts[:, None, :] - self._origins[cand]
-        lam_rest = np.einsum("nkab,nkb->nka", self._inv[cand], diffs)
+        lam_rest = np.einsum("nkba,nkb->nka", self._grads[cand], diffs)
         lam0 = 1.0 - lam_rest.sum(axis=-1)
         bary = np.concatenate([lam0[..., None], lam_rest], axis=-1)
         score = bary.min(axis=-1)
@@ -596,7 +594,7 @@ class MeshInterpolant:
         missed = np.flatnonzero(score[rows, best] < -1e-9)
         for p in missed:
             d = pts[p] - self._origins
-            lr = np.einsum("eab,eb->ea", self._inv, d)
+            lr = np.einsum("eba,eb->ea", self._grads, d)
             b = np.concatenate([1.0 - lr.sum(axis=1, keepdims=True), lr], axis=1)
             e = b.min(axis=1).argmax()
             idx[p] = e

@@ -36,7 +36,6 @@ from .fem import (
     assemble_load,
     lumped_weights,
     matrix_at_quad,
-    physical_quad_points,
     vector_at_quad,
 )
 from .mesh import SimplicialMesh
@@ -253,17 +252,16 @@ def decompose_drift(
     coefficients are sampled per block of elements into one preallocated B.
     """
     rule = rule or quadrature_rule(mesh.dim)
-    pts = physical_quad_points(mesh, rule)
     rho_q = density.rho.at_quad(rule)
     if (rho_q <= 0).any():
         raise DensityNotPositive(
             f"density is not positive at a quadrature point: {rho_q.min():.3e}"
         )
     grad_rho = density.rho.element_gradients()
-    b_quad = np.empty(pts.shape)
+    b_quad = np.empty(rho_q.shape + (mesh.dim,))
     for block in _blocks(mesh.num_elements):
-        a_q = matrix_at_quad(cs.a, mesh, rule, pts[block])
-        h_q = vector_at_quad(cs.drift, mesh, rule, pts[block])
+        a_q = matrix_at_quad(cs.a, mesh, rule, block=block)
+        h_q = vector_at_quad(cs.drift, mesh, rule, block=block)
         # (a^T grad rho)_a = sum_b a_ba (grad rho)_b, one row of a at a time
         flux = sum(grad_rho[block, None, b, None] * a_q[:, :, b] for b in range(mesh.dim))
         b_quad[block] = h_q - flux / rho_q[block, :, None]

@@ -11,7 +11,6 @@ constant C1^2 + 2 C2 assembled from quadrature norms of the ingredients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -31,7 +30,6 @@ from .fem import (
     assemble_weighted_stiffness,
     interpolate,
     matrix_at_quad,
-    physical_quad_points,
     quadrature_norm,
     scalar_at_quad,
     vector_at_quad,
@@ -181,30 +179,30 @@ class ConstantsReport:
         return out
 
 
-def _lb_chi_at_quad(mesh, cs, cutoff, rule, pts):
+def _lb_chi_at_quad(mesh, cs, cutoff, rule):
     """trace(A hess chi) + <div A + H, grad chi> at quadrature points, every
     field sampled per block of elements."""
     recovered = ()
     if cs.div_a is not None:
-        def div_a(block):
-            return vector_at_quad(cs.div_a, mesh, rule, pts[block])
+        div_a = cs.div_a
     elif cs.div_a_recoverable:
-        div_a = partial(weak_divergence_matrix(mesh, cs.a, rule=rule).at_quad, rule)
+        div_a = weak_divergence_matrix(mesh, cs.a, rule=rule)
         recovered = ("div_a",)
     else:
         raise MissingDerivative(
             f"preset {cs.name!r} has no analytic div A and recovery is not meaningful"
         )
-    ne, nq, dim = pts.shape
-    lb = np.empty((ne, nq))
-    for block in _blocks(ne):
-        p = pts[block]
-        flat = p.reshape(-1, dim)
-        hess_chi = np.asarray(cutoff.hessian(flat)).reshape(p.shape + (dim,))
-        lb[block] = np.einsum("eqab,eqba->eq", matrix_at_quad(cs.a, mesh, rule, p), hess_chi)
-        grad_chi = np.asarray(cutoff.gradient(flat)).reshape(p.shape)
-        drift_q = vector_at_quad(cs.drift, mesh, rule, p)
-        lb[block] += np.einsum("eqa,eqa->eq", div_a(block) + drift_q, grad_chi)
+    lb = np.empty((mesh.num_elements, rule.weights.size))
+    for block in _blocks(mesh.num_elements):
+        lb[block] = np.einsum(
+            "eqab,eqba->eq",
+            matrix_at_quad(cs.a, mesh, rule, block=block),
+            matrix_at_quad(cutoff.hessian, mesh, rule, block=block),
+        )
+        grad_chi = vector_at_quad(cutoff.gradient, mesh, rule, block=block)
+        drift_q = vector_at_quad(cs.drift, mesh, rule, block=block)
+        div_a_q = vector_at_quad(div_a, mesh, rule, block=block)
+        lb[block] += np.einsum("eqa,eqa->eq", div_a_q + drift_q, grad_chi)
     return lb, recovered
 
 
@@ -229,8 +227,7 @@ def compute_constants(
             f"energy-bound constants need dimension 3, got {d}"
         )
     rule = rule or quadrature_rule(d)
-    pts = physical_quad_points(mesh, rule)
-    lb_chi, recovered = _lb_chi_at_quad(mesh, cs, cutoff, rule, pts)
+    lb_chi, recovered = _lb_chi_at_quad(mesh, cs, cutoff, rule)
 
     gamma = 2.0 * (d - 1) / (d - 2)
     k_d_rho = (
@@ -246,7 +243,7 @@ def compute_constants(
     else:
         c_ld = 0.0
     if cs.f_data is not None:
-        f_mu = scalar_at_quad(cs.f_data, mesh, rule, pts) / density.rho.at_quad(rule)
+        f_mu = scalar_at_quad(cs.f_data, mesh, rule) / density.rho.at_quad(rule)
         f_l2star = quadrature_norm(
             mesh, f_mu, p=2.0 * d / (d + 2.0), weight=density.rho, rule=rule
         )
@@ -254,7 +251,7 @@ def compute_constants(
         f_l2star = 0.0
     if cs.flux_data is not None:
         rho_q = density.rho.at_quad(rule)
-        flux_mu = vector_at_quad(cs.flux_data, mesh, rule, pts) / rho_q[:, :, None]
+        flux_mu = vector_at_quad(cs.flux_data, mesh, rule) / rho_q[:, :, None]
         flux_l2 = quadrature_norm(
             mesh,
             np.sqrt(np.einsum("eqa,eqa->eq", flux_mu, flux_mu)),

@@ -4,19 +4,18 @@ All bilinear forms follow one orientation convention: the assembled entry
 (i, j) pairs test function i with trial function j, so a quadratic form
 evaluates as v^T K u for trial vector u and test vector v.
 
-Field arguments are flexible: scalars/arrays mean constants, callables are
-sampled at quadrature points (vectorized over an (n, dim) array when the
-callable supports it, pointwise otherwise), FeFunctions are interpolated,
-and pre-evaluated arrays of shape (ne, nq, ...) pass through unchanged.
-The samplers scalar_at_quad, vector_at_quad and matrix_at_quad share one
-block contract: ne is the mesh's element count, or with pts (ne, nq, dim)
-given pts.shape[0], which may count a block of elements, and an array or
-FeFunction field must have that ne. Fields are sampled and the element
-kernels run per block of _BLOCK_ELEMENTS (2^12) elements (_blocks) into one
-preallocated full-size result, which bounds temporaries by a block (Cuvelier,
-Japhet & Scarella, BIT 2016). Reductions over all elements (the bincounts,
-quadrature_norm's einsum) stay single calls, so no bit depends on the block
-size.
+Field arguments are flexible. The samplers scalar_at_quad, vector_at_quad
+and matrix_at_quad take a block of elements (block=, all of them by
+default) and sample a field on it themselves: a P1 field (FeFunction,
+WeakDivergence) is interpolated on the block's elements, a pre-evaluated
+whole-mesh array of shape (ne, nq, ...) is cut to them, a constant is
+broadcast, and a callable is sampled at their quadrature points (vectorized
+over an (n, dim) array when the callable supports it, pointwise otherwise).
+Fields are sampled and the element kernels run per block of _BLOCK_ELEMENTS
+(2^12) elements (_blocks) into one preallocated full-size result, which
+bounds temporaries by a block (Cuvelier, Japhet & Scarella, BIT 2016).
+Reductions over all elements (the bincounts, quadrature_norm's einsum) stay
+single calls, so no bit depends on the block size.
 
 Element kernels weight the field samples elementwise (exact, into a fresh
 array) before batched matmuls contract them, so their bits do not depend
@@ -55,6 +54,12 @@ _JACOBI_WEIGHT = 0.6
 _SMOOTHING_SWEEPS = 2
 
 
+def _p1_at_quad(mesh, values: np.ndarray, rule, block: slice) -> np.ndarray:
+    """P1 vertex data (nv, ...) at the quadrature points of the elements in
+    block, shape (nb, nq, ...)."""
+    return np.einsum("qk,ek...->eq...", rule.points, values[mesh.elements[block]])
+
+
 @dataclass
 class FeFunction:
     """Piecewise-linear function given by vertex values on a fixed mesh."""
@@ -69,10 +74,9 @@ class FeFunction:
                 f"value vector has shape {self.values.shape}, expected ({self.mesh.num_vertices},)"
             )
 
-    def at_quad(self, rule: QuadratureRule) -> np.ndarray:
-        """Values at quadrature points, shape (ne, nq)."""
-        local = self.values[self.mesh.elements]
-        return np.einsum("qk,ek->eq", rule.points, local)
+    def at_quad(self, rule: QuadratureRule, block: slice = slice(None)) -> np.ndarray:
+        """Values at the quadrature points of a block of elements, shape (nb, nq)."""
+        return _p1_at_quad(self.mesh, self.values, rule, block)
 
     def element_gradients(self) -> np.ndarray:
         """Constant-per-element gradients, shape (ne, dim)."""
@@ -119,89 +123,58 @@ def _eval_callable(f: Callable, pts_flat: np.ndarray, out_shape: tuple):
     return out
 
 
-def _finite_or_raise(arr: np.ndarray, what: str):
-    if not np.isfinite(arr).all():
-        raise NonFiniteValue(f"{what} produced a non-finite value")
-
-
 def _blocks(ne: int):
     """Slices of at most _BLOCK_ELEMENTS consecutive elements covering ne."""
     size = _BLOCK_ELEMENTS
     return [slice(start, start + size) for start in range(0, ne, size)]
 
 
-def _sample(f: Callable, pts: np.ndarray, shape: tuple, what: str) -> np.ndarray:
-    """f at quadrature points pts (ne, nq, dim), shape (ne, nq) + shape,
-    called per block of elements, so that its own temporaries are bounded
-    by a block."""
-    ne, nq, dim = pts.shape
-    out = np.empty((ne, nq) + shape)
-    for block in _blocks(ne):
-        p = pts[block]
-        out[block] = _eval_callable(f, p.reshape(-1, dim), shape).reshape(p.shape[:2] + shape)
-    _finite_or_raise(out, what)
-    return out
-
-
-def _block_field(field, block: slice, ndim: int):
-    """A pre-evaluated full-size field with ndim axes, cut to a block of
-    elements; any other field as it is."""
-    if isinstance(field, np.ndarray) and field.ndim == ndim:
-        return field[block]
-    return field
-
-
-def scalar_at_quad(field, mesh, rule, pts=None) -> np.ndarray:
-    """Sample a scalar field at quadrature points, shape (ne, nq)."""
-    nq = rule.weights.shape[0]
-    ne = mesh.num_elements if pts is None else pts.shape[0]
-    if isinstance(field, FeFunction):
-        field = field.at_quad(rule)
+def _at_quad(field, mesh, rule, block: slice, shape: tuple, what: str) -> np.ndarray:
+    """The field at the quadrature points of the elements in block, shape
+    (nb, nq) + shape. A P1 field (with at_quad) is interpolated on those
+    elements, a whole-mesh (ne, nq) + shape array is cut to them, a scalar or
+    a constant of shape is broadcast, and a callable is called per block of
+    elements at their quadrature points, so that its own temporaries are
+    bounded by a block."""
+    if hasattr(field, "at_quad"):
+        return field.at_quad(rule, block)
+    if callable(field):
+        pts = physical_quad_points(mesh, rule)[block]
+        out = np.empty(pts.shape[:2] + shape)
+        for sub in _blocks(len(pts)):
+            flat = _eval_callable(field, pts[sub].reshape(-1, mesh.dim), shape)
+            out[sub] = flat.reshape(out[sub].shape)
+        if not np.isfinite(out).all():
+            raise NonFiniteValue(f"{what} produced a non-finite value")
+        return out
+    ne, nq = mesh.num_elements, rule.weights.shape[0]
+    nb = len(range(ne)[block])
     if np.isscalar(field):
-        return np.full((ne, nq), float(field))
-    if isinstance(field, np.ndarray):
-        if field.shape == (ne, nq):
-            return field
-        raise ValueError(f"scalar field array has shape {field.shape}, expected ({ne}, {nq})")
-    if pts is None:
-        pts = physical_quad_points(mesh, rule)
-    return _sample(field, pts, (), "scalar field")
+        return np.full((nb, nq) + shape, float(field))
+    if np.shape(field) == shape:
+        return np.broadcast_to(field, (nb, nq) + shape)
+    if isinstance(field, np.ndarray) and field.shape == (ne, nq) + shape:
+        return field[block]
+    raise ValueError(f"{what} array has shape {np.shape(field)}, expected {(ne, nq) + shape}")
 
 
-def vector_at_quad(field, mesh, rule, pts=None) -> np.ndarray:
-    """Sample a vector field at quadrature points, shape (ne, nq, dim)."""
-    nq, dim = rule.weights.shape[0], mesh.dim
-    ne = mesh.num_elements if pts is None else pts.shape[0]
-    if isinstance(field, np.ndarray):
-        if field.shape == (ne, nq, dim):
-            return field
-        if field.shape == (dim,):
-            return np.broadcast_to(field, (ne, nq, dim))
-        raise ValueError(f"vector field array has shape {field.shape}")
-    if pts is None:
-        pts = physical_quad_points(mesh, rule)
-    return _sample(field, pts, (dim,), "vector field")
+def scalar_at_quad(field, mesh, rule, *, block: slice = slice(None)) -> np.ndarray:
+    """A scalar field at the quadrature points of block, shape (nb, nq)."""
+    return _at_quad(field, mesh, rule, block, (), "scalar field")
 
 
-def matrix_at_quad(field, mesh, rule, pts=None) -> np.ndarray:
-    """Sample a matrix field at quadrature points, shape (ne, nq, dim, dim)."""
-    nq, dim = rule.weights.shape[0], mesh.dim
-    ne = mesh.num_elements if pts is None else pts.shape[0]
-    if isinstance(field, np.ndarray):
-        if field.shape == (ne, nq, dim, dim):
-            return field
-        if field.shape == (dim, dim):
-            return np.broadcast_to(field, (ne, nq, dim, dim))
-        raise ValueError(f"matrix field array has shape {field.shape}")
-    if pts is None:
-        pts = physical_quad_points(mesh, rule)
-    return _sample(field, pts, (dim, dim), "matrix field")
+def vector_at_quad(field, mesh, rule, *, block: slice = slice(None)) -> np.ndarray:
+    """A vector field at the quadrature points of block, shape (nb, nq, dim)."""
+    return _at_quad(field, mesh, rule, block, (mesh.dim,), "vector field")
 
 
-def _density_at_quad(rho, mesh, rule, pts, allow_signed=False) -> np.ndarray:
-    if rho is None:
-        rho = 1.0
-    vals = scalar_at_quad(rho, mesh, rule, pts)
+def matrix_at_quad(field, mesh, rule, *, block: slice = slice(None)) -> np.ndarray:
+    """A matrix field at the quadrature points of block, shape (nb, nq, dim, dim)."""
+    return _at_quad(field, mesh, rule, block, (mesh.dim,) * 2, "matrix field")
+
+
+def _density_at_quad(rho, mesh, rule, allow_signed=False) -> np.ndarray:
+    vals = scalar_at_quad(1.0 if rho is None else rho, mesh, rule)
     if not allow_signed and (vals <= 0).any():
         raise NonPositiveDensity(
             f"weight has non-positive quadrature value {vals.min():.3e}"
@@ -242,10 +215,10 @@ def _scatter_vector(mesh: SimplicialMesh, local: np.ndarray) -> np.ndarray:
     return np.bincount(mesh.elements.ravel(), local.ravel(), minlength=mesh.num_vertices)
 
 
-def _quad_weights(mesh, rule, rho, pts, allow_signed=False) -> np.ndarray:
+def _quad_weights(mesh, rule, rho, allow_signed=False) -> np.ndarray:
     """rho times the physical quadrature weights, shape (ne, nq)."""
     _, vols = element_geometry(mesh)
-    rho_q = _density_at_quad(rho, mesh, rule, pts, allow_signed=allow_signed)
+    rho_q = _density_at_quad(rho, mesh, rule, allow_signed=allow_signed)
     return rho_q * (vols[:, None] * rule.weights)
 
 
@@ -260,13 +233,12 @@ def _quad_sum(phi: np.ndarray, wr: np.ndarray, values: np.ndarray) -> np.ndarray
 
 def _stiffness_local(mesh, a, rho, rule) -> np.ndarray:
     """Element matrices of S, shape (ne, nloc, nloc)."""
-    pts = physical_quad_points(mesh, rule)
     grads, _ = element_geometry(mesh)
-    wr = _quad_weights(mesh, rule, rho, pts)
+    wr = _quad_weights(mesh, rule, rho)
     ones = np.ones(rule.weights.size)
     local = np.empty(grads.shape[:1] + grads.shape[2:] * 2)
     for block in _blocks(mesh.num_elements):
-        a_q = matrix_at_quad(_block_field(a, block, 4), mesh, rule, pts[block])
+        a_q = matrix_at_quad(a, mesh, rule, block=block)
         a_e = _quad_sum(ones, wr[block], a_q)
         g = grads[block]
         local[block] = np.matmul(g.transpose(0, 2, 1), a_e @ g)
@@ -275,12 +247,11 @@ def _stiffness_local(mesh, a, rho, rule) -> np.ndarray:
 
 def _drift_local(mesh, b, rho, rule) -> np.ndarray:
     """Element matrices of D, shape (ne, nloc, nloc)."""
-    pts = physical_quad_points(mesh, rule)
     grads, _ = element_geometry(mesh)
-    wr = _quad_weights(mesh, rule, rho, pts)
+    wr = _quad_weights(mesh, rule, rho)
     local = np.empty(grads.shape[:1] + grads.shape[2:] * 2)
     for block in _blocks(mesh.num_elements):
-        b_q = vector_at_quad(_block_field(b, block, 3), mesh, rule, pts[block])
+        b_q = vector_at_quad(b, mesh, rule, block=block)
         # int phi_i b rho dx per element, shape (nb, nloc, dim)
         b_e = _quad_sum(rule.points, wr[block], b_q)
         local[block] = -(b_e @ grads[block])
@@ -332,8 +303,7 @@ def assemble_weighted_mass(
     the default insists on a positive density.
     """
     rule = rule or quadrature_rule(mesh.dim)
-    pts = physical_quad_points(mesh, rule)
-    wr = _quad_weights(mesh, rule, rho, pts, allow_signed=allow_signed)
+    wr = _quad_weights(mesh, rule, rho, allow_signed=allow_signed)
     nq, nloc = rule.points.shape
     phi_phi = (rule.points[:, :, None] * rule.points[:, None, :]).reshape(nq, -1)
     return _scatter(mesh, (wr[:, None, :] @ phi_phi).reshape(-1, nloc, nloc))
@@ -348,15 +318,14 @@ def assemble_load(
 ) -> np.ndarray:
     """Assemble the vector int f phi_i rho dx + int <flux, grad(phi_i)> rho dx."""
     rule = rule or quadrature_rule(mesh.dim)
-    pts = physical_quad_points(mesh, rule)
     grads, _ = element_geometry(mesh)
-    wr = _quad_weights(mesh, rule, rho, pts, allow_signed=True)
+    wr = _quad_weights(mesh, rule, rho, allow_signed=True)
     local = np.zeros((mesh.num_elements, mesh.dim + 1))
     if f is not None:
-        local += _quad_sum(rule.points, wr, scalar_at_quad(f, mesh, rule, pts))
+        local += _quad_sum(rule.points, wr, scalar_at_quad(f, mesh, rule))
     if flux is not None:
         for block in _blocks(mesh.num_elements):
-            flux_q = vector_at_quad(_block_field(flux, block, 3), mesh, rule, pts[block])
+            flux_q = vector_at_quad(flux, mesh, rule, block=block)
             local[block] += _flux_local(wr[block], flux_q, grads[block])
     return _scatter_vector(mesh, local)
 
@@ -379,8 +348,7 @@ def quadrature_norm(
     (None for Lebesgue measure). p = inf takes the max over samples.
     """
     rule = rule or quadrature_rule(mesh.dim)
-    pts = physical_quad_points(mesh, rule)
-    vals = scalar_at_quad(values, mesh, rule, pts)
+    vals = scalar_at_quad(values, mesh, rule)
     if np.isinf(p):
         return float(np.abs(vals).max())
     if p <= 0:
@@ -388,7 +356,7 @@ def quadrature_norm(
     # |vals|^p in place, one (ne, nq) temporary fewer
     magnitude = np.abs(vals)
     magnitude **= p
-    rho_q = _density_at_quad(weight, mesh, rule, pts)
+    rho_q = _density_at_quad(weight, mesh, rule)
     _, vols = element_geometry(mesh)
     total = np.einsum("eq,eq,q,e->", magnitude, rho_q, rule.weights, vols)
     return float(total ** (1.0 / p))
@@ -405,9 +373,8 @@ def l2_error(u: FeFunction, exact, weight=None, rule=None) -> float:
     """L^2(weight dx) distance between an FE function and a callable."""
     mesh = u.mesh
     rule = rule or quadrature_rule(mesh.dim)
-    pts = physical_quad_points(mesh, rule)
     u_q = u.at_quad(rule)
-    e_q = scalar_at_quad(exact, mesh, rule, pts)
+    e_q = scalar_at_quad(exact, mesh, rule)
     return quadrature_norm(mesh, u_q - e_q, p=2.0, weight=weight, rule=rule)
 
 

@@ -9,8 +9,9 @@ end to end through the command line entry point.
 import json
 import time
 
+import fplab.verify
 from fplab.cli import main
-from fplab.verify import CRITERIA, VerificationContext
+from fplab.verify import CRITERIA, VerificationContext, run_all
 
 # shared across criteria so meshes, densities, and experiment sweeps are
 # assembled once, mirroring how the verify subcommand runs them
@@ -58,6 +59,21 @@ def test_criterion_06_generator_identities():
 def test_criterion_07_energy_bound():
     result = _run(7)
     assert result.elapsed <= 600.0, f"energy bound sweep took {result.elapsed:.1f}s"
+
+
+def test_criterion_07_has_one_name_whatever_its_outcome(monkeypatch):
+    # run_all names a raising criterion after its function, so the report
+    # must give a passing one the same name
+    passing = _RESULTS.get(7) or _run(7)
+
+    def no_sweep(ctx, case):
+        raise ValueError("sweep unavailable")
+
+    monkeypatch.setattr(VerificationContext, "experiment", no_sweep)
+    monkeypatch.setattr(fplab.verify, "CRITERIA", CRITERIA[:7])
+    raised = run_all()[6]
+    assert raised.detail == "raised ValueError: sweep unavailable"
+    assert raised.name == passing.name == "energy_bound"
 
 
 def test_criterion_08_constants_ledger():

@@ -34,11 +34,10 @@ RTOL = 1e-13
 def coo_reference(mesh, a, b, rho):
     """S, D and M from 5-operand einsums and a COO-to-CSR conversion."""
     rule = quadrature_rule(mesh.dim)
-    pts = physical_quad_points(mesh, rule)
     grads, vols = element_geometry(mesh)
-    a_q = matrix_at_quad(a, mesh, rule, pts)
-    b_q = vector_at_quad(b, mesh, rule, pts)
-    rho_q = scalar_at_quad(1.0 if rho is None else rho, mesh, rule, pts)
+    a_q = matrix_at_quad(a, mesh, rule)
+    b_q = vector_at_quad(b, mesh, rule)
+    rho_q = scalar_at_quad(1.0 if rho is None else rho, mesh, rule)
     phi, w = rule.points, rule.weights
     local_s = np.einsum("eai,eqab,ebj,eq,q->eij", grads, a_q, grads, rho_q, w)
     local_d = -np.einsum("qi,eqa,eaj,eq,q->eij", phi, b_q, grads, rho_q, w)

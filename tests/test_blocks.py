@@ -16,7 +16,6 @@ from fplab import (
     divergence_free_residual,
     interpolate,
     matrix_at_quad,
-    physical_quad_points,
     preset,
     quadrature_norm,
     quadrature_rule,
@@ -33,17 +32,55 @@ def test_samplers_share_the_block_contract():
     mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=2)
     rule = quadrature_rule(2)
     nq = rule.weights.size
-    pts = physical_quad_points(mesh, rule)[3:8]
-    assert scalar_at_quad(lambda x: x[:, 0], mesh, rule, pts).shape == (5, nq)
-    assert vector_at_quad(lambda x: x, mesh, rule, pts).shape == (5, nq, 2)
-    assert matrix_at_quad(np.eye(2), mesh, rule, pts).shape == (5, nq, 2, 2)
-    assert scalar_at_quad(2.0, mesh, rule, pts).shape == (5, nq)
-    # a whole-mesh field does not fit a block's points
-    u = interpolate(mesh, lambda x: x[0])
+    ne = mesh.num_elements
+    rotator = preset("rotator", 2)
+    fields = [
+        (scalar_at_quad, interpolate(mesh, lambda x: x[0])),
+        (scalar_at_quad, lambda x: x[:, 0]),
+        (scalar_at_quad, 2.0),
+        (scalar_at_quad, np.arange(ne * nq, dtype=float).reshape(ne, nq)),
+        (vector_at_quad, lambda x: x),
+        (vector_at_quad, np.arange(ne * nq * 2, dtype=float).reshape(ne, nq, 2)),
+        (vector_at_quad, weak_divergence_matrix(mesh, rotator.a)),
+        (matrix_at_quad, np.eye(2)),
+        (matrix_at_quad, rotator.a),
+    ]
+    for sampler, field in fields:
+        # a block of a whole-mesh field is the block's rows of its whole sample
+        whole = sampler(field, mesh, rule)
+        assert whole.shape[:2] == (ne, nq)
+        assert np.array_equal(sampler(field, mesh, rule, block=slice(3, 8)), whole[3:8])
     with pytest.raises(ValueError, match="scalar field array"):
-        scalar_at_quad(u, mesh, rule, pts)
+        scalar_at_quad(np.zeros((5, nq)), mesh, rule, block=slice(3, 8))
     with pytest.raises(ValueError, match="vector field array"):
-        vector_at_quad(np.zeros((mesh.num_elements, nq, 2)), mesh, rule, pts)
+        vector_at_quad(np.zeros((ne - 1, nq, 2)), mesh, rule, block=slice(3, 8))
+
+
+@pytest.mark.parametrize("dim, level", [(2, 3), (3, 2)])
+def test_pre_evaluated_fields_match_their_callables(dim, level, monkeypatch):
+    # whole-mesh samples of a and H, cut per block by the samplers, give the
+    # bits of the callables sampled per block; 97 divides neither mesh's
+    # element count (1536 and 512)
+    monkeypatch.setattr(fplab.fem, "_BLOCK_ELEMENTS", 97)
+    mesh = build_ball_mesh((0.0,) * dim, 1.0, levels=level)
+    cs = preset("gaussian_gradient", dim)
+    rule = quadrature_rule(dim)
+    sampled = dataclasses.replace(
+        cs, a=matrix_at_quad(cs.a, mesh, rule), drift=vector_at_quad(cs.drift, mesh, rule)
+    )
+    outputs = []
+    for c in (cs, sampled):
+        density = solve_invariant_density(mesh, c)
+        out = {"rho": density.rho.values, "b_quad": decompose_drift(mesh, c, density).b_quad}
+        if dim == 3:
+            cutoff = build_cutoff(np.zeros(3), 0.4, 0.8)
+            report = compute_constants(c, density, cutoff, density.rho)
+            out.update(dataclasses.asdict(report))
+        outputs.append(out)
+    expected, got = outputs
+    assert got.keys() == expected.keys()
+    for key in expected:
+        assert np.array_equal(got[key], expected[key]), key
 
 
 CASES = {"3D L2 rotator": (3, 2, "rotator"), "2D L3 gaussian": (2, 3, "gaussian_gradient")}

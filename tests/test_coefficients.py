@@ -305,6 +305,15 @@ def test_mesh_interpolant_matrix_values():
     np.testing.assert_allclose(out, np.broadcast_to(np.eye(2), (2, 2, 2)), atol=1e-13)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mesh_interpolant_returns_vertex_values_at_vertices(dim):
+    # every element's vertices, whichever element each one is located in
+    mesh = build_ball_mesh((0.0,) * dim, 1.0, levels=2)
+    vals = np.random.default_rng(3).standard_normal(mesh.num_vertices)
+    got = MeshInterpolant(mesh, vals)(mesh.element_coords())
+    np.testing.assert_allclose(got, vals[mesh.elements], rtol=0, atol=1e-12)
+
+
 def test_mesh_interpolant_shape_guard():
     mesh = build_box_mesh((0.0, 0.0), (1.0, 1.0), 2)
     with pytest.raises(ValueError):

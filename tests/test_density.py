@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 import fplab.density
 import fplab.fem
@@ -105,6 +106,43 @@ def test_decomposition_quadratic_defect_finite(disk2):
     # genuinely nonzero at finite h; it only vanishes in the continuum
     assert np.isfinite(dec.quadratic_defect)
     assert dec.quadratic_defect > 0.0
+
+
+@st.composite
+def stationarity_cases(draw):
+    """identity or gaussian_gradient on a random box in [-1, 1]^dim with 2-5
+    cells per axis, or rotator on a ball of level 1 or 2, in 2D or 3D.
+
+    The boxes stay in the unit cube, where the presets are declared: on a
+    coarse box reaching |x| = 3 the gaussian drift makes the P1 kernel
+    vector change sign, and the density solve rightly raises
+    DensityNotPositive.
+    """
+    dim = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        levels = draw(st.integers(1, 2))
+        return preset("rotator", dim), build_ball_mesh((0.0,) * dim, 1.0, levels=levels)
+    lo = np.array(draw(st.tuples(*[st.floats(-1.0, 0.75)] * dim)))
+    size = np.array(draw(st.tuples(*[st.floats(0.25, 2.0)] * dim)))
+    cells = draw(st.tuples(*[st.integers(2, 5)] * dim))
+    name = draw(st.sampled_from(["identity", "gaussian_gradient"]))
+    return preset(name, dim), build_box_mesh(lo, np.minimum(lo + size, 1.0), cells)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=stationarity_cases())
+def test_stationarity_kernel_is_one_dimensional(case):
+    cs, mesh = case
+    k = stationarity_matrix(mesh, cs).toarray()
+    # the basis gradients sum to zero, so every column of K sums to zero
+    assert np.abs(k.sum(axis=0)).max() <= 1e-12 * np.abs(k).max()
+    _, sigma, vt = np.linalg.svd(k)
+    assert (sigma < 1e-10 * sigma[0]).sum() == 1
+    assert sigma[-2] > 1e-6 * sigma[0]
+    # the null vector is the density, up to scale
+    null = vt[-1] * np.sign(vt[-1].sum())
+    rho = solve_invariant_density(mesh, cs).rho.values
+    assert np.abs(null - rho / np.linalg.norm(rho)).max() <= 1e-8
 
 
 def test_disconnected_mesh_raises_kernel_dimension_error():
