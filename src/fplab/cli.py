@@ -2,7 +2,8 @@
 
 Subcommands run the pipeline stages and drop machine-readable reports into
 the configured output directory. Exit codes: 0 success, 1 a mathematical
-verification failed, 2 usage or configuration error, 3 solver failure.
+verification failed, 2 usage or configuration error, 3 solver failure;
+each package error class carries its own code (see `errors`).
 
 Reports embed the config hash and the package version. CSV files are
 written with repr-exact floats, so identical config and seed give byte
@@ -27,28 +28,7 @@ from .coefficients import (
     vmo_modulus,
 )
 from .density import decompose_drift, divergence_free_residual, solve_invariant_density
-from .errors import (
-    ConfigError,
-    ContractionViolation,
-    DegenerateRadius,
-    DensityNotPositive,
-    DimensionUnsupported,
-    FplabError,
-    InvalidBox,
-    InvalidRadii,
-    InvalidRadius,
-    KernelDimensionError,
-    MissingDerivative,
-    NonEllipticSample,
-    NonFiniteValue,
-    NonPositiveDensity,
-    RefinementTooDeep,
-    SingularElement,
-    SingularMass,
-    SolverDivergence,
-    SubmarkovViolation,
-    UnknownPreset,
-)
+from .errors import ConfigError, FplabError
 from .experiment import (
     build_cutoff,
     compute_constants,
@@ -56,32 +36,9 @@ from .experiment import (
     run_experiment,
 )
 from .forms import assemble_form, resolvent_sweep
-from .mesh import Ball, Box, build_ball_mesh, build_box_mesh, check_conformity, mesh_quality, write_mesh
+from .mesh import build_ball_mesh, build_box_mesh, check_conformity, mesh_quality, write_mesh
 from .mollifiers import MollifierFamily, mollifier_mass, phi_eps
 from .verify import report_dict, run_all
-
-USAGE_ERRORS = (
-    ConfigError,
-    UnknownPreset,
-    InvalidRadius,
-    InvalidBox,
-    InvalidRadii,
-    RefinementTooDeep,
-    DimensionUnsupported,
-    MissingDerivative,
-    DegenerateRadius,
-)
-SOLVER_ERRORS = (
-    SolverDivergence,
-    KernelDimensionError,
-    DensityNotPositive,
-    NonPositiveDensity,
-    SingularMass,
-    SingularElement,
-    NonFiniteValue,
-    NonEllipticSample,
-)
-CHECK_ERRORS = (ContractionViolation, SubmarkovViolation)
 
 DEFAULT_CONFIG_TEXT = """\
 [domain]
@@ -125,13 +82,6 @@ def _build_mesh(cfg: ExperimentConfig):
         center = cfg.center or (0.0,) * cfg.dim
         return build_ball_mesh(center, cfg.radius, levels=cfg.level)
     return build_box_mesh(cfg.box_lo, cfg.box_hi, 2**cfg.level)
-
-
-def _domain(cfg: ExperimentConfig):
-    if cfg.domain_kind == "ball":
-        center = np.asarray(cfg.center or (0.0,) * cfg.dim, dtype=float)
-        return Ball(center, cfg.radius)
-    return Box(np.asarray(cfg.box_lo), np.asarray(cfg.box_hi))
 
 
 def _coefficients(cfg: ExperimentConfig, mesh) -> CoefficientSet:
@@ -346,7 +296,6 @@ def cmd_vmo(cfg: ExperimentConfig, emit_plots: bool) -> int:
     out = _out_dir(cfg)
     mesh = _build_mesh(cfg)
     cs = _coefficients(cfg, mesh)
-    domain = _domain(cfg)
 
     def field(x):
         a = np.asarray(cs.a(x), dtype=float)
@@ -354,7 +303,7 @@ def cmd_vmo(cfg: ExperimentConfig, emit_plots: bool) -> int:
 
     report = vmo_modulus(
         field,
-        domain,
+        mesh.domain,
         radii=cfg.vmo_radii,
         samples=cfg.vmo_samples,
         seed=cfg.seed,
@@ -430,24 +379,15 @@ def main(argv=None) -> int:
             cfg = parse_config(args.config)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
-            return 2
+            return exc.exit_code
     else:
         cfg = parse_config_text(DEFAULT_CONFIG_TEXT)
-    stage = args.command
     try:
         return COMMANDS[args.command](cfg, args.emit_plot_data)
-    except USAGE_ERRORS as exc:
-        print(f"{stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except CHECK_ERRORS as exc:
-        print(f"{stage}: verification failure: {exc}", file=sys.stderr)
-        return 1
-    except SOLVER_ERRORS as exc:
-        print(f"{stage}: solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except FplabError as exc:
-        print(f"{stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        line = exc.stderr_format.format(name=type(exc).__name__, message=exc)
+        print(f"{args.command}: {line}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -155,9 +155,10 @@ def solve_invariant_density(
     pinned system is solved by V(2,2)-cycle-preconditioned GMRES (restart
     20) to a relative residual of 1e-12 within 10 restart cycles, with one
     coarse-level LU per pin; the iteration counts land in `iterations`.
-    Otherwise the pins are the interior vertices nearest to and farthest
-    from the vertex centroid, each pinned system is factored by a sparse LU,
-    and `iterations` is empty.
+    Otherwise the first pin is the interior vertex nearest to the vertex
+    centroid and the second the vertex farthest from the first (boundary
+    vertices allowed, so the two differ even with one interior vertex),
+    each pinned system is factored by a sparse LU, and `iterations` is empty.
 
     Raises
     ------
@@ -180,11 +181,10 @@ def solve_invariant_density(
         pins = [0, int(np.argmax(np.linalg.norm(base - base[0], axis=1)))]
     else:
         interior = mesh.interior
-        center = mesh.vertices.mean(axis=0)
-        dist = np.linalg.norm(mesh.vertices[interior] - center, axis=1)
-        pins = [int(interior[np.argmin(dist)]), int(interior[np.argmax(dist)])]
-        if pins[0] == pins[1]:
-            pins[1] = int(interior[0]) if interior[0] != pins[0] else int(interior[-1])
+        dist = np.linalg.norm(mesh.vertices[interior] - mesh.vertices.mean(axis=0), axis=1)
+        first = int(interior[np.argmin(dist)])
+        far = np.linalg.norm(mesh.vertices - mesh.vertices[first], axis=1)
+        pins = [first, int(np.argmax(far))]
 
     weights = lumped_weights(mesh)
     volume = float(weights.sum())

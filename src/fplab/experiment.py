@@ -327,21 +327,6 @@ class EnergyBoundReport:
             )
         ]
 
-    def as_dict(self) -> dict:
-        return {
-            "alphas": [float(a) for a in self.alphas],
-            "energies": [float(e) for e in self.energies],
-            "sup_energy": self.sup_energy,
-            "bound": self.bound,
-            "margin": self.margin,
-            "l2_gaps": [float(g) for g in self.l2_gaps],
-            "cutoff_gaps": [float(g) for g in self.cutoff_gaps],
-            "h1_seminorms": [float(s) for s in self.h1_seminorms],
-            "chi_u_norms": [float(n) for n in self.chi_u_norms],
-            "norm_h_l2_mu": self.h_l2,
-            "constants": self.constants.as_dict(),
-        }
-
 
 def run_experiment(
     form: FormMatrices,
@@ -419,17 +404,6 @@ class ConvergenceDiagnostics:
     cutoff_reduction: float
     cutoff_reduction_ok: bool
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "l2_monotone": self.l2_monotone,
-            "l2_reduction": self.l2_reduction,
-            "l2_reduction_ok": self.l2_reduction_ok,
-            "form_norm_bounded": self.form_norm_bounded,
-            "cutoff_reduction": self.cutoff_reduction,
-            "cutoff_reduction_ok": self.cutoff_reduction_ok,
-            "passed": self.passed,
-        }
 
 
 def convergence_diagnostics(

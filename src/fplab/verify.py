@@ -1,10 +1,14 @@
 """End-to-end verification of every checkable claim in the laboratory.
 
-Each criterion is a function returning a CriterionResult; run_all executes
-them in order against a shared cache so meshes, densities, and forms are
-built once. The command line `verify` subcommand and the acceptance test
-suite both delegate to this module, so a green run here is the definition
-of a working build.
+Each criterion is a function of the shared VerificationContext returning
+a verdict `(passed, detail)`. A criterion is numbered by its position in
+CRITERIA and named after its function without the `criterion_` prefix;
+`_evaluate` does that numbering, times the call and turns a raised
+FplabError, LinAlgError or ValueError into a failed result. run_all
+evaluates them in order against one context, whose cache builds meshes,
+densities and forms once. The command line `verify` subcommand and the
+acceptance test suite both go through `_evaluate`, so a green run here is
+the definition of a working build.
 
 All randomness is seeded per criterion; two runs produce identical reports.
 """
@@ -102,23 +106,25 @@ class Pipeline:
     form: FormMatrices
 
 
+def _solve_pipeline(mesh: SimplicialMesh, cs: CoefficientSet, d_mode="skew") -> Pipeline:
+    """Density, drift decomposition and form of one coefficient set."""
+    density = solve_invariant_density(mesh, cs)
+    dec = decompose_drift(mesh, cs, density)
+    form = assemble_form(mesh, cs, density, dec, d_mode=d_mode)
+    return Pipeline(mesh, cs, density, dec, form)
+
+
 class VerificationContext:
     """Caches the preset pipelines shared across criteria."""
 
     def __init__(self):
         self._cache = {}
 
-    def pipeline(self, name: str, dim: int, level=None, d_mode="skew") -> Pipeline:
-        if level is None:
-            level = LEVEL_FOR_DIM[dim]
-        key = (name, dim, level, d_mode)
+    def pipeline(self, name: str, dim: int) -> Pipeline:
+        key = (name, dim)
         if key not in self._cache:
-            mesh = build_ball_mesh((0.0,) * dim, 1.0, levels=level)
-            cs = preset(name, dim)
-            density = solve_invariant_density(mesh, cs)
-            dec = decompose_drift(mesh, cs, density)
-            form = assemble_form(mesh, cs, density, dec, d_mode=d_mode)
-            self._cache[key] = Pipeline(mesh, cs, density, dec, form)
+            mesh = build_ball_mesh((0.0,) * dim, 1.0, levels=LEVEL_FOR_DIM[dim])
+            self._cache[key] = _solve_pipeline(mesh, preset(name, dim))
         return self._cache[key]
 
     def box_form(self, dim: int) -> Pipeline:
@@ -126,11 +132,7 @@ class VerificationContext:
         if key not in self._cache:
             cells = 8 if dim == 2 else 4
             mesh = build_box_mesh((0.0,) * dim, (1.0,) * dim, cells)
-            cs = preset("identity", dim)
-            density = solve_invariant_density(mesh, cs)
-            dec = decompose_drift(mesh, cs, density)
-            form = assemble_form(mesh, cs, density, dec)
-            self._cache[key] = Pipeline(mesh, cs, density, dec, form)
+            self._cache[key] = _solve_pipeline(mesh, preset("identity", dim))
         return self._cache[key]
 
     def eigenpair(self, name: str, dim: int):
@@ -172,7 +174,7 @@ def _gaussian_reference(pipe: Pipeline):
     return target
 
 
-def criterion_density_oracle(ctx: VerificationContext) -> CriterionResult:
+def criterion_density_oracle(ctx: VerificationContext):
     """Gaussian drift reproduces the normalized e^{-|x|^2/2} within 5%."""
     parts = []
     worst = 0.0
@@ -184,16 +186,10 @@ def criterion_density_oracle(ctx: VerificationContext) -> CriterionResult:
         )
         worst = max(worst, rel)
         parts.append(f"d={dim} rel err {rel:.3e}")
-    return CriterionResult(
-        index=1,
-        name="density_oracle",
-        passed=bool(worst <= 0.05),
-        detail=", ".join(parts) + " (tol 5e-2)",
-        elapsed=0.0,
-    )
+    return worst <= 0.05, ", ".join(parts) + " (tol 5e-2)"
 
 
-def criterion_divergence_free(ctx: VerificationContext) -> CriterionResult:
+def criterion_divergence_free(ctx: VerificationContext):
     """Interior residual of the decomposed drift vanishes at solver scale."""
     worst_ratio = 0.0
     worst_case = ""
@@ -205,19 +201,13 @@ def criterion_divergence_free(ctx: VerificationContext) -> CriterionResult:
         if ratio > worst_ratio:
             worst_ratio = ratio
             worst_case = f"{name}/d{dim}"
-    return CriterionResult(
-        index=2,
-        name="divergence_free",
-        passed=bool(worst_ratio <= 1.0),
-        detail=(
-            f"worst residual {worst_ratio:.3e} of the 1e-10 scale budget"
-            f" ({worst_case})"
-        ),
-        elapsed=0.0,
+    return worst_ratio <= 1.0, (
+        f"worst residual {worst_ratio:.3e} of the 1e-10 scale budget"
+        f" ({worst_case})"
     )
 
 
-def criterion_energy_identity(ctx: VerificationContext) -> CriterionResult:
+def criterion_energy_identity(ctx: VerificationContext):
     """Skew mode: E(f,f) equals the diffusion integral; raw defect decays."""
     rng = np.random.default_rng(202)
     worst = 0.0
@@ -246,27 +236,18 @@ def criterion_energy_identity(ctx: VerificationContext) -> CriterionResult:
     defects = []
     for level in (1, 2, 3, 4):
         mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=level)
-        cs = preset("gaussian_gradient", 2)
-        density = solve_invariant_density(mesh, cs)
-        dec = decompose_drift(mesh, cs, density)
-        form = assemble_form(mesh, cs, density, dec, d_mode="raw")
-        defects.append(form.sym_defect_max)
+        pipe = _solve_pipeline(mesh, preset("gaussian_gradient", 2), d_mode="raw")
+        defects.append(pipe.form.sym_defect_max)
     logs = np.log2(np.asarray(defects))
     order = float(-np.polyfit(np.arange(len(logs)), logs, 1)[0])
     raw_ok = order >= 0.8
-    return CriterionResult(
-        index=3,
-        name="energy_identity",
-        passed=bool(skew_ok and raw_ok),
-        detail=(
-            f"skew defect {worst:.3e} (tol 1e-12), raw-mode decay order "
-            f"{order:.2f} (need >= 0.8)"
-        ),
-        elapsed=0.0,
+    return skew_ok and raw_ok, (
+        f"skew defect {worst:.3e} (tol 1e-12), raw-mode decay order "
+        f"{order:.2f} (need >= 0.8)"
     )
 
 
-def criterion_sector_bound(ctx: VerificationContext) -> CriterionResult:
+def criterion_sector_bound(ctx: VerificationContext):
     """Empirical sector ratio under the drift-norm bound with 5% slack."""
     pipe = ctx.pipeline("rotator", 3)
     rep = sector_constant(
@@ -277,19 +258,13 @@ def criterion_sector_bound(ctx: VerificationContext) -> CriterionResult:
         trials=200,
         seed=404,
     )
-    return CriterionResult(
-        index=4,
-        name="sector_bound",
-        passed=bool(rep.within_bound),
-        detail=(
-            f"empirical {rep.empirical:.4f} vs 1.05 * theoretical "
-            f"{rep.theoretical:.4f} over {rep.trials} pairs"
-        ),
-        elapsed=0.0,
+    return rep.within_bound, (
+        f"empirical {rep.empirical:.4f} vs 1.05 * theoretical "
+        f"{rep.theoretical:.4f} over {rep.trials} pairs"
     )
 
 
-def criterion_resolvent_axioms(ctx: VerificationContext) -> CriterionResult:
+def criterion_resolvent_axioms(ctx: VerificationContext):
     """Contraction, resolvent identity, sub-Markov range, eigen closed form."""
     ratios = []
     for name, dim in VERIFICATION_PRESETS:
@@ -332,16 +307,10 @@ def criterion_resolvent_axioms(ctx: VerificationContext) -> CriterionResult:
             eig_worst = max(eig_worst, dev / pipe.form.l2_norm(model))
     eig_ok = eig_worst <= 1e-8
 
-    return CriterionResult(
-        index=5,
-        name="resolvent_axioms",
-        passed=bool(contraction_ok and ident_ok and sub_ok and eig_ok),
-        detail=(
-            f"contraction max {max(ratios):.12f}, identity defect "
-            f"{ident_worst:.3e}, range [{sub_lo:.2e}, {1.0 + (sub_hi - 1.0):.8f}], "
-            f"eigen dev {eig_worst:.3e}"
-        ),
-        elapsed=0.0,
+    return contraction_ok and ident_ok and sub_ok and eig_ok, (
+        f"contraction max {max(ratios):.12f}, identity defect "
+        f"{ident_worst:.3e}, range [{sub_lo:.2e}, {1.0 + (sub_hi - 1.0):.8f}], "
+        f"eigen dev {eig_worst:.3e}"
     )
 
 
@@ -387,7 +356,7 @@ def _polynomial_corpus(dim: int):
     return [_polynomial(t) for t in terms]
 
 
-def criterion_generator_identities(ctx: VerificationContext) -> CriterionResult:
+def criterion_generator_identities(ctx: VerificationContext):
     """E(u,v) = -<M L u, v> and the nondivergence product rule."""
     rng = np.random.default_rng(606)
     pair_worst = 0.0
@@ -421,19 +390,13 @@ def criterion_generator_identities(ctx: VerificationContext) -> CriterionResult:
                 )
     rule_ok = rule_worst <= 1e-10
 
-    return CriterionResult(
-        index=6,
-        name="generator_identities",
-        passed=bool(pair_ok and rule_ok),
-        detail=(
-            f"pairing defect {pair_worst:.3e} (tol 1e-12), product rule "
-            f"residual {rule_worst:.3e} (tol 1e-10)"
-        ),
-        elapsed=0.0,
+    return pair_ok and rule_ok, (
+        f"pairing defect {pair_worst:.3e} (tol 1e-12), product rule "
+        f"residual {rule_worst:.3e} (tol 1e-10)"
     )
 
 
-def criterion_energy_bound(ctx: VerificationContext) -> CriterionResult:
+def criterion_energy_bound(ctx: VerificationContext):
     """Cutoff energies stay under C1^2 + 2 C2 and the resolvent gap closes."""
     parts = []
     ok = True
@@ -448,16 +411,10 @@ def criterion_energy_bound(ctx: VerificationContext) -> CriterionResult:
             f"{case}: sup E {report.sup_energy:.4f} vs bound {report.bound:.1f},"
             f" gap ratio {diag.l2_reduction:.2e}, monotone {diag.l2_monotone}"
         )
-    return CriterionResult(
-        index=7,
-        name="energy_bound",
-        passed=bool(ok),
-        detail="; ".join(parts),
-        elapsed=0.0,
-    )
+    return ok, "; ".join(parts)
 
 
-def criterion_constants_ledger(ctx: VerificationContext) -> CriterionResult:
+def criterion_constants_ledger(ctx: VerificationContext):
     """Constant recomposition is exact; eigen energies match the closed form."""
     recomposed = True
     for case in ("gaussian", "eigen"):
@@ -481,19 +438,13 @@ def criterion_constants_ledger(ctx: VerificationContext) -> CriterionResult:
         eig_worst = max(eig_worst, abs(energy - model) / model)
     eig_ok = eig_worst <= 1e-8
 
-    return CriterionResult(
-        index=8,
-        name="constants_ledger",
-        passed=bool(recomposed and eig_ok),
-        detail=(
-            f"recomposition exact: {recomposed}, eigen energy closed-form dev "
-            f"{eig_worst:.3e} (tol 1e-8)"
-        ),
-        elapsed=0.0,
+    return recomposed and eig_ok, (
+        f"recomposition exact: {recomposed}, eigen energy closed-form dev "
+        f"{eig_worst:.3e} (tol 1e-8)"
     )
 
 
-def criterion_mollifier_suite(ctx: VerificationContext) -> CriterionResult:
+def criterion_mollifier_suite(ctx: VerificationContext):
     """Plateaus, 1-Lipschitz monotonicity, and the three pointwise limits."""
     plateau_worst = 0.0
     for eps in (0.1, 0.01):
@@ -557,19 +508,13 @@ def criterion_mollifier_suite(ctx: VerificationContext) -> CriterionResult:
         )
     limits_ok = limit_worst <= 1.0
 
-    return CriterionResult(
-        index=9,
-        name="mollifier_suite",
-        passed=bool(plateau_ok and lipschitz_ok and limits_ok),
-        detail=(
-            f"plateau dev {plateau_worst:.3e} (tol 1e-8), lipschitz "
-            f"{lipschitz_ok}, limit dev {limit_worst:.3f} of the 2*eps budget"
-        ),
-        elapsed=0.0,
+    return plateau_ok and lipschitz_ok and limits_ok, (
+        f"plateau dev {plateau_worst:.3e} (tol 1e-8), lipschitz "
+        f"{lipschitz_ok}, limit dev {limit_worst:.3f} of the 2*eps budget"
     )
 
 
-def criterion_vmo_diagnostics(ctx: VerificationContext) -> CriterionResult:
+def criterion_vmo_diagnostics(ctx: VerificationContext):
     """Constant, half-space, product, and oscillatory-example moduli."""
 
     def const_field(x):
@@ -627,16 +572,10 @@ def criterion_vmo_diagnostics(ctx: VerificationContext) -> CriterionResult:
         (np.diff(rep.raw) >= -slack).all() and rep.raw[0] < 0.8 * rep.raw[-1]
     )
 
-    return CriterionResult(
-        index=10,
-        name="vmo_diagnostics",
-        passed=bool(const_ok and half_ok and prod_ok and trend_ok),
-        detail=(
-            f"constant 0: {const_ok}; half-space {', '.join(half_detail)}; "
-            f"product: {prod_ok}; oscillatory trend "
-            f"{rep.raw[-1]:.3f} -> {rep.raw[0]:.3f} decreasing: {trend_ok}"
-        ),
-        elapsed=0.0,
+    return const_ok and half_ok and prod_ok and trend_ok, (
+        f"constant 0: {const_ok}; half-space {', '.join(half_detail)}; "
+        f"product: {prod_ok}; oscillatory trend "
+        f"{rep.raw[-1]:.3f} -> {rep.raw[0]:.3f} decreasing: {trend_ok}"
     )
 
 
@@ -654,25 +593,27 @@ CRITERIA = (
 )
 
 
+def _evaluate(index: int, ctx: VerificationContext) -> CriterionResult:
+    """Run criterion `index` (1-based position in CRITERIA), never raising."""
+    crit = CRITERIA[index - 1]
+    start = time.perf_counter()
+    try:
+        passed, detail = crit(ctx)
+    except (FplabError, np.linalg.LinAlgError, ValueError) as exc:
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CriterionResult(
+        index=index,
+        name=crit.__name__.removeprefix("criterion_"),
+        passed=bool(passed),
+        detail=detail,
+        elapsed=time.perf_counter() - start,
+    )
+
+
 def run_all(ctx: VerificationContext = None) -> list:
     """Run every criterion, never raising; failures land in the results."""
     ctx = ctx or VerificationContext()
-    results = []
-    for idx, crit in enumerate(CRITERIA, start=1):
-        start = time.perf_counter()
-        try:
-            result = crit(ctx)
-        except (FplabError, np.linalg.LinAlgError, ValueError) as exc:
-            result = CriterionResult(
-                index=idx,
-                name=crit.__name__.removeprefix("criterion_"),
-                passed=False,
-                detail=f"raised {type(exc).__name__}: {exc}",
-                elapsed=0.0,
-            )
-        result.elapsed = time.perf_counter() - start
-        results.append(result)
-    return results
+    return [_evaluate(index, ctx) for index in range(1, len(CRITERIA) + 1)]
 
 
 def report_dict(results) -> dict:

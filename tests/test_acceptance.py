@@ -7,11 +7,10 @@ end to end through the command line entry point.
 """
 
 import json
-import time
 
 import fplab.verify
 from fplab.cli import main
-from fplab.verify import CRITERIA, VerificationContext, run_all
+from fplab.verify import CRITERIA, VerificationContext, _evaluate, run_all
 
 # shared across criteria so meshes, densities, and experiment sweeps are
 # assembled once, mirroring how the verify subcommand runs them
@@ -20,10 +19,8 @@ _RESULTS = {}
 
 
 def _run(index):
-    crit = CRITERIA[index - 1]
-    start = time.perf_counter()
-    result = crit(_CTX)
-    result.elapsed = time.perf_counter() - start
+    # the evaluator `fplab verify` uses, so the verdict line is the report's
+    result = _evaluate(index, _CTX)
     _RESULTS[index] = result
     print()
     print(result.line())

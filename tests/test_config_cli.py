@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fplab.cli
+import fplab.errors
 from fplab import (
     ConfigError,
     ContractionViolation,
@@ -53,6 +55,149 @@ def test_config_roundtrip_box_with_data():
     cfg.coeff_data = "fields.npz"
     back = parse_config_text(cfg.serialize())
     assert back == cfg
+
+
+PERFBENCH_RESOLVENT_3D = (
+    "[run]\nseed = 7\noutput_dir = .perfbench_out/work/resolvent-3d\n\n"
+    "[domain]\nkind = ball\ndim = 3\nradius = 1.0\nlevel = 4\n\n"
+    "[coefficients]\npreset = rotator\n\n[cutoff]\ninner = 0.5\nouter = 0.9\n\n"
+    "[resolvent]\nalphas = dyadic:13\nd_mode = skew\nbackend = direct\n"
+)
+PERFBENCH_DENSITY_2D = (
+    "[run]\nseed = 7\noutput_dir = .perfbench_out/work/density-2d\n\n"
+    "[domain]\nkind = ball\ndim = 2\nradius = 1.0\nlevel = 6\n\n"
+    "[coefficients]\npreset = gaussian_gradient\n"
+)
+PERFBENCH_VERIFY = (
+    "[run]\noutput_dir = .perfbench_out/work/verify\n\n"
+    "[domain]\nkind = ball\ndim = 2\nradius = 1.0\nlevel = 3\n"
+)
+BOX_WITH_DATA = (
+    "[domain]\nkind = box\ndim = 3\nlo = 0 0 -1\nhi = 1 2 1\ncenter = 0.5 1 0\n"
+    "level = 1\n[coefficients]\ndata = fields.npz\n[resolvent]\nalphas = 1 4 16\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        (None, "4b7f5714248c64ef429aac96eac9d6ee011acaa9c0b9a92506f44e132bcdbceb"),
+        (PERFBENCH_RESOLVENT_3D,
+         "b751addeca702138642aaddd5128f5c199515fdca4afbcda41ab4d81aff2f0d4"),
+        (PERFBENCH_DENSITY_2D,
+         "dbf41c61b2911c2feb8093fe2a27524eb6cfb52544be0b5df0be205524afc117"),
+        (PERFBENCH_VERIFY,
+         "982b136e18cbccebe328d3fdb5a7ef8cd5ee4ae4162f6e09290bf832f529ac02"),
+        (BOX_WITH_DATA,
+         "7a39c6b0a9851bea939b0052a1f659243ff293cd2a0309fbeb3364464f7199b5"),
+    ],
+    ids=["default", "resolvent-3d", "density-2d", "verify", "box-with-data"],
+)
+def test_config_hashes_are_pinned(text, digest):
+    # every report embeds this hash, so serialize() may not move a byte
+    cfg = ExperimentConfig() if text is None else parse_config_text(text)
+    assert cfg.sha256() == digest
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=1e-300, max_value=1e300)
+_word = st.from_regex(r"[A-Za-z0-9_./-]{0,12}", fullmatch=True)
+_int = st.integers(-(2**63), 2**63)
+
+
+@st.composite
+def _configs(draw):
+    dim = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("ball", "box")))
+    point = st.tuples(*[_finite] * dim)
+    level = draw(st.integers(0, 9))
+    refined_ball = kind == "ball" and level >= 1
+    return ExperimentConfig(
+        seed=draw(_int),
+        output_dir=draw(_word),
+        domain_kind=kind,
+        dim=dim,
+        radius=draw(_positive if kind == "ball" else st.none() | _finite),
+        center=draw(st.just(()) | point),
+        box_lo=draw(point) if kind == "box" else (),
+        box_hi=draw(point) if kind == "box" else (),
+        level=level,
+        preset_name=draw(_word),
+        coeff_data=draw(_word),
+        omega=draw(_finite),
+        cutoff_inner=draw(_finite),
+        cutoff_outer=draw(_finite),
+        alphas=tuple(draw(st.lists(_positive, min_size=1, max_size=5))),
+        d_mode=draw(st.sampled_from(("skew", "raw"))),
+        backend=draw(st.sampled_from(("direct", "gmres") if refined_ball else ("direct",))),
+        tol=draw(_finite),
+        maxiter=draw(_int),
+        vmo_radii=tuple(draw(st.lists(_finite, max_size=4))),
+        vmo_samples=draw(_int),
+        mollifier_eps=tuple(draw(st.lists(_positive, max_size=3))),
+        mollifier_grid=draw(_int),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_configs())
+# a set radius of 0 is written out: only an unset optional key is left out
+@example(cfg=ExperimentConfig(domain_kind="box", box_lo=(0.0, 0.0), box_hi=(1.0, 1.0), radius=0.0))
+def test_config_roundtrip_drawn(cfg):
+    back = parse_config_text(cfg.serialize())
+    assert back == cfg
+    assert back.serialize() == cfg.serialize()
+
+
+_BALL = "[domain]\nkind = ball\ndim = 2\nradius = 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[physics]\ngravity = 9.8\n", "unknown section [physics]"),
+        (_BALL + "wobble = 3\n", "unknown key 'wobble' in section [domain]"),
+        ("[DEFAULT]\nx = 1\n" + _BALL, "unknown key 'x' in section [domain]"),
+        (_BALL + "level = 1\nlevel = 2\n",
+         "malformed config: While reading from '<string>' [line  6]: "
+         "option 'level' in section 'domain' already exists"),
+        ("[run]\nseed = x\n" + _BALL, "invalid value for [run] seed: 'x'"),
+        ("[domain]\nkind = torus\nradius = 1.0\n",
+         "[domain] kind must be ball or box, got 'torus'"),
+        ("[domain]\nkind = ball\ndim = x\nradius = 1.0\n",
+         "invalid value for [domain] dim: 'x'"),
+        ("[domain]\nkind = ball\ndim = 5\nradius = 1.0\n", "[domain] dim must be 2 or 3, got 5"),
+        ("[domain]\nkind = ball\nradius = x\n", "invalid value for [domain] radius: 'x'"),
+        ("[domain]\nkind = ball\ndim = 2\n", "[domain] radius is required for kind = ball"),
+        ("[domain]\nkind = ball\nradius = -1\n", "[domain] radius must be positive, got -1.0"),
+        ("[domain]\nkind = ball\nradius = 1\ncenter = a b\n",
+         "bad float list for [domain] center: 'a b'"),
+        ("[domain]\nkind = ball\nradius = 1\ncenter = 0 0 0\n",
+         "[domain] center has 3 components for dim 2"),
+        ("[domain]\nkind = box\nlo = 0 0\nhi = 1 x\n", "bad float list for [domain] hi: '1 x'"),
+        ("[domain]\nkind = box\ndim = 2\n", "[domain] lo and hi are required for kind = box"),
+        ("[domain]\nkind = box\nlo = 0 0 0\nhi = 1 1\n", "[domain] lo/hi length must match dim"),
+        (_BALL + "level = -1\n", "[domain] level must be >= 0, got -1"),
+        (_BALL + "[coefficients]\nomega = x\n", "invalid value for [coefficients] omega: 'x'"),
+        (_BALL + "[cutoff]\nouter = x\n", "invalid value for [cutoff] outer: 'x'"),
+        (_BALL + "[resolvent]\nalphas = 1 a\n", "bad alpha list '1 a'"),
+        (_BALL + "[resolvent]\nd_mode = sideways\n",
+         "[resolvent] d_mode must be skew or raw, got 'sideways'"),
+        (_BALL + "[resolvent]\nbackend = magic\n",
+         "[resolvent] backend must be direct or gmres, got 'magic'"),
+        (_BALL + "level = 0\n[resolvent]\nbackend = gmres\n",
+         "[resolvent] backend = gmres needs a refined ball mesh "
+         "([domain] kind = ball, level >= 1)"),
+        (_BALL + "[resolvent]\nmaxiter = 1.5\n", "invalid value for [resolvent] maxiter: '1.5'"),
+        (_BALL + "[vmo]\nradii = a\n", "bad float list for [vmo] radii: 'a'"),
+        (_BALL + "[mollifier]\neps = -0.1\n", "[mollifier] eps values must be positive"),
+        (_BALL + "[mollifier]\ngrid = x\n", "invalid value for [mollifier] grid: 'x'"),
+    ],
+)
+def test_single_fault_config_messages(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(text)
+    assert str(info.value) == message
 
 
 def test_config_sha_tracks_content():
@@ -210,12 +355,53 @@ def test_cli_solver_divergence_exits_three(tmp_path, capsys, stage):
     assert "within 3 restart cycles of 20 iterations" in err
 
 
+USAGE_ERROR_NAMES = (
+    "ConfigError",
+    "UnknownPreset",
+    "InvalidRadius",
+    "InvalidBox",
+    "InvalidRadii",
+    "RefinementTooDeep",
+    "DimensionUnsupported",
+    "MissingDerivative",
+    "DegenerateRadius",
+)
+SOLVER_ERROR_NAMES = (
+    "SolverDivergence",
+    "KernelDimensionError",
+    "DensityNotPositive",
+    "NonPositiveDensity",
+    "SingularMass",
+    "SingularElement",
+    "NonFiniteValue",
+    "NonEllipticSample",
+)
+
+
+def test_failure_table_names_every_error_class():
+    public = {
+        name
+        for name, obj in vars(fplab.errors).items()
+        if isinstance(obj, type) and issubclass(obj, FplabError) and not name.startswith("_")
+    }
+    checked = {"ContractionViolation", "SubmarkovViolation", "FplabError"}
+    assert public == checked | set(USAGE_ERROR_NAMES) | set(SOLVER_ERROR_NAMES)
+
+
 @pytest.mark.parametrize(
     "error, code, message",
     [
         (ContractionViolation, 1, "density: verification failure: ratio 1.5"),
         (SubmarkovViolation, 1, "density: verification failure: ratio 1.5"),
         (FplabError, 3, "density: FplabError: ratio 1.5"),
+    ]
+    + [
+        (getattr(fplab.errors, name), 2, f"density: {name}: ratio 1.5")
+        for name in USAGE_ERROR_NAMES
+    ]
+    + [
+        (getattr(fplab.errors, name), 3, f"density: solver failure: {name}: ratio 1.5")
+        for name in SOLVER_ERROR_NAMES
     ],
 )
 def test_cli_failure_families_exit_codes(monkeypatch, capsys, error, code, message):

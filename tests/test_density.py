@@ -175,6 +175,24 @@ def test_singular_pinned_system_raises_kernel_dimension_error(name):
         solve_invariant_density(mesh, preset(name, 2))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lu_pins_differ_on_a_mesh_with_one_interior_vertex(dim, monkeypatch):
+    # two cells per axis leave one interior vertex; a second pin equal to
+    # the first would make the two-pin certificate compare a solve with itself
+    mesh = build_box_mesh((0.0,) * dim, (1.0,) * dim, 2)
+    assert mesh.interior.size == 1
+    pins = []
+
+    def recording(k, pin, order):
+        pins.append(pin)
+        return _pinned_solve(k, pin, order)
+
+    monkeypatch.setattr(fplab.density, "_pinned_solve", recording)
+    solve_invariant_density(mesh, preset("gaussian_gradient", dim))
+    assert pins[0] == mesh.interior[0]
+    assert len(pins) == 2 and pins[1] != pins[0]
+
+
 def test_multigrid_density_matches_the_lu_path():
     mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=5)
     assert mesh.num_vertices >= _DENSITY_MULTIGRID_MIN_VERTICES
