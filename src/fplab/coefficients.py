@@ -1,9 +1,10 @@
 """Coefficient fields: presets, VMO moduli, weak matrix divergence.
 
 A CoefficientSet bundles the diffusion matrix with its declared ellipticity
-bounds, the drift, optional analytic derivatives, and lower-order data. All
-preset callables broadcast over a leading batch axis, so they can be sampled
-at (n, dim) point arrays in one call.
+bounds, the drift, optional analytic derivatives, and lower-order data.
+preset reads one table of fields per preset. All preset callables
+broadcast over a leading batch axis, so they can be sampled at (n, dim)
+point arrays in one call.
 """
 
 from __future__ import annotations
@@ -160,82 +161,45 @@ def preset(name: str, dim: int, radius: float = 1.0, omega: float = 1.0) -> Coef
     """
     if dim not in (2, 3):
         raise UnknownPreset(f"presets are defined for dim 2 or 3, got {dim}")
-    if name == "identity":
-        return CoefficientSet(
-            name=name,
-            dim=dim,
-            a=_isotropic(_one, dim),
-            lam=1.0,
-            m_bound=1.0,
-            drift=_zero_vector(dim),
-            div_a=_zero_vector(dim),
-            reference_density=_one,
-        )
-    if name == "gaussian_gradient":
-        def drift(x):
-            return -np.asarray(x, dtype=float)
 
-        def ref(x):
-            x = np.asarray(x, dtype=float)
-            return np.exp(-0.5 * (x * x).sum(axis=-1))
+    def gaussian(x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(-0.5 * (x * x).sum(axis=-1))
 
-        return CoefficientSet(
-            name=name,
-            dim=dim,
-            a=_isotropic(_one, dim),
-            lam=1.0,
-            m_bound=1.0,
-            drift=drift,
-            div_a=_zero_vector(dim),
-            reference_density=ref,
-        )
-    if name == "rotator":
-        def drift(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            out[..., 0] = -omega * x[..., 1]
-            out[..., 1] = omega * x[..., 0]
-            return out
+    def rotator_drift(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        out[..., 0] = -omega * x[..., 1]
+        out[..., 1] = omega * x[..., 0]
+        return out
 
-        return CoefficientSet(
-            name=name,
-            dim=dim,
-            a=_isotropic(_one, dim),
-            lam=1.0,
-            m_bound=1.0,
-            drift=drift,
-            div_a=_zero_vector(dim),
-            reference_density=_one,
-        )
-    if name == "example_i":
-        return CoefficientSet(
-            name=name,
-            dim=dim,
-            a=_isotropic(example_i_phi, dim),
-            lam=1.0,
-            m_bound=3.0 + radius * radius,
-            drift=_zero_vector(dim),
-            div_a=None,
-            div_a_recoverable=False,
-        )
-    if name == "example_ii":
-        def a(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros(x.shape[:-1] + (dim, dim))
-            for i in range(dim):
-                out[..., i, i] = example_ii_profile(x[..., (i + 1) % dim])
-            return out
+    def example_ii_a(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (dim, dim))
+        for i in range(dim):
+            out[..., i, i] = example_ii_profile(x[..., (i + 1) % dim])
+        return out
 
-        return CoefficientSet(
-            name=name,
-            dim=dim,
-            a=a,
-            lam=math.exp(-radius),
-            m_bound=math.exp(radius),
-            drift=_zero_vector(dim),
-            div_a=_zero_vector(dim),
-        )
-    raise UnknownPreset(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
+    # the fields of each preset; the unit-diffusion fields are shared
+    zero = _zero_vector(dim)
+    unit = {"a": _isotropic(_one, dim), "lam": 1.0, "m_bound": 1.0, "drift": zero, "div_a": zero}
+    table = {
+        "identity": {**unit, "reference_density": _one},
+        "gaussian_gradient": {
+            **unit, "drift": lambda x: -np.asarray(x, dtype=float), "reference_density": gaussian
+        },
+        "rotator": {**unit, "drift": rotator_drift, "reference_density": _one},
+        "example_i": {
+            **unit, "a": _isotropic(example_i_phi, dim), "m_bound": 3.0 + radius * radius,
+            "div_a": None, "div_a_recoverable": False,
+        },
+        "example_ii": {
+            **unit, "a": example_ii_a, "lam": math.exp(-radius), "m_bound": math.exp(radius)
+        },
+    }
+    if name not in table:
+        raise UnknownPreset(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
+    return CoefficientSet(name=name, dim=dim, **table[name])
 
 
 def unit_ball_volume(dim: int) -> float:

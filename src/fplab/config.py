@@ -92,7 +92,8 @@ class ExperimentConfig:
     mollifier_grid: int = _key("mollifier", "grid", int, 201)
 
     def serialize(self) -> str:
-        """Canonical text form; parsing it reproduces this config."""
+        """Canonical text form; parsing it reproduces this config, so a string
+        with surrounding whitespace or a line break is a ConfigError."""
         lines = []
         section = None
         for f in fields(self):
@@ -101,6 +102,8 @@ class ExperimentConfig:
                 section = meta["section"]
                 lines += ["", f"[{section}]"] if lines else [f"[{section}]"]
             value = getattr(self, f.name)
+            if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
+                raise ConfigError(f"[{section}] {meta['key']}: {value!r} would not parse back")
             if not (meta["omit_unset"] and value == f.default):
                 lines.append(f"{meta['key']} = {_format(value)}")
         return "\n".join(lines + [""])

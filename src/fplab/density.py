@@ -10,7 +10,8 @@ The density is found by pinning a vertex to 1, twice with different pins
 (solve_invariant_density): on a refined mesh with at least 4096 vertices
 by GMRES with the Galerkin V-cycle of fem._Multigrid along the lineage, as
 multilevel stationary-distribution solvers do (Horton & Leutenegger 1994),
-and below that by sparse LUs, which stay the test oracle.
+and below that by sparse LUs, which stay the test oracle. One function
+(_pinned_solve) restricts K through fem._Restriction for both.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .fem import (
     _blocks,
     _drift_local,
     _gmres,
-    _Multigrid,
+    _Restriction,
     _scatter,
     _scatter_vector,
     _stiffness_local,
@@ -87,54 +88,31 @@ def stationarity_matrix(
     return _scatter(mesh, local, transpose=True)
 
 
-def _pinned_system(mesh: SimplicialMesh, k: sp.csr_matrix, pin: int):
-    """K without row and column pin, gathered through the mesh's CSR plan (K
-    lies on its pattern), and minus K's column pin without row pin."""
-    plan = mesh._csr_plan
-    rows, cols = plan.rows(), plan.indices
-    keep = (rows != pin) & (cols != pin)
-    column = (cols == pin) & (rows != pin)
-    # vertex indices once the pin is dropped
-    rows, cols = rows - (rows > pin), cols - (cols > pin)
-    n = mesh.num_vertices - 1
-    indptr = np.zeros(n + 1, dtype=plan.indptr.dtype)
-    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
-    sub = sp.csr_matrix((k.data[keep], cols[keep], indptr), shape=(n, n))
-    rhs = np.zeros(n)
-    rhs[rows[column]] = -k.data[column]
-    return sub, rhs
-
-
-def _multigrid_pinned_solve(mesh: SimplicialMesh, k: sp.csr_matrix, pin: int):
-    """The kernel vector with value 1 at pin by V-cycle-preconditioned GMRES
-    along the lineage, and the GMRES iteration count."""
-    sub, rhs = _pinned_system(mesh, k, pin)
-    sizes = [level.num_vertices for level in mesh.lineage] + [mesh.num_vertices]
-    levels = _Multigrid(mesh._prolongations([np.arange(n) != pin for n in sizes]), sub)
-    cycle = levels.v_cycle([x for x, in levels.levels] + [sub])
-    x, info, iterations = _gmres(sub, rhs, cycle, _DENSITY_RTOL, _DENSITY_MAXITER)
-    if info != 0 or not np.isfinite(x).all():
-        raise KernelDimensionError(
-            f"multigrid GMRES on the stationarity system pinned at vertex {pin} "
-            f"missed rtol={_DENSITY_RTOL:.0e} within {iterations} iterations; "
-            "the pinned system may be singular"
-        )
-    return np.insert(x, pin, 1.0), iterations
-
-
-def _pinned_solve(k: sp.csr_matrix, pin: int, order: np.ndarray) -> np.ndarray:
-    n = k.shape[0]
-    # the unknowns in the mesh's nested-dissection order, factored as is
-    keep = order[order != pin]
-    rows = k[keep]
-    sub = rows[:, keep].tocsc()
-    rhs = -rows[:, [pin]].toarray().ravel()
-    lu = spla.splu(sub, permc_spec="NATURAL")
-    x = lu.solve(rhs)
-    full = np.empty(n)
-    full[pin] = 1.0
-    full[keep] = x
-    return full
+def _pinned_solve(mesh: SimplicialMesh, k: sp.csr_matrix, pin: int, multigrid: bool):
+    """The kernel vector of K with value 1 at pin, and the GMRES iteration
+    count (None after an LU). The unknowns are the vertices but the pin: in
+    index order for V-cycle-preconditioned GMRES along the lineage, else in
+    the mesh's nested-dissection order, factored as is."""
+    kept = np.arange(mesh.num_vertices) != pin
+    if not multigrid:
+        kept = mesh.dissection_order[kept[mesh.dissection_order]]
+    block = _Restriction(mesh, kept)
+    sub, rhs = block.matrix(k.data), -k.getcol(pin).toarray().ravel()[kept]
+    if multigrid:
+        levels = block.multigrid(sub)
+        cycle = levels.v_cycle([x for x, in levels.levels] + [sub])
+        x, info, iterations = _gmres(sub, rhs, cycle, _DENSITY_RTOL, _DENSITY_MAXITER)
+        if info != 0 or not np.isfinite(x).all():
+            raise KernelDimensionError(
+                f"multigrid GMRES on the stationarity system pinned at vertex {pin} "
+                f"missed rtol={_DENSITY_RTOL:.0e} within {iterations} iterations; "
+                "the pinned system may be singular"
+            )
+    else:
+        x, iterations = spla.splu(sub.tocsc(), permc_spec="NATURAL").solve(rhs), None
+    full = np.ones(mesh.num_vertices)  # 1 at the pin
+    full[kept] = x
+    return full, iterations
 
 
 def solve_invariant_density(
@@ -190,18 +168,15 @@ def solve_invariant_density(
     volume = float(weights.sum())
 
     candidates = []
-    iterations = []
+    counts = []
     for pin in pins:
         try:
-            if multigrid:
-                v, count = _multigrid_pinned_solve(mesh, k, pin)
-                iterations.append(count)
-            else:
-                v = _pinned_solve(k, pin, mesh.dissection_order)
+            v, count = _pinned_solve(mesh, k, pin, multigrid)
         except RuntimeError as exc:
             raise KernelDimensionError(
                 f"stationarity system pinned at vertex {pin} is singular: {exc}"
             ) from exc
+        counts.append(count)
         mean = float(weights @ v) / volume
         if abs(mean) < 1e-300:
             raise DensityNotPositive("kernel vector has vanishing mean")
@@ -234,7 +209,7 @@ def solve_invariant_density(
         rho_max=float(rho_vec.max()),
         residual=residual,
         residual_scale=scale,
-        iterations=tuple(iterations),
+        iterations=tuple(c for c in counts if c is not None),
     )
 
 

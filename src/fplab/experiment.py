@@ -6,6 +6,7 @@ the homogeneous problem), divide it by rho to get h, build a radial
 quintic cutoff chi, sweep the resolvent over a dyadic alpha grid, and
 compare the energies of chi * alpha G_alpha h against the explicit
 constant C1^2 + 2 C2 assembled from quadrature norms of the ingredients.
+ConstantsReport.as_dict names the ledger entries from one table.
 """
 
 from __future__ import annotations
@@ -155,28 +156,20 @@ class ConstantsReport:
         return self.c3
 
     def as_dict(self) -> dict:
-        out = {
-            "dim": self.dim,
-            "K_d_rho": self.k_d_rho,
-            "gamma": self.gamma,
-            "C1": self.big_c1,
-            "C2": self.big_c2,
-            "bound": self.bound,
-            "norm_h_l2_mu": self.h_l2,
-            "norm_lb_chi_ld_mu": self.lb_chi_ld,
-            "norm_grad_chi_inf": self.grad_chi_inf,
-            "norm_c_ld_mu": self.c_ld,
-            "norm_f_l2star_mu": self.f_l2star,
-            "norm_flux_l2_mu": self.flux_l2,
-            "lambda": self.lam,
-            "m_bound": self.m_bound,
-            "rho_min": self.rho_min,
-            "rho_max": self.rho_max,
-            "recovered": list(self.recovered),
-        }
-        for i in range(1, 11):
-            out[f"c{i}"] = getattr(self, f"c{i}")
-        return out
+        """The ledger under its JSON keys, `recovered` as a list."""
+        values = ((key, getattr(self, attr)) for attr, key in _LEDGER_KEYS)
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in values}
+
+
+# (ConstantsReport attribute, JSON key) of every ledger entry
+_LEDGER_KEYS = (
+    ("dim", "dim"), ("k_d_rho", "K_d_rho"), ("gamma", "gamma"), ("big_c1", "C1"),
+    ("big_c2", "C2"), ("bound", "bound"), ("h_l2", "norm_h_l2_mu"),
+    ("lb_chi_ld", "norm_lb_chi_ld_mu"), ("grad_chi_inf", "norm_grad_chi_inf"),
+    ("c_ld", "norm_c_ld_mu"), ("f_l2star", "norm_f_l2star_mu"), ("flux_l2", "norm_flux_l2_mu"),
+    ("lam", "lambda"), ("m_bound", "m_bound"), ("rho_min", "rho_min"), ("rho_max", "rho_max"),
+    ("recovered", "recovered"), *((f"c{i}", f"c{i}") for i in range(1, 11)),
+)
 
 
 def _lb_chi_at_quad(mesh, cs, cutoff, rule):
@@ -272,7 +265,7 @@ def compute_constants(
     c7 = k_d_rho * (2.0 * lb_chi_ld) * h_l2
     c9 = 2.0 * np.sqrt(dm) * grad_chi_inf * h_l2
     big_c1 = c1 + 2.0 * c2 + c4 + c5 + c6 + c7 + 2.0 * c9
-    big_c2 = c3 + c3 + 2.0 * c3
+    big_c2 = 4.0 * c3
     return ConstantsReport(
         dim=d,
         k_d_rho=float(k_d_rho),

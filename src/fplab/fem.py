@@ -25,10 +25,11 @@ and its transpose is the same onto the plan's mirrored slots: duplicates
 sum in element order, deterministically and without a sort. Every matrix
 of a mesh shares one pattern, so a sum of matrices is a sum of data arrays.
 
-_Multigrid is the one geometric multigrid of the package: Galerkin levels
-along prolongations of a refinement lineage and a V(2,2)-cycle on them,
-which preconditions GMRES (_gmres) for the resolvent's gmres backend and
-for the invariant density's pinned systems alike.
+_Restriction is the one restricted-system path of the package, for the
+resolvent and the invariant density's pinned systems alike: the pattern
+restricted to kept vertices, from which it gathers CSR matrices and builds
+_Multigrid, the one geometric multigrid (Galerkin levels along the lineage
+and a V(2,2)-cycle that preconditions _gmres).
 """
 
 from __future__ import annotations
@@ -135,8 +136,10 @@ def _at_quad(field, mesh, rule, block: slice, shape: tuple, what: str) -> np.nda
     elements, a whole-mesh (ne, nq) + shape array is cut to them, a scalar or
     a constant of shape is broadcast, and a callable is called per block of
     elements at their quadrature points, so that its own temporaries are
-    bounded by a block."""
+    bounded by a block. A P1 field of another mesh is a ValueError."""
     if hasattr(field, "at_quad"):
+        if field.mesh is not mesh:
+            raise ValueError(f"{what} is a P1 field of another mesh")
         return field.at_quad(rule, block)
     if callable(field):
         pts = physical_quad_points(mesh, rule)[block]
@@ -376,6 +379,38 @@ def l2_error(u: FeFunction, exact, weight=None, rule=None) -> float:
     u_q = u.at_quad(rule)
     e_q = scalar_at_quad(exact, mesh, rule)
     return quadrature_norm(mesh, u_q - e_q, p=2.0, weight=weight, rule=rule)
+
+
+class _Restriction:
+    """Matrices on the mesh's P1 pattern (`mesh._csr_plan`) restricted to kept
+    vertices, given as a vertex mask (index order) or as vertex ids (their
+    order). The restricted pattern is indexed once, so a restricted matrix is
+    one gather of pattern data: by a mask over the plan's entries for a
+    vertex mask (no id template: less heap for the density), else by ids."""
+
+    def __init__(self, mesh: SimplicialMesh, kept: np.ndarray):
+        self.mesh, self.kept = mesh, kept
+        plan = mesh._csr_plan
+        if kept.dtype == bool:
+            rows, n = plan.rows(), int(kept.sum())
+            self._take = kept[rows] & kept[plan.indices]
+            pos = (np.cumsum(kept) - 1).astype(plan.indices.dtype)
+            indptr = np.zeros(n + 1, dtype=plan.indptr.dtype)
+            np.cumsum(np.bincount(pos[rows[self._take]], minlength=n), out=indptr[1:])
+            self._pattern = (pos[plan.indices[self._take]], indptr)
+        else:
+            ids = _csr(mesh, np.arange(plan.indices.size, dtype=np.int32))[kept][:, kept]
+            self._take, self._pattern = ids.data, (ids.indices, ids.indptr)
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The restricted CSR matrix of the data on the mesh's pattern."""
+        n = self._pattern[1].size - 1
+        return sp.csr_matrix((data[self._take], *self._pattern), shape=(n, n))
+
+    def multigrid(self, *fine) -> _Multigrid:
+        """The _Multigrid of restricted matrices (from matrix()) along the
+        mesh's refinement lineage."""
+        return _Multigrid(self.mesh._prolongations(self.kept), *fine)
 
 
 class _Multigrid:

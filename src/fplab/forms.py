@@ -14,10 +14,11 @@ iteration count does not grow under refinement (Eisenstat, Elman & Schultz
 1983). The checks (contraction, resolvent identity, sub-Markov range,
 strong continuity) use multigrid GMRES to a relative residual of 1e-12 on
 a refined mesh with at least 2000 interior unknowns, and a sparse LU
-otherwise. The V-cycle is fem._Multigrid, which the invariant density
-shares. M^{-1} (the generator, the strong continuity bound) is applied by
-Jacobi-preconditioned CG to a relative residual of 1e-14 from 2000
-interior unknowns on, since M is well conditioned, and by a sparse LU below.
+otherwise. The interior systems and their V-cycle come from
+fem._Restriction, as the density's pinned systems do. M^{-1} (the
+generator, the strong continuity bound) is applied by Jacobi-preconditioned
+CG to a relative residual of 1e-14 from 2000 interior unknowns on, since M
+is well conditioned, and by a sparse LU below.
 
 The resolvent checks solve one independent system per alpha. Resolvent.map
 runs that per-alpha work two alphas at a time on worker threads, because
@@ -57,7 +58,7 @@ from .fem import (
     FeFunction,
     _csr,
     _gmres,
-    _Multigrid,
+    _Restriction,
     assemble_drift,
     assemble_weighted_mass,
     assemble_weighted_stiffness,
@@ -251,8 +252,8 @@ def sector_constant(
 class Resolvent:
     """G_alpha = (alpha M + S + D)^{-1} on the interior DOFs of one form.
 
-    The interior block of the form's shared pattern is indexed once, so
-    the system for one alpha is a gather of alpha M + S + D data. It is
+    The interior block of the mesh's pattern (where S, D and M must lie) is
+    indexed once, so the system for one alpha is a gather of its data. It is
     factored on its first solve and the factor is reused for every further
     solve at that alpha on the same thread; a solve at another alpha
     replaces it. Factors are held per thread, so each thread holds at most
@@ -305,36 +306,31 @@ class Resolvent:
         self.backend = backend
         self.tol = tol
         self.maxiter = maxiter
-        order = form.mesh.dissection_order
-        self.interior = interior = order[~form.mesh.boundary[order]]
+        mesh = form.mesh
+        order = mesh.dissection_order
+        self.interior = interior = order[~mesh.boundary[order]]
+        plan = mesh._csr_plan
+        for x in (form.s, form.d, form.m):
+            if not all(map(np.array_equal, (x.indptr, x.indices), (plan.indptr, plan.indices))):
+                raise ValueError("S, D and M of a form must lie on the mesh's CSR pattern")
         m = form.m
-        for x in (form.s, form.d):
-            if not all(map(np.array_equal, (x.indptr, x.indices), (m.indptr, m.indices))):
-                raise ValueError("S, D and M of a form must share one CSR pattern")
         self.lumped = lumped
         if lumped:
-            rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-            row_sums = np.asarray(m.sum(axis=1)).ravel()
-            diagonal = np.where(rows == m.indices, row_sums[rows], 0.0)
-            m = sp.csr_matrix((diagonal, m.indices, m.indptr), shape=m.shape)
+            rows, row_sums = plan.rows(), np.asarray(m.sum(axis=1)).ravel()
+            m = _csr(mesh, np.where(rows == plan.indices, row_sums[rows], 0.0))
         self.m = m
-        self._csr, self._csc = _interior_block(m, interior)
+        self._block = _Restriction(mesh, interior)
         self._held = _Held()
         self._mass = None
         self._levels = None
         if backend == "gmres":
-            mesh = form.mesh
             if not mesh.lineage:
                 raise ValueError(
                     "the gmres backend needs a mesh with a refinement lineage "
                     "(one made by refine_uniform); this mesh has none"
                 )
-            keep = [level.interior for level in mesh.lineage] + [~mesh.boundary]
-            p = mesh._prolongations(keep)
-            # the finest prolongation's rows in the Resolvent's interior order
-            p[-1] = p[-1][(np.cumsum(keep[-1]) - 1)[interior]]
-            k = _gather(self._csr, form.s.data + form.d.data)
-            self._levels = _Multigrid(p, _gather(self._csr, m.data), k)
+            k = self._block.matrix(form.s.data + form.d.data)
+            self._levels = self._block.multigrid(self._block.matrix(m.data), k)
 
     @property
     def residual(self):
@@ -403,9 +399,9 @@ class Resolvent:
             # drop the old factor before building the next one
             held.alpha = held.k_int = held.factor = None
             k = alpha * self.m.data + self.form.s.data + self.form.d.data
-            k_int = _gather(self._csr, k)
+            k_int = self._block.matrix(k)
             if self.backend == "direct":
-                factor = spla.splu(_gather(self._csc, k), permc_spec="NATURAL").solve
+                factor = spla.splu(k_int.tocsc(), permc_spec="NATURAL").solve
             else:
                 levels = [(alpha * m + k).tocsr() for m, k in self._levels.levels]
                 factor = self._levels.v_cycle(levels + [k_int])
@@ -417,11 +413,11 @@ class Resolvent:
         residual of 1e-14 from 2000 interior unknowns on, else a sparse LU
         that is factored once. CG that misses it raises SolverDivergence."""
         if self._mass is None:
+            m_int = self._block.matrix(self.m.data)
             if self.interior.size >= _MULTIGRID_MIN_UNKNOWNS:
-                self._mass = functools.partial(_mass_cg, _gather(self._csr, self.m.data))
+                self._mass = functools.partial(_mass_cg, m_int)
             else:
-                m_int = _gather(self._csc, self.m.data)
-                self._mass = spla.splu(m_int, permc_spec="NATURAL").solve
+                self._mass = spla.splu(m_int.tocsc(), permc_spec="NATURAL").solve
         return self._mass(z)
 
 
@@ -447,19 +443,6 @@ def _check_resolvent(form: FormMatrices, lumped: bool = False) -> Resolvent:
     if form.mesh.lineage and form.interior.size >= _MULTIGRID_MIN_UNKNOWNS:
         return Resolvent(form, backend="gmres", lumped=lumped, tol=_CHECK_RTOL)
     return Resolvent(form, lumped=lumped)
-
-
-def _interior_block(a: sp.csr_matrix, interior: np.ndarray):
-    """a[interior][:, interior] as CSR and CSC templates holding indices into a.data."""
-    ids = sp.csr_matrix((np.arange(a.nnz), a.indices, a.indptr), shape=a.shape)
-    block = ids[interior][:, interior]
-    return block, block.tocsc()
-
-
-def _gather(template, data: np.ndarray):
-    """The matrix of `template`'s pattern and format with data[template.data]."""
-    arrays = (data[template.data], template.indices, template.indptr)
-    return type(template)(arrays, shape=template.shape)
 
 
 def solve_resolvent(

@@ -189,25 +189,30 @@ class SimplicialMesh:
     def _csr_plan(self) -> CsrPlan:
         return _csr_plan(self)
 
-    def _prolongations(self, keep) -> list:
+    def _prolongations(self, kept) -> list:
         """Prolongations along the lineage between kept vertices, coarsest first.
 
-        keep holds a boolean vertex mask for every lineage level and a last
-        one for this mesh. Entry k maps values at the kept vertices of
+        kept is a vertex mask or vertex ids of this mesh. A lineage mesh of n
+        vertices keeps the kept ones below n, since every lineage vertex
+        keeps its index on each finer mesh. Entry k maps values at the kept vertices of
         lineage level k (in index order) to values at the kept vertices of
-        the next finer mesh, the last one to this mesh's: P = [I; (e_i +
-        e_j) / 2], a coarse vertex keeping its value and a midpoint taking
-        the mean of its edge's ends. Values off the kept vertices are zero.
+        the next finer mesh, the last one to this mesh's in the order of
+        kept: P = [I; (e_i + e_j) / 2], a coarse vertex keeping its value and
+        a midpoint taking the mean of its edge's ends. Values off the kept
+        vertices are zero.
         """
+        mask = np.zeros(self.num_vertices, dtype=bool)
+        mask[kept] = True
         out = []
-        for level, coarse, fine in zip(self.lineage, keep, keep[1:]):
+        for level in self.lineage:
             nc, edges = level.num_vertices, level.edges
             mids = np.arange(nc, nc + len(edges))
             rows = np.concatenate([np.arange(nc), np.repeat(mids, 2)])
             cols = np.concatenate([np.arange(nc), edges.ravel()])
             vals = np.concatenate([np.ones(nc), np.full(edges.size, 0.5)])
             p = sp.csr_matrix((vals, (rows, cols)), shape=(nc + len(edges), nc))
-            out.append(p[fine][:, coarse])
+            fine = kept if level is self.lineage[-1] else mask[: nc + len(edges)]
+            out.append(p[fine][:, mask[:nc]])
         return out
 
     def element_coords(self) -> np.ndarray:
@@ -242,12 +247,11 @@ class RefinementLevel(NamedTuple):
 
     The finer mesh's vertices are the num_vertices coarse ones followed by
     one midpoint per row of edges (its two parent vertices, int32, in
-    _mesh_edges order); interior is the coarse mesh's interior mask.
+    _mesh_edges order).
     """
 
     num_vertices: int
     edges: np.ndarray  # (nE, 2)
-    interior: np.ndarray  # (num_vertices,)
 
 
 class CsrPlan(NamedTuple):
@@ -598,9 +602,7 @@ def refine_uniform(mesh: SimplicialMesh) -> SimplicialMesh:
         children = np.concatenate(
             [local[:, _RED_CORNERS_3D], local[rows, octahedron]], axis=1
         )
-    level = RefinementLevel(
-        nv, _read_only(edges.astype(np.int32)), _read_only(~mesh.boundary)
-    )
+    level = RefinementLevel(nv, _read_only(edges.astype(np.int32)))
     return _orient_and_build(
         vertices,
         children.reshape(-1, dim + 1),

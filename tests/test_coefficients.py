@@ -69,6 +69,44 @@ def test_preset_rotator_tangential():
     assert b3[2] == 0.0
 
 
+# per preset: (lam, m_bound) at radius 1 and at radius 2, whether div_a is
+# given, div_a_recoverable, and whether a reference density is present
+PRESET_TABLE = {
+    "identity": ((1.0, 1.0), (1.0, 1.0), True, True, True),
+    "gaussian_gradient": ((1.0, 1.0), (1.0, 1.0), True, True, True),
+    "rotator": ((1.0, 1.0), (1.0, 1.0), True, True, True),
+    "example_i": ((1.0, 4.0), (1.0, 7.0), False, False, False),
+    "example_ii": (
+        (math.exp(-1.0), math.exp(1.0)),
+        (math.exp(-2.0), math.exp(2.0)),
+        True,
+        True,
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_table(name, dim):
+    bounds1, bounds2, has_div_a, recoverable, has_reference = PRESET_TABLE[name]
+    for radius, bounds in ((1.0, bounds1), (2.0, bounds2)):
+        cs = preset(name, dim, radius=radius)
+        assert (cs.name, cs.dim) == (name, dim)
+        assert (cs.lam, cs.m_bound) == bounds
+        assert (cs.div_a is not None) == has_div_a
+        assert cs.div_a_recoverable is recoverable
+        assert (cs.reference_density is not None) == has_reference
+        assert cs.c is cs.f_data is cs.flux_data is None
+
+
+def test_preset_rotator_drift_is_exact():
+    cs = preset("rotator", 3, omega=2.0)
+    pts = np.array([[0.4, 0.3, 0.9], [-1.5, 0.25, -0.5], [0.0, -0.75, 0.125]])
+    expected = np.array([[-0.6, 0.8, 0.0], [-0.5, -3.0, 0.0], [1.5, 0.0, 0.0]])
+    np.testing.assert_array_equal(cs.drift(pts), expected)
+
+
 def test_preset_unknown():
     with pytest.raises(UnknownPreset):
         preset("not_a_preset", 2)

@@ -102,6 +102,8 @@ def test_config_hashes_are_pinned(text, digest):
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=1e-300, max_value=1e300)
 _word = st.from_regex(r"[A-Za-z0-9_./-]{0,12}", fullmatch=True)
+# any text, including surrounding whitespace and line breaks
+_string = _word | st.text(max_size=8) | st.from_regex(r"\s{0,2}[a-z]{0,3}\s{0,2}", fullmatch=True)
 _int = st.integers(-(2**63), 2**63)
 
 
@@ -114,7 +116,7 @@ def _configs(draw):
     refined_ball = kind == "ball" and level >= 1
     return ExperimentConfig(
         seed=draw(_int),
-        output_dir=draw(_word),
+        output_dir=draw(_string),
         domain_kind=kind,
         dim=dim,
         radius=draw(_positive if kind == "ball" else st.none() | _finite),
@@ -122,8 +124,8 @@ def _configs(draw):
         box_lo=draw(point) if kind == "box" else (),
         box_hi=draw(point) if kind == "box" else (),
         level=level,
-        preset_name=draw(_word),
-        coeff_data=draw(_word),
+        preset_name=draw(_string),
+        coeff_data=draw(_string),
         omega=draw(_finite),
         cutoff_inner=draw(_finite),
         cutoff_outer=draw(_finite),
@@ -143,7 +145,19 @@ def _configs(draw):
 @given(cfg=_configs())
 # a set radius of 0 is written out: only an unset optional key is left out
 @example(cfg=ExperimentConfig(domain_kind="box", box_lo=(0.0, 0.0), box_hi=(1.0, 1.0), radius=0.0))
+@example(cfg=ExperimentConfig(radius=1.0, output_dir=" out "))
+@example(cfg=ExperimentConfig(radius=1.0, preset_name="a\nb"))
 def test_config_roundtrip_drawn(cfg):
+    # a string the text cannot hold is refused, and every other config
+    # survives its round trip exactly
+    unwritable = [
+        v for v in vars(cfg).values()
+        if isinstance(v, str) and (v != v.strip() or len(v.splitlines()) > 1)
+    ]
+    if unwritable:
+        with pytest.raises(ConfigError, match="would not parse back"):
+            cfg.serialize()
+        return
     back = parse_config_text(cfg.serialize())
     assert back == cfg
     assert back.serialize() == cfg.serialize()

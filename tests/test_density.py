@@ -183,9 +183,9 @@ def test_lu_pins_differ_on_a_mesh_with_one_interior_vertex(dim, monkeypatch):
     assert mesh.interior.size == 1
     pins = []
 
-    def recording(k, pin, order):
+    def recording(mesh, k, pin, multigrid):
         pins.append(pin)
-        return _pinned_solve(k, pin, order)
+        return _pinned_solve(mesh, k, pin, multigrid)
 
     monkeypatch.setattr(fplab.density, "_pinned_solve", recording)
     solve_invariant_density(mesh, preset("gaussian_gradient", dim))
@@ -205,7 +205,8 @@ def test_multigrid_density_matches_the_lu_path():
     k = stationarity_matrix(mesh, cs)
     weights = lumped_weights(mesh)
     for pin in (0, 1):
-        v = _pinned_solve(k, pin, mesh.dissection_order)
+        v, iterations = _pinned_solve(mesh, k, pin, multigrid=False)
+        assert iterations is None
         v *= weights.sum() / (weights @ v)
         assert np.abs(v - density.rho.values).max() <= 1e-10 * np.abs(v).max()
 

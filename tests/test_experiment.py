@@ -1,10 +1,13 @@
 """Cutoff calculus and the energy bound sweep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fplab import (
     AnalyticFunction,
+    ConstantsReport,
     DimensionUnsupported,
     InvalidRadii,
     assemble_form,
@@ -110,6 +113,45 @@ def test_constants_identity_closed_forms(eigen3):
     assert rep.big_c2 == rep.c3 + rep.c8 + 2.0 * rep.c10
     assert rep.bound == rep.big_c1**2 + 2.0 * rep.big_c2
     assert rep.c3 == rep.c8 == rep.c10
+
+
+# the energy-bound ledger's JSON keys and the attribute each one reads
+LEDGER_KEYS = {
+    "dim": "dim",
+    "K_d_rho": "k_d_rho",
+    "gamma": "gamma",
+    "C1": "big_c1",
+    "C2": "big_c2",
+    "bound": "bound",
+    "norm_h_l2_mu": "h_l2",
+    "norm_lb_chi_ld_mu": "lb_chi_ld",
+    "norm_grad_chi_inf": "grad_chi_inf",
+    "norm_c_ld_mu": "c_ld",
+    "norm_f_l2star_mu": "f_l2star",
+    "norm_flux_l2_mu": "flux_l2",
+    "lambda": "lam",
+    "m_bound": "m_bound",
+    "rho_min": "rho_min",
+    "rho_max": "rho_max",
+    "recovered": "recovered",
+    **{f"c{i}": f"c{i}" for i in range(1, 11)},
+}
+
+
+def test_constants_ledger_keys():
+    # distinct field values, so that a key reading the wrong attribute shows
+    names = [f.name for f in dataclasses.fields(ConstantsReport)]
+    values = {name: float(i + 1) for i, name in enumerate(names)}
+    values.update(dim=3, recovered=("div_a",))
+    rep = ConstantsReport(**values)
+    out = rep.as_dict()
+    assert len(out) == 27
+    assert set(out) == set(LEDGER_KEYS)
+    for key, attr in LEDGER_KEYS.items():
+        expected = getattr(rep, attr)
+        assert out[key] == (list(expected) if key == "recovered" else expected), key
+    assert out["recovered"] == ["div_a"]
+    assert out["c8"] == out["c10"] == out["c3"] == values["c3"]
 
 
 def test_constants_need_three_dimensions():

@@ -30,6 +30,8 @@ from fplab import (
     quadrature_norm,
     quadrature_rule,
     solve_invariant_density,
+    vector_at_quad,
+    weak_divergence_matrix,
 )
 from fplab.mesh import _p1_gradients, signed_volumes
 
@@ -138,6 +140,24 @@ def test_fe_function_shape_check():
     mesh = build_box_mesh((0.0, 0.0), (1.0, 1.0), 2)
     with pytest.raises(ValueError):
         FeFunction(mesh=mesh, values=np.zeros(3))
+
+
+def test_p1_field_of_another_mesh_is_refused():
+    # the two level-2 disks have the same element count, so sampling one
+    # disk's P1 field on the other used to give a silently wrong answer
+    disk1 = build_ball_mesh((0.0, 0.0), 1.0, levels=2)
+    disk2 = build_ball_mesh((0.0, 0.0), 2.0, levels=2)
+    assert disk1.num_elements == disk2.num_elements
+    u = interpolate(disk1, lambda x: x[..., 0])
+    with pytest.raises(ValueError, match="another mesh"):
+        quadrature_norm(disk2, u)
+    with pytest.raises(ValueError, match="another mesh"):
+        assemble_weighted_mass(disk2, rho=interpolate(disk1, 1.0))
+    div_a = weak_divergence_matrix(disk1, preset("identity", 2).a)
+    with pytest.raises(ValueError, match="another mesh"):
+        vector_at_quad(div_a, disk2, quadrature_rule(2))
+    # on its own mesh the field samples as before
+    assert quadrature_norm(disk1, u) == norm(u)
 
 
 def test_positivity_guard():

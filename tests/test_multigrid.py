@@ -84,10 +84,9 @@ def test_refinement_records_the_lineage():
     assert len(fine.lineage) == 2
     for coarse, level, finer in zip(meshes, fine.lineage, meshes[1:]):
         assert level.num_vertices == coarse.num_vertices
-        assert np.array_equal(level.interior, ~coarse.boundary)
         assert level.num_vertices + len(level.edges) == finer.num_vertices
-        for arr in (level.edges, level.interior):
-            assert not arr.flags.writeable
+        assert np.array_equal((~fine.boundary)[: level.num_vertices], ~coarse.boundary)
+        assert not level.edges.flags.writeable
         # an interior midpoint sits halfway between its edge's ends
         mids = np.arange(level.num_vertices, finer.num_vertices)
         inner = ~finer.boundary[mids]
@@ -96,6 +95,28 @@ def test_refinement_records_the_lineage():
     # a refined mesh inherits the coarse mesh's lineage
     again = refine_uniform(fine)
     assert again.lineage[:2] == fine.lineage
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        build_ball_mesh((0.0, 0.0), 1.0),
+        build_ball_mesh((0.0, 0.0, 0.0), 1.0),
+        build_box_mesh((0.0, 0.0), (1.0, 2.0), 3),
+        build_box_mesh((-1.0, 0.0, 0.0), (1.0, 1.0, 1.0), 2),
+    ],
+)
+def test_lineage_vertices_keep_their_boundary_flag(base):
+    # a lineage mesh's vertices keep their index and their boundary flag on
+    # every finer mesh, so a mask of the finest mesh restricts to each level
+    meshes = [base]
+    for _ in range(2):
+        meshes.append(refine_uniform(meshes[-1]))
+    fine = meshes[-1]
+    for coarse, level in zip(meshes, fine.lineage):
+        n = level.num_vertices
+        np.testing.assert_array_equal(fine.vertices[:n], coarse.vertices)
+        np.testing.assert_array_equal((~fine.boundary)[:n], ~coarse.boundary)
 
 
 def test_built_and_read_meshes_have_no_lineage(tmp_path):
@@ -108,12 +129,13 @@ def test_built_and_read_meshes_have_no_lineage(tmp_path):
 def test_prolongation_interpolates_coarse_interior_values():
     mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=2)
     level = mesh.lineage[-1]
-    p = mesh._prolongations([lvl.interior for lvl in mesh.lineage] + [~mesh.boundary])[-1]
-    assert p.shape == (mesh.interior.size, int(level.interior.sum()))
+    p = mesh._prolongations(mesh.interior)[-1]
+    coarse_interior = (~mesh.boundary)[: level.num_vertices]
+    assert p.shape == (mesh.interior.size, int(coarse_interior.sum()))
     coarse = np.zeros(level.num_vertices)
-    coarse[level.interior] = np.random.default_rng(5).standard_normal(p.shape[1])
+    coarse[coarse_interior] = np.random.default_rng(5).standard_normal(p.shape[1])
     fine = np.concatenate([coarse, coarse[level.edges].mean(axis=1)])
-    np.testing.assert_array_equal(p @ coarse[level.interior], fine[mesh.interior])
+    np.testing.assert_array_equal(p @ coarse[coarse_interior], fine[mesh.interior])
 
 
 def test_prolongation_between_all_vertices_but_a_pin():
@@ -123,7 +145,7 @@ def test_prolongation_between_all_vertices_but_a_pin():
     pin = 1
     sizes = [lvl.num_vertices for lvl in mesh.lineage] + [mesh.num_vertices]
     keep = [np.arange(n) != pin for n in sizes]
-    p = mesh._prolongations(keep)
+    p = mesh._prolongations(keep[-1])
     assert [x.shape for x in p] == [(n - 1, m - 1) for m, n in zip(sizes, sizes[1:])]
     level = mesh.lineage[-1]
     coarse = np.random.default_rng(6).standard_normal(level.num_vertices)
@@ -147,7 +169,8 @@ def test_multigrid_skips_levels_without_interior_unknowns(lu_sizes):
     # a one-cell box has no interior vertex; refined twice, its lineage
     # starts with that level, and the coarse LU lands on the next one
     mesh = refine_uniform(refine_uniform(build_box_mesh((0.0, 0.0), (1.0, 1.0), 1)))
-    assert [int(level.interior.sum()) for level in mesh.lineage] == [0, 1]
+    interior = ~mesh.boundary
+    assert [int(interior[: level.num_vertices].sum()) for level in mesh.lineage] == [0, 1]
     form = make_form(mesh)
     f = interior_data(form, 58)
     u = solve_resolvent(form, 3.0, f, backend="gmres", tol=_CHECK_RTOL).values
