@@ -9,16 +9,18 @@ energy E(f, f) collapses to the diffusion part alone.
 A Resolvent solves alpha M + S + D on the interior either by a sparse LU
 ("direct") or by GMRES preconditioned with a geometric multigrid V-cycle
 on the mesh's refinement lineage ("gmres"), which only a mesh made by
-refine_uniform has. The skew part D is small next to the SPD part alpha M + S, so the
-iteration count does not grow under refinement (Eisenstat, Elman & Schultz
-1983). The checks (contraction, resolvent identity, sub-Markov range,
-strong continuity) use multigrid GMRES to a relative residual of 1e-12 on
-a refined mesh with at least 2000 interior unknowns, and a sparse LU
-otherwise. The interior systems and their V-cycle come from
-fem._Restriction, as the density's pinned systems do. M^{-1} (the
+refine_uniform has. The skew part D is small next to the SPD part
+alpha M + S, so the iteration count does not grow under refinement
+(Eisenstat, Elman & Schultz 1983). From 2000 interior unknowns on, the
+direct LU is taken in float32 and each solve is refined in float64 to a
+float64 backward error, or else redone by a float64 LU (mixed-precision
+iterative refinement, Buttari et al. 2007); the checks (contraction,
+resolvent identity, sub-Markov range, strong continuity) use multigrid
+GMRES to a relative residual of 1e-12 on a refined mesh; and M^{-1} (the
 generator, the strong continuity bound) is applied by Jacobi-preconditioned
-CG to a relative residual of 1e-14 from 2000 interior unknowns on, since M
-is well conditioned, and by a sparse LU below.
+CG to a relative residual of 1e-14, since M is well conditioned. Below that
+size they all use a sparse LU. The interior systems and their V-cycle come
+from fem._Restriction, as the density's pinned systems do.
 
 The resolvent checks solve one independent system per alpha. Resolvent.map
 runs that per-alpha work two alphas at a time on worker threads, because
@@ -83,7 +85,8 @@ _POOL_MIN_UNKNOWNS = 2000
 # the checks solve with multigrid GMRES from this many interior unknowns of
 # a refined mesh on (a 3D level-4 LU takes 120-170 ms, a solve ~10 ms), to
 # this relative residual; mass_solve runs CG from this many interior
-# unknowns on (3D level 5: 0.03 s against an 8.6 s LU), to _MASS_RTOL
+# unknowns on (3D level 5: 0.03 s against an 8.6 s LU), to _MASS_RTOL; and
+# the direct backend factors in float32 from this many on
 _MULTIGRID_MIN_UNKNOWNS = 2000
 _CHECK_RTOL = 1e-12
 _MASS_RTOL = 1e-14
@@ -264,12 +267,9 @@ class Resolvent:
     386 MB, against 193 MB when each was freed where it was made.) Before
     it starts its threads, map() sets glibc's arena limit to 1, so that
     workers allocate from the main arena and a worker's last factor does
-    not stay resident after it is freed. mass_solve applies M^{-1} (needed
-    by the generator) by Jacobi-preconditioned CG from 2000 interior
-    unknowns on, else by an interior mass LU built on first use and kept.
-    A Resolvent is meant to live for one computation: the form itself
-    stores no factors, so holding on to them never stacks on the memory of
-    later stages.
+    not stay resident after it is freed. mass_solve applies M^{-1}. A
+    Resolvent is meant to live for one computation: the form itself stores
+    no factors, so holding on to them never stacks on later stages' memory.
 
     The interior unknowns are held in the mesh's nested-dissection order:
     `interior` is `order[~boundary[order]]` for `order =
@@ -279,9 +279,15 @@ class Resolvent:
     far less than SuperLU's own COLAMD ordering of P1 systems.
 
     lumped=True replaces M by its row-sum diagonal (the sub-Markov scheme).
-    backend "direct" uses a sparse LU. "gmres" uses GMRES (restart 20)
-    with relative tolerance tol and at most maxiter restart cycles,
-    preconditioned by a V(2,2)-cycle (fem._Multigrid): damped Jacobi
+    backend "direct" uses a sparse LU. From 2000 interior unknowns on it is
+    a float32 LU (one per alpha, in the same order); a solve starts from
+    x = LU^{-1} b and adds LU^{-1} (b - K x), the residual taken in float64,
+    until ||b - K x|| <= 4 eps (||K|| ||x|| + ||b||) in the infinity norm
+    with eps that of float64. If a step does not halve the residual or 10
+    steps do not reach it, a float64 LU replaces the float32 one and solves
+    this and every later right side at that alpha. "gmres" uses GMRES
+    (restart 20) with relative tolerance tol and at most maxiter restart
+    cycles, preconditioned by a V(2,2)-cycle (fem._Multigrid): damped Jacobi
     (weight 0.6) on every level of the mesh's refinement lineage and a
     sparse LU on the coarsest level that has interior unknowns. The
     Galerkin operators P^T M P and P^T (S + D) P of every level are built
@@ -289,7 +295,7 @@ class Resolvent:
     the mesh must have a lineage (be made by refine_uniform), else
     ValueError. Solves go through solve_resolvent, which records the
     residual norm of the calling thread's latest solve in `residual` and
-    its GMRES iteration count in `iterations`.
+    its GMRES iterations or refinement steps in `iterations`.
     """
 
     def __init__(
@@ -339,8 +345,8 @@ class Resolvent:
 
     @property
     def iterations(self):
-        """GMRES iterations of the calling thread's latest solve (None after
-        a direct solve or before the first)."""
+        """GMRES iterations or float32 refinement steps of the calling
+        thread's latest solve (None after a float64 LU or before the first)."""
         return self._held.iterations
 
     def map(self, work, items) -> list:
@@ -401,7 +407,7 @@ class Resolvent:
             k = alpha * self.m.data + self.form.s.data + self.form.d.data
             k_int = self._block.matrix(k)
             if self.backend == "direct":
-                factor = spla.splu(k_int.tocsc(), permc_spec="NATURAL").solve
+                factor = _DirectFactor(k_int, k_int.shape[0] >= _MULTIGRID_MIN_UNKNOWNS)
             else:
                 levels = [(alpha * m + k).tocsr() for m, k in self._levels.levels]
                 factor = self._levels.v_cycle(levels + [k_int])
@@ -421,9 +427,41 @@ class Resolvent:
         return self._mass(z)
 
 
+class _DirectFactor:
+    """Sparse LU of one interior system; with `single` a float32 LU whose
+    solves are refined to float64 accuracy (see Resolvent). A call returns
+    the solution and its refinement steps, None after a float64 LU."""
+
+    def __init__(self, k_int: sp.csr_matrix, single: bool):
+        self.k_int, self.single, self.norm = k_int, single, None
+        if single:
+            # ||K||_inf; abs(k_int) would sort the index arrays it shares in place
+            self.norm = np.add.reduceat(np.abs(k_int.data), k_int.indptr[:-1]).max()
+        a = k_int.astype(np.float32 if single else float, copy=False)
+        self.lu = spla.splu(a.tocsc(), permc_spec="NATURAL")
+
+    def __call__(self, b: np.ndarray):
+        if self.single:
+            x, last = self.lu.solve(b.astype(np.float32)).astype(float), np.inf
+            for steps in range(11):
+                r = b - self.k_int @ x
+                size, scale = np.abs(r).max(), self.norm * np.abs(x).max() + np.abs(b).max()
+                if size <= 4 * np.finfo(float).eps * scale:
+                    return x, steps
+                if steps == 10 or not size <= last / 2:  # capped, stagnating or not finite
+                    break
+                last = size
+                x += self.lu.solve(r.astype(np.float32))
+            # free the float32 LU first; the float64 one serves every later solve
+            self.lu = None
+            self.lu = spla.splu(self.k_int.tocsc(), permc_spec="NATURAL")
+            self.single = False
+        return self.lu.solve(b), None
+
+
 class _Held(threading.local):
     """One thread's held system: its alpha, matrix and factor, and the
-    residual and GMRES iteration count of its latest solve."""
+    residual and iteration count of its latest solve."""
 
     alpha = k_int = factor = residual = iterations = None
 
@@ -484,9 +522,8 @@ def solve_resolvent(
     f_zeroed[interior] = f_vec[interior]
     rhs = (res.m @ f_zeroed)[interior]
     k_int, factor = res._system(alpha)
-    iterations = None
     if res.backend == "direct":
-        u_int = factor(rhs)
+        u_int, iterations = factor(rhs)
     else:
         u_int, info, iterations = _gmres(k_int, rhs, factor, res.tol, res.maxiter)
         if info != 0:

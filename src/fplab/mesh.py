@@ -115,7 +115,8 @@ class SimplicialMesh:
         Vertex indices, positively oriented.
     boundary : ndarray of bool, shape (nv,)
         Per-vertex boundary flags (analytic against the domain descriptor
-        when one is attached, otherwise as read from file).
+        when one is attached, otherwise as read from file; refine_uniform
+        carries them to the finer mesh).
     domain : Ball | Box | None
         Descriptor used for boundary detection and refinement projection.
     lineage : tuple of RefinementLevel
@@ -569,26 +570,31 @@ def refine_uniform(mesh: SimplicialMesh) -> SimplicialMesh:
     """Red refinement: split every element by its edge midpoints.
 
     Midpoints of boundary edges of a ball mesh are projected onto the
-    sphere. Triangles yield 4 children; tetrahedra yield 4 corner children
-    plus 4 from the inner octahedron, split along its shortest diagonal
-    (Bey 1995). The refined mesh's lineage is the coarse mesh's plus the
+    sphere. Every coarse vertex keeps its index and boundary flag; a
+    midpoint is flagged when its edge lies on a boundary facet whose
+    vertices are all flagged, so flags set by hand survive refinement.
+    Triangles yield 4 children; tetrahedra yield 4 corner children plus 4
+    from the inner octahedron, split along its shortest diagonal (Bey
+    1995). The refined mesh's lineage is the coarse mesh's plus the
     coarse mesh itself, kept as a RefinementLevel.
     """
     dim, nv = mesh.dim, mesh.num_vertices
     edges, element_edges = _mesh_edges(mesh)
     mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
 
-    if isinstance(mesh.domain, Ball):
-        facets, ids, counts = _facet_table(mesh)
-        facet_edges = facets[counts[ids] == 1][:, _LOCAL_EDGES[dim - 1]].reshape(-1, 2)
-        edge_keys = edges[:, 0] * nv + edges[:, 1]
-        bmask = np.zeros(len(edges), dtype=bool)
-        bmask[np.searchsorted(edge_keys, facet_edges[:, 0] * nv + facet_edges[:, 1])] = True
-        if bmask.any():
-            c = np.asarray(mesh.domain.center)
-            v = mids[bmask] - c
-            norms = np.linalg.norm(v, axis=1, keepdims=True)
-            mids[bmask] = c + mesh.domain.radius * v / norms
+    facets, ids, counts = _facet_table(mesh)
+    outer = facets[counts[ids] == 1]
+    facet_edges = outer[:, _LOCAL_EDGES[dim - 1]].reshape(-1, 2)
+    edge_keys = edges[:, 0] * nv + edges[:, 1]
+    on_facet = np.searchsorted(edge_keys, facet_edges[:, 0] * nv + facet_edges[:, 1])
+    if isinstance(mesh.domain, Ball) and on_facet.size:
+        c = np.asarray(mesh.domain.center)
+        v = mids[on_facet] - c
+        norms = np.linalg.norm(v, axis=1, keepdims=True)
+        mids[on_facet] = c + mesh.domain.radius * v / norms
+    flagged = mesh.boundary[outer].all(axis=1).repeat(len(_LOCAL_EDGES[dim - 1]))
+    boundary = np.concatenate([mesh.boundary, np.zeros(len(edges), dtype=bool)])
+    boundary[nv + on_facet[flagged]] = True
 
     vertices = np.vstack([mesh.vertices, mids])
     local = np.concatenate([mesh.elements, nv + element_edges], axis=1)
@@ -608,6 +614,7 @@ def refine_uniform(mesh: SimplicialMesh) -> SimplicialMesh:
         children.reshape(-1, dim + 1),
         dim,
         mesh.domain,
+        boundary=boundary,
         lineage=mesh.lineage + (level,),
     )
 

@@ -460,3 +460,57 @@ def test_dissection_keeps_an_uncuttable_part_whole():
         dim=2, vertices=vertices, elements=elements, boundary=np.ones(101, dtype=bool)
     )
     assert np.array_equal(mesh.dissection_order, np.arange(101))
+
+
+def test_refinement_keeps_hand_set_boundary_flags():
+    # two unit squares side by side with the left one's Box descriptor: the
+    # descriptor misses most of the right square's boundary
+    left = build_box_mesh((0.0, 0.0), (1.0, 1.0), 6)
+    mesh = SimplicialMesh(
+        dim=2,
+        vertices=np.vstack([left.vertices, left.vertices + np.array([2.0, 0.0])]),
+        elements=np.vstack([left.elements, left.elements + left.num_vertices]),
+        boundary=np.concatenate([left.boundary, left.boundary]),
+        domain=left.domain,
+    )
+    fine = refine_uniform(mesh)
+    n = mesh.num_vertices
+    assert np.array_equal(fine.boundary[:n], mesh.boundary)
+    assert int(fine.boundary.sum()) == 2 * int(refine_uniform(left).boundary.sum())
+    assert check_conformity(fine)["conforming"]
+
+
+def test_refinement_keeps_a_partial_dirichlet_set():
+    # only the bottom side flagged: its midpoints are flagged, no others
+    mesh = build_box_mesh((0.0, 0.0), (1.0, 1.0), 4)
+    bottom = mesh.vertices[:, 1] == 0.0
+    mesh = SimplicialMesh(
+        dim=2, vertices=mesh.vertices, elements=mesh.elements, boundary=bottom,
+        domain=mesh.domain,
+    )
+    fine = refine_uniform(mesh)
+    assert np.array_equal(fine.boundary, fine.vertices[:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("dim, levels", [(2, 6), (3, 4)])
+def test_refined_ball_flags_match_the_descriptor(dim, levels):
+    mesh = build_ball_mesh((0.0,) * dim, 1.0, levels=0)
+    for level in range(levels + 1):
+        if level:
+            mesh = refine_uniform(mesh)
+        assert np.array_equal(mesh.boundary, mesh.domain.boundary_mask(mesh.vertices))
+
+
+@pytest.mark.parametrize(
+    "lo, hi, cells",
+    [
+        ((0.0, 0.0), (1.0, 1.0), 6),
+        ((-1.0, 0.5), (2.0, 3.0), (5, 3)),
+        ((0.0, 0.0, 0.0), (2.0, 1.0, 1.0), 3),
+    ],
+)
+def test_refined_box_flags_match_the_descriptor(lo, hi, cells):
+    mesh = build_box_mesh(lo, hi, cells)
+    for _ in range(3):
+        mesh = refine_uniform(mesh)
+        assert np.array_equal(mesh.boundary, mesh.domain.boundary_mask(mesh.vertices))
