@@ -93,9 +93,8 @@ def _pinned_solve(mesh: SimplicialMesh, k: sp.csr_matrix, pin: int, multigrid: b
     count (None after an LU). The unknowns are the vertices but the pin: in
     index order for V-cycle-preconditioned GMRES along the lineage, else in
     the mesh's nested-dissection order, factored as is."""
-    kept = np.arange(mesh.num_vertices) != pin
-    if not multigrid:
-        kept = mesh.dissection_order[kept[mesh.dissection_order]]
+    order = np.arange(mesh.num_vertices) if multigrid else mesh.dissection_order
+    kept = order[order != pin]
     block = _Restriction(mesh, kept)
     sub, rhs = block.matrix(k.data), -k.getcol(pin).toarray().ravel()[kept]
     if multigrid:

@@ -42,7 +42,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NonFiniteValue, NonPositiveDensity
-from .mesh import SimplicialMesh
+from .mesh import SimplicialMesh, _read_only
 from .quadrature import QuadratureRule, quadrature_rule
 
 # quadrature fields and element kernels run over blocks of this many elements
@@ -382,25 +382,16 @@ def l2_error(u: FeFunction, exact, weight=None, rule=None) -> float:
 
 
 class _Restriction:
-    """Matrices on the mesh's P1 pattern (`mesh._csr_plan`) restricted to kept
-    vertices, given as a vertex mask (index order) or as vertex ids (their
-    order). The restricted pattern is indexed once, so a restricted matrix is
-    one gather of pattern data: by a mask over the plan's entries for a
-    vertex mask (no id template: less heap for the density), else by ids."""
+    """Matrices on the mesh's P1 pattern (`mesh._csr_plan`) restricted to
+    kept vertex ids, in their order. The pattern is indexed once, so a
+    restricted matrix is one gather of pattern data. The matrices share its
+    index arrays, read-only so that an in-place canonicalization (abs()
+    sorts unsorted rows) raises ValueError instead of corrupting them."""
 
     def __init__(self, mesh: SimplicialMesh, kept: np.ndarray):
         self.mesh, self.kept = mesh, kept
-        plan = mesh._csr_plan
-        if kept.dtype == bool:
-            rows, n = plan.rows(), int(kept.sum())
-            self._take = kept[rows] & kept[plan.indices]
-            pos = (np.cumsum(kept) - 1).astype(plan.indices.dtype)
-            indptr = np.zeros(n + 1, dtype=plan.indptr.dtype)
-            np.cumsum(np.bincount(pos[rows[self._take]], minlength=n), out=indptr[1:])
-            self._pattern = (pos[plan.indices[self._take]], indptr)
-        else:
-            ids = _csr(mesh, np.arange(plan.indices.size, dtype=np.int32))[kept][:, kept]
-            self._take, self._pattern = ids.data, (ids.indices, ids.indptr)
+        ids = _csr(mesh, np.arange(mesh._csr_plan.indices.size, dtype=np.int32))[kept][:, kept]
+        self._take, self._pattern = ids.data, (_read_only(ids.indices), _read_only(ids.indptr))
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The restricted CSR matrix of the data on the mesh's pattern."""

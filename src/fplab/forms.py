@@ -22,14 +22,15 @@ CG to a relative residual of 1e-14, since M is well conditioned. Below that
 size they all use a sparse LU. The interior systems and their V-cycle come
 from fem._Restriction, as the density's pinned systems do.
 
-The resolvent checks solve one independent system per alpha. Resolvent.map
-runs that per-alpha work two alphas at a time on worker threads, because
-SciPy's sparse LU releases the interpreter lock: each alpha's factor is
-made, used and freed on one worker, and the results, the factorization
-count and the solve order at each alpha are those of a sequential sweep.
-With one usable CPU, on systems too small to gain from it (fewer than 2000
-interior unknowns), or with multigrid GMRES, whose solves take
-milliseconds, the work runs inline and no thread is started.
+The checks solve their alphas in turn on the calling thread. The direct
+sweeps (resolvent_sweep, experiment.run_experiment) solve one independent
+system per alpha through Resolvent.map, which runs two alphas at a time on
+worker threads, because SciPy's sparse LU releases the interpreter lock:
+each alpha's factor is made, used and freed on one worker, and the
+results, the factorization count and the solve order at each alpha are
+those of a sequential sweep. With one usable CPU, on systems too small to
+gain from it (fewer than 2000 interior unknowns), or with multigrid GMRES,
+whose solves take milliseconds, the work runs inline.
 """
 
 from __future__ import annotations
@@ -259,17 +260,18 @@ class Resolvent:
     indexed once, so the system for one alpha is a gather of its data. It is
     factored on its first solve and the factor is reused for every further
     solve at that alpha on the same thread; a solve at another alpha
-    replaces it. Factors are held per thread, so each thread holds at most
-    one system factor, and a factor is freed on the thread that made it:
-    map() drops a worker's factor before each task returns. (A SuperLU
-    factor freed on another thread left its memory with the thread that
-    made it: 12 factors on the 3D level-4 ball raised RSS from 170 to
-    386 MB, against 193 MB when each was freed where it was made.) Before
-    it starts its threads, map() sets glibc's arena limit to 1, so that
-    workers allocate from the main arena and a worker's last factor does
-    not stay resident after it is freed. mass_solve applies M^{-1}. A
-    Resolvent is meant to live for one computation: the form itself stores
-    no factors, so holding on to them never stacks on later stages' memory.
+    replaces it. The checks solve on the calling thread. Factors are held
+    per thread, so each thread holds at most one system factor, and a
+    factor is freed on the thread that made it: map() drops a worker's
+    factor before each task returns. (A SuperLU factor freed on another
+    thread left its memory with the thread that made it: 12 factors on the
+    3D level-4 ball raised RSS from 170 to 386 MB, against 193 MB when each
+    was freed where it was made.) Before it starts its threads, map() sets
+    glibc's arena limit to 1, so that workers allocate from the main arena
+    and a worker's last factor does not stay resident after it is freed.
+    mass_solve applies M^{-1}. A Resolvent is meant to live for one
+    computation: the form itself stores no factors, so holding on to them
+    never stacks on later stages' memory.
 
     The interior unknowns are held in the mesh's nested-dissection order:
     `interior` is `order[~boundary[order]]` for `order =
@@ -352,16 +354,18 @@ class Resolvent:
     def map(self, work, items) -> list:
         """[work(x, earlier) for x in items], two items at a time.
 
-        Each work(x, earlier) must solve at one alpha only. It runs on a
-        worker thread, which factors that alpha's system on its first solve,
-        reuses the factor for work's further solves and drops it when work
-        returns; so at most two factors are alive at once, and an item that
-        repeats an alpha factors it again. `earlier(k)` returns (waiting for
-        it if need be) the result of items[k]; k must be below the index of
-        x, because items start in order. The results come back in the order
-        of items, and the first failing item in that order raises. With one
-        usable CPU, fewer than 2000 interior unknowns or the gmres backend,
-        every item runs inline, in order, on the calling thread.
+        The direct sweeps (resolvent_sweep, experiment.run_experiment) run
+        their alphas through it. Each work(x, earlier) must solve at one
+        alpha only. It runs on a worker thread, which factors that alpha's
+        system on its first solve, reuses the factor for work's further
+        solves and drops it when work returns; so at most two factors are
+        alive at once, and an item that repeats an alpha factors it again.
+        `earlier(k)` returns (waiting for it if need be) the result of
+        items[k]; k must be below the index of x, because items start in
+        order. The results come back in the order of items, and the first
+        failing item in that order raises. With one usable CPU, fewer than
+        2000 interior unknowns or the gmres backend, every item runs inline,
+        in order, on the calling thread.
         """
         if (
             _WORKERS < 2
@@ -483,14 +487,7 @@ def _check_resolvent(form: FormMatrices, lumped: bool = False) -> Resolvent:
     return Resolvent(form, lumped=lumped)
 
 
-def solve_resolvent(
-    form,
-    alpha: float,
-    f,
-    backend: str = "direct",
-    tol: float = 1e-10,
-    maxiter: int = 10000,
-) -> FeFunction:
+def solve_resolvent(form, alpha: float, f) -> FeFunction:
     """Solve (alpha M + S + D) u = M f on interior DOFs with zero boundary.
 
     Data enters through its interior restriction: boundary vertex values
@@ -500,22 +497,16 @@ def solve_resolvent(
     M-projection of f, leaving an alpha-independent gap for data with a
     nonzero boundary trace).
 
-    `form` is a FormMatrices or a Resolvent. A Resolvent reuses its factor
-    across solves at the same alpha and its own backend, tol and maxiter
-    apply; a FormMatrices gets a one-shot Resolvent built from the keyword
-    arguments.
-
-    backend "direct" uses a sparse LU; "gmres" uses multigrid-preconditioned
-    GMRES (see Resolvent) with at most maxiter restart cycles of 20 inner
-    iterations and raises SolverDivergence if it misses the tolerance
-    within them. A residual check guards both paths.
+    `form` is a Resolvent, which reuses its factor across solves at the same
+    alpha and solves with its own backend, tol and maxiter, or a
+    FormMatrices, which gets a one-shot default Resolvent (a sparse LU).
+    GMRES that misses its tolerance within maxiter restart cycles of 20
+    inner iterations raises SolverDivergence, and a residual check guards
+    both backends.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if isinstance(form, Resolvent):
-        res = form
-    else:
-        res = Resolvent(form, backend=backend, tol=tol, maxiter=maxiter)
+    res = form if isinstance(form, Resolvent) else Resolvent(form)
     f_vec = f.values if isinstance(f, FeFunction) else np.asarray(f, dtype=float)
     interior = res.interior
     f_zeroed = np.zeros_like(f_vec)
@@ -562,22 +553,13 @@ def check_contraction(
     Raises ContractionViolation if any ratio exceeds 1 + tol.
     """
     rng = np.random.default_rng(seed)
-    n = form.mesh.num_vertices
     res = _check_resolvent(form)
-
-    def draw():
-        f = np.zeros(n)
-        f[form.interior] = rng.standard_normal(form.interior.size)
-        return f
-
-    # drawn alpha-major, as a sequential sweep draws them; all trials at one
-    # alpha share its factor
-    batches = [(alpha, [draw() for _ in range(trials)]) for alpha in alphas]
-
-    def work(batch, _):
-        alpha, trial_data = batch
-        rows = []
-        for t, f in enumerate(trial_data):
+    rows = []
+    # all trials at one alpha share its factor
+    for alpha in alphas:
+        for t in range(trials):
+            f = np.zeros(form.mesh.num_vertices)
+            f[form.interior] = rng.standard_normal(form.interior.size)
             u = solve_resolvent(res, alpha, f)
             ratio = alpha * form.l2_norm(u.values) / form.l2_norm(f)
             if ratio > 1.0 + tol:
@@ -585,9 +567,6 @@ def check_contraction(
                     f"||alpha G_alpha f|| / ||f|| = {ratio:.12f} at alpha={alpha}"
                 )
             rows.append((float(alpha), t, float(ratio)))
-        return rows
-
-    rows = [row for batch_rows in res.map(work, batches) for row in batch_rows]
     worst = max([0.0] + [ratio for _, _, ratio in rows])
     return ContractionReport(rows=rows, max_ratio=float(worst))
 
@@ -605,15 +584,9 @@ def check_resolvent_identity(
 ) -> ResolventIdentityReport:
     """Defect of G_alpha - G_beta - (beta - alpha) G_alpha G_beta applied to f."""
     res = _check_resolvent(form)
-
-    # beta's task starts first, and both alpha solves share one factor
-    def work(k, earlier):
-        if k == 0:
-            return solve_resolvent(res, beta, f)
-        u_a = solve_resolvent(res, alpha, f)
-        return _identity_report(res, alpha, beta, f, u_a, earlier(0))
-
-    return res.map(work, (0, 1))[1]
+    # beta first, so that both alpha solves share one factor
+    u_b = solve_resolvent(res, beta, f)
+    return _identity_report(res, alpha, beta, f, solve_resolvent(res, alpha, f), u_b)
 
 
 def _identity_report(
@@ -645,17 +618,15 @@ def check_submarkov(
     form: FormMatrices,
     alpha: float,
     f=None,
-    lump_mass: bool = True,
     tol: float = 1e-8,
 ) -> SubmarkovReport:
     """Check 0 <= alpha G_alpha f <= 1 for indicator-like data 0 <= f <= 1.
 
-    Precondition: the mesh acuteness flag holds or mass lumping is enabled
-    (default); with a lumped weighted mass and non-positive stiffness
-    off-diagonals the system matrix is an M-matrix and the bounds are exact
-    in exact arithmetic. Raises SubmarkovViolation beyond tol.
+    The weighted mass is lumped; with non-positive stiffness off-diagonals
+    the system matrix is then an M-matrix and the bounds are exact in exact
+    arithmetic. Raises SubmarkovViolation beyond tol.
     """
-    return _submarkov(_check_resolvent(form, lumped=lump_mass), alpha, f, tol)
+    return _submarkov(_check_resolvent(form, lumped=True), alpha, f, tol)
 
 
 def _submarkov(res: Resolvent, alpha: float, f, tol: float) -> SubmarkovReport:
@@ -746,11 +717,9 @@ def strong_continuity_gaps(
     f_vec[interior] = f_raw[interior]
     alphas = np.asarray(sorted(float(a) for a in alphas))
     res = _check_resolvent(form)
-
-    def work(alpha, _):
-        return form.l2_norm(alpha * solve_resolvent(res, alpha, f_vec).values - f_vec)
-
-    gaps = np.array(res.map(work, alphas), dtype=float)
+    gaps = np.array(
+        [form.l2_norm(a * solve_resolvent(res, a, f_vec).values - f_vec) for a in alphas]
+    )
     z = ((form.s + form.d) @ f_vec)[res.interior]
     w = res.mass_solve(z)
     final_bound = float(np.sqrt(max(z @ w, 0.0))) / alphas[-1]

@@ -193,13 +193,13 @@ class SimplicialMesh:
     def _prolongations(self, kept) -> list:
         """Prolongations along the lineage between kept vertices, coarsest first.
 
-        kept is a vertex mask or vertex ids of this mesh. A lineage mesh of n
-        vertices keeps the kept ones below n, since every lineage vertex
-        keeps its index on each finer mesh. Entry k maps values at the kept vertices of
-        lineage level k (in index order) to values at the kept vertices of
-        the next finer mesh, the last one to this mesh's in the order of
-        kept: P = [I; (e_i + e_j) / 2], a coarse vertex keeping its value and
-        a midpoint taking the mean of its edge's ends. Values off the kept
+        kept is vertex ids of this mesh. A lineage mesh of n vertices keeps
+        the kept ones below n, since every lineage vertex keeps its index on
+        each finer mesh. Entry k maps values at the kept vertices of lineage
+        level k (in index order) to values at the kept vertices of the next
+        finer mesh, the last one to this mesh's in the order of kept:
+        P = [I; (e_i + e_j) / 2], a coarse vertex keeping its value and a
+        midpoint taking the mean of its edge's ends. Values off the kept
         vertices are zero.
         """
         mask = np.zeros(self.num_vertices, dtype=bool)
@@ -706,15 +706,11 @@ def write_mesh(mesh: SimplicialMesh, path):
 
 
 def read_mesh(path) -> SimplicialMesh:
+    """Read a write_mesh archive, orienting and checking elements as the builders do."""
     with np.load(path, allow_pickle=False) as data:
-        dim = int(data["dim"][0])
-        vertices = np.array(data["vertices"], dtype=float)
-        elements = np.array(data["elements"], dtype=np.int64)
-        boundary = np.array(data["boundary"], dtype=bool)
         domain = None
         if "domain_kind" in data:
-            kind = str(data["domain_kind"])
-            if kind == "ball":
+            if str(data["domain_kind"]) == "ball":
                 domain = Ball(
                     center=tuple(float(c) for c in data["domain_a"]),
                     radius=float(data["domain_b"][0]),
@@ -724,6 +720,10 @@ def read_mesh(path) -> SimplicialMesh:
                     lo=tuple(float(c) for c in data["domain_a"]),
                     hi=tuple(float(c) for c in data["domain_b"]),
                 )
-    return SimplicialMesh(
-        dim=dim, vertices=vertices, elements=elements, boundary=boundary, domain=domain
-    )
+        return _orient_and_build(
+            data["vertices"],
+            data["elements"],
+            int(data["dim"][0]),
+            domain,
+            boundary=data["boundary"],
+        )

@@ -33,6 +33,7 @@ from fplab import (
     vector_at_quad,
     weak_divergence_matrix,
 )
+from fplab.fem import _Restriction
 from fplab.mesh import _p1_gradients, signed_volumes
 
 
@@ -226,6 +227,20 @@ def test_cached_geometry_is_read_only(center):
     for arr in _cached_geometry(mesh).values():
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0.0
+
+
+def test_restricted_pattern_is_read_only():
+    mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=2)
+    order = mesh.dissection_order
+    block = _Restriction(mesh, order[~mesh.boundary[order]])
+    data = np.random.default_rng(0).standard_normal(mesh._csr_plan.indices.size)
+    k_int = block.matrix(data)
+    reference = k_int.toarray()
+    assert not k_int.has_sorted_indices
+    # abs() would sort the shared column indices in place
+    with pytest.raises(ValueError, match="read-only"):
+        abs(k_int)
+    np.testing.assert_array_equal(block.matrix(data).toarray(), reference)
 
 
 @pytest.mark.parametrize("center", [(0.0, 0.0), (0.2, -0.1, 0.3)])

@@ -133,7 +133,7 @@ def test_resolvent_input_validation(gaussian2):
     with pytest.raises(ValueError):
         solve_resolvent(form, -1.0, f)
     with pytest.raises(ValueError):
-        solve_resolvent(form, 1.0, f, backend="cg")
+        Resolvent(form, backend="cg")
     # the resolvent adds the blocks' data arrays, so they must share a pattern
     diagonal = sp.identity(form.mesh.num_vertices, format="csr")
     with pytest.raises(ValueError, match="pattern"):
@@ -145,8 +145,8 @@ def test_gmres_matches_direct(gaussian2):
     rng = np.random.default_rng(23)
     f = np.zeros(form.mesh.num_vertices)
     f[form.interior] = rng.standard_normal(form.interior.size)
-    ud = solve_resolvent(form, 10.0, f, backend="direct")
-    ug = solve_resolvent(form, 10.0, f, backend="gmres")
+    ud = solve_resolvent(Resolvent(form, backend="direct"), 10.0, f)
+    ug = solve_resolvent(Resolvent(form, backend="gmres"), 10.0, f)
     scale = np.abs(ud.values).max()
     assert np.abs(ud.values - ug.values).max() <= 1e-7 * scale
 

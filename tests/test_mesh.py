@@ -15,6 +15,7 @@ from fplab import (
     InvalidRadius,
     RefinementTooDeep,
     SimplicialMesh,
+    SingularElement,
     boundary_facets,
     build_ball_mesh,
     build_box_mesh,
@@ -402,6 +403,33 @@ def test_mesh_io_roundtrip(tmp_path):
     path2 = tmp_path / "box.npz"
     write_mesh(mesh2, path2)
     assert read_mesh(path2).domain == mesh2.domain
+
+
+def test_read_mesh_orients_and_checks_elements(tmp_path):
+    mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=1)
+    flipped = mesh.elements.copy()
+    flipped[0, [-2, -1]] = flipped[0, [-1, -2]]
+    # hand-set flags that the domain descriptor would not give
+    boundary = mesh.boundary.copy()
+    boundary[0] = True
+    path = tmp_path / "flipped.npz"
+    write_mesh(
+        SimplicialMesh(mesh.dim, mesh.vertices, flipped, boundary, mesh.domain), path
+    )
+    assert signed_volumes(mesh.vertices, flipped, mesh.dim)[0] < 0
+    back = read_mesh(path)
+    np.testing.assert_array_equal(back.elements, mesh.elements)
+    assert (signed_volumes(back.vertices, back.elements, back.dim) > 0).all()
+    np.testing.assert_array_equal(back.boundary, boundary)
+    assert back.domain == mesh.domain
+
+    degenerate = mesh.elements.copy()
+    degenerate[0, 1] = degenerate[0, 0]
+    write_mesh(
+        SimplicialMesh(mesh.dim, mesh.vertices, degenerate, mesh.boundary, mesh.domain), path
+    )
+    with pytest.raises(SingularElement, match="element 0"):
+        read_mesh(path)
 
 
 def test_invalid_inputs_raise():

@@ -1,4 +1,5 @@
-"""Resolvent.map: alphas factored two at a time on worker threads.
+"""Resolvent.map: the direct sweeps' alphas factored two at a time on
+worker threads, while the checks factor on the calling thread.
 
 Every test forces the worker count, so the pool path runs on a one-CPU
 machine too, and compares it with the inline path of one usable CPU. The
@@ -61,19 +62,11 @@ def interior_data(form, seed):
     return f
 
 
-def run_all(form, density, cutoff, constants):
-    """The five functions that route their alpha loops through Resolvent.map."""
-    f = interior_data(form, 41)
-    contraction = check_contraction(form, alphas=ALPHAS[:4], trials=3, seed=42)
-    identity = check_resolvent_identity(form, 1.0, 16.0, f)
-    continuity = strong_continuity_gaps(form, f, alphas=ALPHAS)
+def run_sweeps(form, density, cutoff, constants):
+    """The two functions that route their alpha loops through Resolvent.map."""
     sweep = resolvent_sweep(form, alphas=ALPHAS, seed=43)
     experiment = run_experiment(form, cutoff, density.rho, constants, alphas=ALPHAS)
     return {
-        "contraction_rows": np.array(contraction.rows),
-        "identity_defect": np.array([identity.defect, identity.relative_defect]),
-        "gaps": continuity.gaps,
-        "final_bound": np.array([continuity.final_bound]),
         "ratios": np.array(sweep.contraction_ratios),
         "residuals": np.array(sweep.residuals),
         "sweep_identity_defect": np.array([sweep.identity_defect]),
@@ -139,16 +132,30 @@ def test_each_factor_is_freed_by_the_thread_that_made_it(rotator3, monkeypatch):
     recorder = FactorRecorder()
     monkeypatch.setattr(fplab.forms, "spla", recorder)
     monkeypatch.setattr(fplab.forms, "_WORKERS", 2)
-    run_all(*rotator3)
+    run_sweeps(*rotator3)
     gc.collect()
     records = recorder.records
-    # 4 + 2 + (6 + mass) + (6 + lumped) + 6
-    assert len(records) == 26
+    # (6 + lumped) + 6
+    assert len(records) == 13
     assert all(r.freer is not None for r in records)
     assert all(r.freer == r.maker for r in records)
     main = threading.get_ident()
-    assert sum(r.maker != main for r in records) == 4 + 2 + 6 + 6 + 6
+    assert sum(r.maker != main for r in records) == 6 + 6
     assert recorder.peak <= 2
+
+
+def test_the_checks_factor_on_the_calling_thread(rotator3, monkeypatch):
+    recorder = FactorRecorder()
+    monkeypatch.setattr(fplab.forms, "spla", recorder)
+    monkeypatch.setattr(fplab.forms, "_WORKERS", 2)
+    form = rotator3[0]
+    f = interior_data(form, 41)
+    check_contraction(form, alphas=ALPHAS[:4], trials=3, seed=42)
+    check_resolvent_identity(form, 1.0, 16.0, f)
+    strong_continuity_gaps(form, f, alphas=ALPHAS)
+    # 4 + 2 + (6 + mass)
+    assert len(recorder.records) == 13
+    assert {r.maker for r in recorder.records} == {threading.get_ident()}
 
 
 def test_small_systems_run_inline(rotator3, monkeypatch):
@@ -157,8 +164,8 @@ def test_small_systems_run_inline(rotator3, monkeypatch):
     monkeypatch.setattr(fplab.forms, "_WORKERS", 2)
     monkeypatch.setattr(fplab.forms, "_POOL_MIN_UNKNOWNS", 2000)
     assert rotator3[0].interior.size < 2000
-    run_all(*rotator3)
-    assert len(recorder.records) == 26
+    run_sweeps(*rotator3)
+    assert len(recorder.records) == 13
     assert {r.maker for r in recorder.records} == {threading.get_ident()}
 
 
@@ -184,18 +191,16 @@ def test_a_task_drops_its_factor_before_it_returns(rotator3, monkeypatch):
 
 def test_pool_and_inline_paths_agree_bit_for_bit(rotator3, monkeypatch):
     monkeypatch.setattr(fplab.forms, "_WORKERS", 1)
-    inline = run_all(*rotator3)
+    inline = run_sweeps(*rotator3)
     monkeypatch.setattr(fplab.forms, "_WORKERS", 2)
-    pooled = run_all(*rotator3)
+    pooled = run_sweeps(*rotator3)
     assert inline.keys() == pooled.keys()
     for key in inline:
         assert np.array_equal(inline[key], pooled[key]), key
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_contraction_violation_names_the_first_offending_alpha(rotator3, monkeypatch, workers):
+def test_contraction_violation_names_the_first_offending_alpha(rotator3):
     form = rotator3[0]
-    monkeypatch.setattr(fplab.forms, "_WORKERS", workers)
     rows = check_contraction(form, alphas=ALPHAS[:4], trials=3, seed=45).rows
     # every ratio above the largest one at the first alpha now violates
     threshold = max(ratio for alpha, _, ratio in rows if alpha == ALPHAS[0])
@@ -208,18 +213,20 @@ def test_contraction_violation_names_the_first_offending_alpha(rotator3, monkeyp
 
 
 def test_more_workers_than_cores_under_fast_switching(rotator3, monkeypatch):
-    form = rotator3[0]
-    f = interior_data(form, 46)
+    form, density, cutoff, constants = rotator3
+
+    def run():
+        sweep = resolvent_sweep(form, alphas=ALPHAS, seed=47)
+        return sweep, run_experiment(form, cutoff, density.rho, constants, alphas=ALPHAS)
+
     monkeypatch.setattr(fplab.forms, "_WORKERS", 1)
-    reference = resolvent_sweep(form, alphas=ALPHAS, seed=47), strong_continuity_gaps(form, f)
+    reference = run()
     monkeypatch.setattr(fplab.forms, "_WORKERS", 4)
     results = []
 
     def stressed():
         for _ in range(3):
-            results.append(
-                (resolvent_sweep(form, alphas=ALPHAS, seed=47), strong_continuity_gaps(form, f))
-            )
+            results.append(run())
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -231,8 +238,9 @@ def test_more_workers_than_cores_under_fast_switching(rotator3, monkeypatch):
         sys.setswitchinterval(interval)
     assert not worker.is_alive()
     assert len(results) == 3
-    for sweep, continuity in results:
+    for sweep, experiment in results:
         assert sweep.contraction_ratios == reference[0].contraction_ratios
         assert sweep.residuals == reference[0].residuals
         assert sweep.identity_defect == reference[0].identity_defect
-        assert np.array_equal(continuity.gaps, reference[1].gaps)
+        assert np.array_equal(experiment.energies, reference[1].energies)
+        assert np.array_equal(experiment.l2_gaps, reference[1].l2_gaps)
