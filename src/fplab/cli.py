@@ -8,12 +8,19 @@ each package error class carries its own code (see `errors`).
 Reports embed the config hash and the package version. CSV files are
 written with repr-exact floats, so identical config and seed give byte
 identical output; JSON is emitted with sorted keys.
+
+A stage runs with every loaded OpenBLAS set to one thread (see
+`_one_blas_thread`), so its output does not depend on the BLAS thread
+count of the environment.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -344,6 +351,66 @@ COMMANDS = {
 }
 
 
+# the (get, set) thread-count functions of NumPy's ILP64 OpenBLAS, SciPy's
+# OpenBLAS and a system OpenBLAS
+_OPENBLAS_THREAD_CONTROLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _mapped_libraries() -> set:
+    """Paths of the shared libraries mapped into this process (Linux)."""
+    try:
+        with open("/proc/self/maps") as f:
+            fields = [line.split(maxsplit=5) for line in f]
+    except OSError:
+        return set()
+    return {parts[5].strip() for parts in fields if len(parts) == 6}
+
+
+def _openblas_thread_controls() -> list:
+    """The (get, set) thread-count functions of every loaded OpenBLAS."""
+    controls = []
+    for path in sorted(_mapped_libraries()):
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CONTROLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread, then restore
+    each library's count.
+
+    A stage's BLAS work is level 1 and 2 on vectors of 1e3 to 1e5 entries
+    (GMRES, norms) and SuperLU's small supernode kernels: more threads gain
+    nothing there, their idle workers spin on the other cores, and they make
+    GMRES and SuperLU reductions, hence the reports, depend on their count.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fplab",
@@ -383,7 +450,8 @@ def main(argv=None) -> int:
     else:
         cfg = parse_config_text(DEFAULT_CONFIG_TEXT)
     try:
-        return COMMANDS[args.command](cfg, args.emit_plot_data)
+        with _one_blas_thread():
+            return COMMANDS[args.command](cfg, args.emit_plot_data)
     except FplabError as exc:
         line = exc.stderr_format.format(name=type(exc).__name__, message=exc)
         print(f"{args.command}: {line}", file=sys.stderr)

@@ -611,7 +611,6 @@ class SubmarkovReport:
     alpha: float
     min_value: float
     max_value: float
-    lumped: bool
 
 
 def check_submarkov(
@@ -646,7 +645,7 @@ def _submarkov(res: Resolvent, alpha: float, f, tol: float) -> SubmarkovReport:
         raise SubmarkovViolation(
             f"alpha G_alpha f has range [{lo:.3e}, {hi:.3e}] at alpha={alpha}"
         )
-    return SubmarkovReport(alpha=float(alpha), min_value=lo, max_value=hi, lumped=res.lumped)
+    return SubmarkovReport(alpha=float(alpha), min_value=lo, max_value=hi)
 
 
 def apply_generator(form, u) -> FeFunction:
