@@ -351,10 +351,12 @@ COMMANDS = {
 }
 
 
-# the (get, set) thread-count functions of NumPy's ILP64 OpenBLAS, SciPy's
-# OpenBLAS and a system OpenBLAS
+# the (get, set) thread-count functions of the ILP64 OpenBLAS bundled with
+# NumPy 2.x and with NumPy 1.x, SciPy's OpenBLAS, and an LP64 OpenBLAS
+# (older SciPy wheels, a system build)
 _OPENBLAS_THREAD_CONTROLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )

@@ -94,3 +94,32 @@ def test_stage_runs_without_openblas(monkeypatch, tmp_path):
     )
     assert main(["mesh", "--config", str(config)]) == 0
     assert (tmp_path / "out" / "mesh_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "get_name, set_name",
+    [
+        ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+        ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+        ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+        ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ],
+)
+def test_each_thread_count_interface_is_found(monkeypatch, get_name, set_name):
+    # NumPy 1.x bundles an ILP64 OpenBLAS whose only thread-count functions
+    # are openblas_{get,set}_num_threads64_; NumPy 2.x and SciPy prefix
+    # theirs with scipy_, and an LP64 build has neither prefix nor suffix
+    class Function:
+        def __call__(self, *args):
+            return 4
+
+    class Library:
+        pass
+
+    lib = Library()
+    setattr(lib, get_name, Function())
+    setattr(lib, set_name, Function())
+    monkeypatch.setattr(fplab.cli, "_mapped_libraries", lambda: {"/lib/libopenblas64_p-r0.3.21.so"})
+    monkeypatch.setattr(fplab.cli.ctypes, "CDLL", lambda path: lib)
+    controls = fplab.cli._openblas_thread_controls()
+    assert controls == [(getattr(lib, get_name), getattr(lib, set_name))]
