@@ -59,7 +59,7 @@ def main():
     print(f"sup of the localized energies: {report.sup_energy:.4f}")
     print(f"margin under the bound: {report.margin:.4f}")
 
-    diag = convergence_diagnostics(report, reduction=1e-3)
+    diag = convergence_diagnostics(report)
     print(f"gap sequence monotone: {diag.l2_monotone}, "
           f"final/initial reduction {diag.l2_reduction:.2e}, "
           f"all diagnostics passed: {diag.passed}")

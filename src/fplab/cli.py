@@ -94,9 +94,12 @@ def _build_mesh(cfg: ExperimentConfig):
 def _coefficients(cfg: ExperimentConfig, mesh) -> CoefficientSet:
     if cfg.coeff_data:
         return load_coefficient_data(cfg.coeff_data, mesh)
-    radius = cfg.radius if cfg.domain_kind == "ball" else float(
-        np.max(np.asarray(cfg.box_hi) - np.asarray(cfg.box_lo))
-    )
+    # the preset's bounds hold for |x| <= radius: the largest |x| on the domain
+    if cfg.domain_kind == "ball":
+        radius = float(np.linalg.norm(cfg.center or (0.0,) * cfg.dim)) + cfg.radius
+    else:
+        corner = np.maximum(np.abs(cfg.box_lo), np.abs(cfg.box_hi))
+        radius = float(np.linalg.norm(corner))
     return preset(cfg.preset_name, cfg.dim, radius=radius, omega=cfg.omega)
 
 

@@ -154,8 +154,8 @@ def preset(name: str, dim: int, radius: float = 1.0, omega: float = 1.0) -> Coef
     dim : int
         Ambient dimension, 2 or 3.
     radius : float
-        Radius of the ball the declared bounds must cover (bounds of the
-        rough presets depend on the domain size).
+        Radius of the ball about the origin that the declared bounds must
+        cover (bounds of the rough presets depend on the domain size).
     omega : float
         Angular speed of the rotator drift.
     """
@@ -394,10 +394,10 @@ class WeakDivergence:
     residual: float     # max normalized defect against interior tests
     mesh: SimplicialMesh
 
-    def at_quad(self, rule, block: slice = slice(None)) -> np.ndarray:
+    def at_quad(self, block: slice = slice(None)) -> np.ndarray:
         """Values at the quadrature points of a block of elements, shape
         (nb, nq, dim)."""
-        return _p1_at_quad(self.mesh, self.values, rule, block)
+        return _p1_at_quad(self.mesh, self.values, block)
 
 
 def _boundary_facet_quadrature(mesh: SimplicialMesh):
@@ -439,7 +439,7 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
-def weak_divergence_matrix(mesh: SimplicialMesh, a, rule=None) -> WeakDivergence:
+def weak_divergence_matrix(mesh: SimplicialMesh, a) -> WeakDivergence:
     """Recover div a (row-wise, distributional) as a per-vertex P1 field.
 
     The recovery is a lumped-mass projection: for each component l the
@@ -450,9 +450,8 @@ def weak_divergence_matrix(mesh: SimplicialMesh, a, rule=None) -> WeakDivergence
     largest lumped-vs-consistent defect over interior test functions,
     normalized by the test function mass.
     """
-    rule = rule or quadrature_rule(mesh.dim)
     grads, _ = element_geometry(mesh)
-    wr = _quad_weights(mesh, rule, None)
+    wr = _quad_weights(mesh, None)
     dim, nv = mesh.dim, mesh.num_vertices
 
     weights = lumped_weights(mesh)
@@ -462,7 +461,7 @@ def weak_divergence_matrix(mesh: SimplicialMesh, a, rule=None) -> WeakDivergence
     # int <a e_l, grad phi_i> dx per column l and element, a sampled per block
     local = np.empty((dim, mesh.num_elements, dim + 1))
     for block in _blocks(mesh.num_elements):
-        a_q = matrix_at_quad(a, mesh, rule, block=block)
+        a_q = matrix_at_quad(a, mesh, block=block)
         for l in range(dim):
             local[l, block] = _flux_local(wr[block], a_q[:, :, :, l], grads[block])
     moments = np.stack([_scatter_vector(mesh, x) for x in local], axis=1)
@@ -478,7 +477,7 @@ def weak_divergence_matrix(mesh: SimplicialMesh, a, rule=None) -> WeakDivergence
 
     values = (flux - moments) / weights[:, None]
 
-    mass = assemble_weighted_mass(mesh, rho=None, rule=rule)
+    mass = assemble_weighted_mass(mesh)
     interior = mesh.interior
     defect = np.abs(moments[interior] + (mass @ values)[interior])
     residual = float((defect / weights[interior, None]).max())

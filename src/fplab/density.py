@@ -17,7 +17,6 @@ and below that by sparse LUs, which stay the test oracle. One function
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +39,6 @@ from .fem import (
     vector_at_quad,
 )
 from .mesh import SimplicialMesh
-from .quadrature import QuadratureRule, quadrature_rule
 
 # on a mesh with a refinement lineage and at least this many vertices the
 # pinned systems are solved by multigrid GMRES to a relative residual of
@@ -48,6 +46,9 @@ from .quadrature import QuadratureRule, quadrature_rule
 _DENSITY_MULTIGRID_MIN_VERTICES = 4096
 _DENSITY_RTOL = 1e-12
 _DENSITY_MAXITER = 10
+# the density's stationarity residual max|K rho| may be at most this
+# multiple of max(max|K| max|rho|, 1)
+_STATIONARITY_TOL = 1e-9
 
 
 @dataclass
@@ -59,7 +60,6 @@ class DensityField:
     rho_max: float
     residual: float
     residual_scale: float
-    normalized: bool = True
     iterations: tuple = ()  # GMRES iterations per pin; empty after LUs
 
 
@@ -68,23 +68,19 @@ class DriftDecomposition:
     """The divergence-free drift B = H - (a^T grad rho) / rho at quadrature points."""
 
     b_quad: np.ndarray  # (ne, nq, dim)
-    rule: QuadratureRule
     rho: FeFunction
     quadratic_defect: float  # max_j |int <B, grad(phi_j^2)> rho dx|, interior j
 
 
-def stationarity_matrix(
-    mesh: SimplicialMesh, cs: CoefficientSet, rule: Optional[QuadratureRule] = None
-) -> sp.csr_matrix:
+def stationarity_matrix(mesh: SimplicialMesh, cs: CoefficientSet) -> sp.csr_matrix:
     """Matrix K with K[j, i] = int <a^T grad(phi_i) - phi_i H, grad(phi_j)> dx.
 
     Row j is the stationarity equation tested against phi_j; K is the
     transpose of the assembled drift-diffusion operator S + D, scattered
     transposed straight from the element matrices of S + D.
     """
-    rule = rule or quadrature_rule(mesh.dim)
-    local = _stiffness_local(mesh, cs.a, None, rule)
-    local += _drift_local(mesh, cs.drift, None, rule)
+    local = _stiffness_local(mesh, cs.a, None)
+    local += _drift_local(mesh, cs.drift, None)
     return _scatter(mesh, local, transpose=True)
 
 
@@ -114,12 +110,7 @@ def _pinned_solve(mesh: SimplicialMesh, k: sp.csr_matrix, pin: int, multigrid: b
     return full, iterations
 
 
-def solve_invariant_density(
-    mesh: SimplicialMesh,
-    cs: CoefficientSet,
-    rule: Optional[QuadratureRule] = None,
-    tol: float = 1e-9,
-) -> DensityField:
+def solve_invariant_density(mesh: SimplicialMesh, cs: CoefficientSet) -> DensityField:
     """Compute the positive kernel vector of the stationarity system.
 
     Solves K rho = 0 by pinning one vertex to 1 and solving the reduced
@@ -143,13 +134,12 @@ def solve_invariant_density(
         If a pinned system is singular (the kernel has dimension above one),
         multigrid GMRES misses its tolerance, the two pinned solves disagree
         beyond 1e-8 after normalization, or the stationarity residual
-        exceeds tol.
+        exceeds 1e-9 times max(max|K| max|rho|, 1).
     DensityNotPositive
         If the kernel vector has vanishing mean, or any vertex value of the
         normalized density is <= 0.
     """
-    rule = rule or quadrature_rule(mesh.dim)
-    k = stationarity_matrix(mesh, cs, rule)
+    k = stationarity_matrix(mesh, cs)
     multigrid = bool(mesh.lineage) and mesh.num_vertices >= _DENSITY_MULTIGRID_MIN_VERTICES
     if multigrid:
         # vertices of the lineage's first mesh keep their index on every
@@ -192,9 +182,10 @@ def solve_invariant_density(
 
     residual = float(np.abs(k @ rho_vec).max())
     scale = float(abs(k).max()) * float(np.abs(rho_vec).max())
-    if residual > tol * max(scale, 1.0):
+    if residual > _STATIONARITY_TOL * max(scale, 1.0):
         raise KernelDimensionError(
-            f"stationarity residual {residual:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            f"stationarity residual {residual:.3e} exceeds "
+            f"{_STATIONARITY_TOL:.1e} * {scale:.3e}"
         )
 
     if rho_vec.min() <= 0:
@@ -213,10 +204,7 @@ def solve_invariant_density(
 
 
 def decompose_drift(
-    mesh: SimplicialMesh,
-    cs: CoefficientSet,
-    density: DensityField,
-    rule: Optional[QuadratureRule] = None,
+    mesh: SimplicialMesh, cs: CoefficientSet, density: DensityField
 ) -> DriftDecomposition:
     """Evaluate B = H - (a^T grad rho) / rho at quadrature points.
 
@@ -225,8 +213,7 @@ def decompose_drift(
     vanishes only in the continuum; it must decay under refinement). The
     coefficients are sampled per block of elements into one preallocated B.
     """
-    rule = rule or quadrature_rule(mesh.dim)
-    rho_q = density.rho.at_quad(rule)
+    rho_q = density.rho.at_quad()
     if (rho_q <= 0).any():
         raise DensityNotPositive(
             f"density is not positive at a quadrature point: {rho_q.min():.3e}"
@@ -234,19 +221,17 @@ def decompose_drift(
     grad_rho = density.rho.element_gradients()
     b_quad = np.empty(rho_q.shape + (mesh.dim,))
     for block in _blocks(mesh.num_elements):
-        a_q = matrix_at_quad(cs.a, mesh, rule, block=block)
-        h_q = vector_at_quad(cs.drift, mesh, rule, block=block)
+        a_q = matrix_at_quad(cs.a, mesh, block=block)
+        h_q = vector_at_quad(cs.drift, mesh, block=block)
         # (a^T grad rho)_a = sum_b a_ba (grad rho)_b, one row of a at a time
         flux = sum(grad_rho[block, None, b, None] * a_q[:, :, b] for b in range(mesh.dim))
         b_quad[block] = h_q - flux / rho_q[block, :, None]
 
     # int <B, grad(phi_j^2)> rho dx is -2 D[j, j] for the drift block of B
-    local = _drift_local(mesh, b_quad, rho_q, rule)
+    local = _drift_local(mesh, b_quad, rho_q)
     defect_all = -2.0 * _scatter_vector(mesh, np.diagonal(local, axis1=1, axis2=2))
     defect = float(np.abs(defect_all[mesh.interior]).max())
-    return DriftDecomposition(
-        b_quad=b_quad, rule=rule, rho=density.rho, quadratic_defect=defect
-    )
+    return DriftDecomposition(b_quad=b_quad, rho=density.rho, quadratic_defect=defect)
 
 
 def divergence_free_residual(
@@ -258,12 +243,7 @@ def divergence_free_residual(
     the solved density (same quadrature, same samples), so it inherits the
     linear-solver tolerance.
     """
-    vec = assemble_load(
-        mesh,
-        flux=decomposition.b_quad,
-        rho=decomposition.rho,
-        rule=decomposition.rule,
-    )
+    vec = assemble_load(mesh, flux=decomposition.b_quad, rho=decomposition.rho)
     interior = mesh.interior
     max_resid = float(np.abs(vec[interior]).max())
     return {

@@ -12,7 +12,6 @@ ConstantsReport.as_dict names the ledger entries from one table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,10 +35,12 @@ from .fem import (
     vector_at_quad,
 )
 from .forms import DEFAULT_ALPHAS, FormMatrices, Resolvent, solve_resolvent
-from .quadrature import QuadratureRule, quadrature_rule
+from .quadrature import quadrature_rule
 
 # max of d/dt (6t^5 - 15t^4 + 10t^3) = 30 t^2 (1-t)^2 on [0, 1], at t = 1/2
 _QUINTIC_SLOPE_MAX = 15.0 / 8.0
+# the resolvent and cutoff gaps must drop by this factor across the alphas
+_GAP_REDUCTION = 1e-3
 
 
 @dataclass
@@ -172,29 +173,29 @@ _LEDGER_KEYS = (
 )
 
 
-def _lb_chi_at_quad(mesh, cs, cutoff, rule):
+def _lb_chi_at_quad(mesh, cs, cutoff):
     """trace(A hess chi) + <div A + H, grad chi> at quadrature points, every
     field sampled per block of elements."""
     recovered = ()
     if cs.div_a is not None:
         div_a = cs.div_a
     elif cs.div_a_recoverable:
-        div_a = weak_divergence_matrix(mesh, cs.a, rule=rule)
+        div_a = weak_divergence_matrix(mesh, cs.a)
         recovered = ("div_a",)
     else:
         raise MissingDerivative(
             f"preset {cs.name!r} has no analytic div A and recovery is not meaningful"
         )
-    lb = np.empty((mesh.num_elements, rule.weights.size))
+    lb = np.empty((mesh.num_elements, quadrature_rule(mesh.dim).weights.size))
     for block in _blocks(mesh.num_elements):
         lb[block] = np.einsum(
             "eqab,eqba->eq",
-            matrix_at_quad(cs.a, mesh, rule, block=block),
-            matrix_at_quad(cutoff.hessian, mesh, rule, block=block),
+            matrix_at_quad(cs.a, mesh, block=block),
+            matrix_at_quad(cutoff.hessian, mesh, block=block),
         )
-        grad_chi = vector_at_quad(cutoff.gradient, mesh, rule, block=block)
-        drift_q = vector_at_quad(cs.drift, mesh, rule, block=block)
-        div_a_q = vector_at_quad(div_a, mesh, rule, block=block)
+        grad_chi = vector_at_quad(cutoff.gradient, mesh, block=block)
+        drift_q = vector_at_quad(cs.drift, mesh, block=block)
+        div_a_q = vector_at_quad(div_a, mesh, block=block)
         lb[block] += np.einsum("eqa,eqa->eq", div_a_q + drift_q, grad_chi)
     return lb, recovered
 
@@ -204,7 +205,6 @@ def compute_constants(
     density: DensityField,
     cutoff: CutoffSpec,
     h: FeFunction,
-    rule: Optional[QuadratureRule] = None,
 ) -> ConstantsReport:
     """Assemble the explicit constants of the uniform energy bound.
 
@@ -219,8 +219,7 @@ def compute_constants(
         raise DimensionUnsupported(
             f"energy-bound constants need dimension 3, got {d}"
         )
-    rule = rule or quadrature_rule(d)
-    lb_chi, recovered = _lb_chi_at_quad(mesh, cs, cutoff, rule)
+    lb_chi, recovered = _lb_chi_at_quad(mesh, cs, cutoff)
 
     gamma = 2.0 * (d - 1) / (d - 2)
     k_d_rho = (
@@ -228,29 +227,26 @@ def compute_constants(
         / (np.sqrt(cs.lam) * np.sqrt(density.rho_min))
         * gamma
     )
-    h_l2 = quadrature_norm(mesh, h, p=2.0, weight=density.rho, rule=rule)
-    lb_chi_ld = quadrature_norm(mesh, lb_chi, p=float(d), weight=density.rho, rule=rule)
+    h_l2 = quadrature_norm(mesh, h, p=2.0, weight=density.rho)
+    lb_chi_ld = quadrature_norm(mesh, lb_chi, p=float(d), weight=density.rho)
     grad_chi_inf = cutoff.grad_inf_norm
     if cs.c is not None:
-        c_ld = quadrature_norm(mesh, cs.c, p=float(d), weight=density.rho, rule=rule)
+        c_ld = quadrature_norm(mesh, cs.c, p=float(d), weight=density.rho)
     else:
         c_ld = 0.0
     if cs.f_data is not None:
-        f_mu = scalar_at_quad(cs.f_data, mesh, rule) / density.rho.at_quad(rule)
-        f_l2star = quadrature_norm(
-            mesh, f_mu, p=2.0 * d / (d + 2.0), weight=density.rho, rule=rule
-        )
+        f_mu = scalar_at_quad(cs.f_data, mesh) / density.rho.at_quad()
+        f_l2star = quadrature_norm(mesh, f_mu, p=2.0 * d / (d + 2.0), weight=density.rho)
     else:
         f_l2star = 0.0
     if cs.flux_data is not None:
-        rho_q = density.rho.at_quad(rule)
-        flux_mu = vector_at_quad(cs.flux_data, mesh, rule) / rho_q[:, :, None]
+        rho_q = density.rho.at_quad()
+        flux_mu = vector_at_quad(cs.flux_data, mesh) / rho_q[:, :, None]
         flux_l2 = quadrature_norm(
             mesh,
             np.sqrt(np.einsum("eqa,eqa->eq", flux_mu, flux_mu)),
             p=2.0,
             weight=density.rho,
-            rule=rule,
         )
     else:
         flux_l2 = 0.0
@@ -345,9 +341,7 @@ def run_experiment(
     h_int[interior] = h_vals[interior]
     chi = interpolate(mesh, cutoff.value).values
     chi_h = chi * h_int
-    s_identity = assemble_weighted_stiffness(
-        mesh, np.eye(mesh.dim), rho=form.rho, rule=form.rule
-    )
+    s_identity = assemble_weighted_stiffness(mesh, np.eye(mesh.dim), rho=form.rho)
     alphas = np.asarray(sorted(float(a) for a in alphas))
     n = alphas.size
     energies = np.zeros(n)
@@ -399,27 +393,25 @@ class ConvergenceDiagnostics:
     passed: bool
 
 
-def convergence_diagnostics(
-    report: EnergyBoundReport, reduction: float = 1e-3
-) -> ConvergenceDiagnostics:
+def convergence_diagnostics(report: EnergyBoundReport) -> ConvergenceDiagnostics:
     """Check the three alpha-limit properties behind the compactness step.
 
-    (a) the resolvent gaps decrease monotonically and drop by `reduction`
-    across the grid; (b) sqrt(E_alpha) + ||chi alpha G_alpha h|| stays
+    (a) the resolvent gaps decrease monotonically and drop by a factor of
+    1e-3 across the grid; (b) sqrt(E_alpha) + ||chi alpha G_alpha h|| stays
     below sqrt(bound) + ||h|| (boundedness in the form norm); (c) the
     cutoff gaps drop by the same factor.
     """
     gaps = report.l2_gaps
     monotone = bool((np.diff(gaps) <= 1e-12 + 1e-9 * gaps[:-1]).all())
     l2_reduction = float(gaps[-1] / gaps[0]) if gaps[0] > 0 else 0.0
-    l2_ok = gaps[-1] <= reduction * gaps[0] if gaps[0] > 0 else True
+    l2_ok = gaps[-1] <= _GAP_REDUCTION * gaps[0] if gaps[0] > 0 else True
     h_norm = max(report.constants.h_l2, report.h_l2)
     cap = np.sqrt(max(report.bound, 0.0)) + h_norm
     lhs = np.sqrt(np.clip(report.energies, 0.0, None)) + report.chi_u_norms
     bounded = bool((lhs <= cap * (1.0 + 1e-12) + 1e-15).all())
     cgaps = report.cutoff_gaps
     cutoff_reduction = float(cgaps[-1] / cgaps[0]) if cgaps[0] > 0 else 0.0
-    cutoff_ok = cgaps[-1] <= reduction * cgaps[0] if cgaps[0] > 0 else True
+    cutoff_ok = cgaps[-1] <= _GAP_REDUCTION * cgaps[0] if cgaps[0] > 0 else True
     return ConvergenceDiagnostics(
         l2_monotone=monotone,
         l2_reduction=l2_reduction,

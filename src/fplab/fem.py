@@ -4,13 +4,16 @@ All bilinear forms follow one orientation convention: the assembled entry
 (i, j) pairs test function i with trial function j, so a quadratic form
 evaluates as v^T K u for trial vector u and test vector v.
 
-Field arguments are flexible. The samplers scalar_at_quad, vector_at_quad
-and matrix_at_quad take a block of elements (block=, all of them by
-default) and sample a field on it themselves: a P1 field (FeFunction,
-WeakDivergence) is interpolated on the block's elements, a pre-evaluated
-whole-mesh array of shape (ne, nq, ...) is cut to them, a constant is
-broadcast, and a callable is sampled at their quadrature points (vectorized
-over an (n, dim) array when the callable supports it, pointwise otherwise).
+Every volume integral uses one rule, quadrature_rule(mesh.dim): degree 4
+on triangles, degree 5 on tetrahedra. The samplers
+scalar_at_quad(field, mesh, *, block=slice(None)), vector_at_quad and
+matrix_at_quad (same signature) sample a field at that rule's points in a
+block of elements (all of them by default) themselves: a P1 field
+(FeFunction, WeakDivergence, whose at_quad(block) the samplers call) is
+interpolated on the block's elements, a pre-evaluated whole-mesh array of
+shape (ne, nq, ...) is cut to them, a constant is broadcast, and a
+callable is sampled at their quadrature points (vectorized over an
+(n, dim) array when the callable supports it, pointwise otherwise).
 Fields are sampled and the element kernels run per block of _BLOCK_ELEMENTS
 (2^12) elements (_blocks) into one preallocated full-size result, which
 bounds temporaries by a block (Cuvelier, Japhet & Scarella, BIT 2016).
@@ -35,7 +38,7 @@ and a V(2,2)-cycle that preconditions _gmres).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,7 +46,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import NonFiniteValue, NonPositiveDensity
 from .mesh import SimplicialMesh, _read_only
-from .quadrature import QuadratureRule, quadrature_rule
+from .quadrature import quadrature_rule
 
 # quadrature fields and element kernels run over blocks of this many elements
 _BLOCK_ELEMENTS = 2**12
@@ -55,10 +58,11 @@ _JACOBI_WEIGHT = 0.6
 _SMOOTHING_SWEEPS = 2
 
 
-def _p1_at_quad(mesh, values: np.ndarray, rule, block: slice) -> np.ndarray:
+def _p1_at_quad(mesh, values: np.ndarray, block: slice) -> np.ndarray:
     """P1 vertex data (nv, ...) at the quadrature points of the elements in
     block, shape (nb, nq, ...)."""
-    return np.einsum("qk,ek...->eq...", rule.points, values[mesh.elements[block]])
+    bary = quadrature_rule(mesh.dim).points
+    return np.einsum("qk,ek...->eq...", bary, values[mesh.elements[block]])
 
 
 @dataclass
@@ -75,9 +79,9 @@ class FeFunction:
                 f"value vector has shape {self.values.shape}, expected ({self.mesh.num_vertices},)"
             )
 
-    def at_quad(self, rule: QuadratureRule, block: slice = slice(None)) -> np.ndarray:
+    def at_quad(self, block: slice = slice(None)) -> np.ndarray:
         """Values at the quadrature points of a block of elements, shape (nb, nq)."""
-        return _p1_at_quad(self.mesh, self.values, rule, block)
+        return _p1_at_quad(self.mesh, self.values, block)
 
     def element_gradients(self) -> np.ndarray:
         """Constant-per-element gradients, shape (ne, dim)."""
@@ -98,10 +102,10 @@ def element_geometry(mesh: SimplicialMesh):
     return mesh._gradients, mesh.volumes()
 
 
-def physical_quad_points(mesh: SimplicialMesh, rule: QuadratureRule) -> np.ndarray:
+def physical_quad_points(mesh: SimplicialMesh) -> np.ndarray:
     """Quadrature point coordinates, shape (ne, nq, dim), read-only and cached
-    on the mesh per rule."""
-    return mesh._quad_points(rule.points)
+    on the mesh."""
+    return mesh._quad_points
 
 
 def _eval_callable(f: Callable, pts_flat: np.ndarray, out_shape: tuple):
@@ -130,7 +134,7 @@ def _blocks(ne: int):
     return [slice(start, start + size) for start in range(0, ne, size)]
 
 
-def _at_quad(field, mesh, rule, block: slice, shape: tuple, what: str) -> np.ndarray:
+def _at_quad(field, mesh, block: slice, shape: tuple, what: str) -> np.ndarray:
     """The field at the quadrature points of the elements in block, shape
     (nb, nq) + shape. A P1 field (with at_quad) is interpolated on those
     elements, a whole-mesh (ne, nq) + shape array is cut to them, a scalar or
@@ -140,9 +144,9 @@ def _at_quad(field, mesh, rule, block: slice, shape: tuple, what: str) -> np.nda
     if hasattr(field, "at_quad"):
         if field.mesh is not mesh:
             raise ValueError(f"{what} is a P1 field of another mesh")
-        return field.at_quad(rule, block)
+        return field.at_quad(block)
     if callable(field):
-        pts = physical_quad_points(mesh, rule)[block]
+        pts = physical_quad_points(mesh)[block]
         out = np.empty(pts.shape[:2] + shape)
         for sub in _blocks(len(pts)):
             flat = _eval_callable(field, pts[sub].reshape(-1, mesh.dim), shape)
@@ -150,7 +154,7 @@ def _at_quad(field, mesh, rule, block: slice, shape: tuple, what: str) -> np.nda
         if not np.isfinite(out).all():
             raise NonFiniteValue(f"{what} produced a non-finite value")
         return out
-    ne, nq = mesh.num_elements, rule.weights.shape[0]
+    ne, nq = mesh.num_elements, quadrature_rule(mesh.dim).weights.size
     nb = len(range(ne)[block])
     if np.isscalar(field):
         return np.full((nb, nq) + shape, float(field))
@@ -161,23 +165,23 @@ def _at_quad(field, mesh, rule, block: slice, shape: tuple, what: str) -> np.nda
     raise ValueError(f"{what} array has shape {np.shape(field)}, expected {(ne, nq) + shape}")
 
 
-def scalar_at_quad(field, mesh, rule, *, block: slice = slice(None)) -> np.ndarray:
+def scalar_at_quad(field, mesh, *, block: slice = slice(None)) -> np.ndarray:
     """A scalar field at the quadrature points of block, shape (nb, nq)."""
-    return _at_quad(field, mesh, rule, block, (), "scalar field")
+    return _at_quad(field, mesh, block, (), "scalar field")
 
 
-def vector_at_quad(field, mesh, rule, *, block: slice = slice(None)) -> np.ndarray:
+def vector_at_quad(field, mesh, *, block: slice = slice(None)) -> np.ndarray:
     """A vector field at the quadrature points of block, shape (nb, nq, dim)."""
-    return _at_quad(field, mesh, rule, block, (mesh.dim,), "vector field")
+    return _at_quad(field, mesh, block, (mesh.dim,), "vector field")
 
 
-def matrix_at_quad(field, mesh, rule, *, block: slice = slice(None)) -> np.ndarray:
+def matrix_at_quad(field, mesh, *, block: slice = slice(None)) -> np.ndarray:
     """A matrix field at the quadrature points of block, shape (nb, nq, dim, dim)."""
-    return _at_quad(field, mesh, rule, block, (mesh.dim,) * 2, "matrix field")
+    return _at_quad(field, mesh, block, (mesh.dim,) * 2, "matrix field")
 
 
-def _density_at_quad(rho, mesh, rule, allow_signed=False) -> np.ndarray:
-    vals = scalar_at_quad(1.0 if rho is None else rho, mesh, rule)
+def _density_at_quad(rho, mesh, allow_signed=False) -> np.ndarray:
+    vals = scalar_at_quad(1.0 if rho is None else rho, mesh)
     if not allow_signed and (vals <= 0).any():
         raise NonPositiveDensity(
             f"weight has non-positive quadrature value {vals.min():.3e}"
@@ -218,11 +222,11 @@ def _scatter_vector(mesh: SimplicialMesh, local: np.ndarray) -> np.ndarray:
     return np.bincount(mesh.elements.ravel(), local.ravel(), minlength=mesh.num_vertices)
 
 
-def _quad_weights(mesh, rule, rho, allow_signed=False) -> np.ndarray:
+def _quad_weights(mesh, rho, allow_signed=False) -> np.ndarray:
     """rho times the physical quadrature weights, shape (ne, nq)."""
     _, vols = element_geometry(mesh)
-    rho_q = _density_at_quad(rho, mesh, rule, allow_signed=allow_signed)
-    return rho_q * (vols[:, None] * rule.weights)
+    rho_q = _density_at_quad(rho, mesh, allow_signed=allow_signed)
+    return rho_q * (vols[:, None] * quadrature_rule(mesh.dim).weights)
 
 
 def _quad_sum(phi: np.ndarray, wr: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -234,29 +238,30 @@ def _quad_sum(phi: np.ndarray, wr: np.ndarray, values: np.ndarray) -> np.ndarray
     return out.reshape(ne, *phi.shape[1:], *values.shape[2:])
 
 
-def _stiffness_local(mesh, a, rho, rule) -> np.ndarray:
+def _stiffness_local(mesh, a, rho) -> np.ndarray:
     """Element matrices of S, shape (ne, nloc, nloc)."""
     grads, _ = element_geometry(mesh)
-    wr = _quad_weights(mesh, rule, rho)
-    ones = np.ones(rule.weights.size)
+    wr = _quad_weights(mesh, rho)
+    ones = np.ones(wr.shape[1])
     local = np.empty(grads.shape[:1] + grads.shape[2:] * 2)
     for block in _blocks(mesh.num_elements):
-        a_q = matrix_at_quad(a, mesh, rule, block=block)
+        a_q = matrix_at_quad(a, mesh, block=block)
         a_e = _quad_sum(ones, wr[block], a_q)
         g = grads[block]
         local[block] = np.matmul(g.transpose(0, 2, 1), a_e @ g)
     return local
 
 
-def _drift_local(mesh, b, rho, rule) -> np.ndarray:
+def _drift_local(mesh, b, rho) -> np.ndarray:
     """Element matrices of D, shape (ne, nloc, nloc)."""
     grads, _ = element_geometry(mesh)
-    wr = _quad_weights(mesh, rule, rho)
+    wr = _quad_weights(mesh, rho)
+    bary = quadrature_rule(mesh.dim).points
     local = np.empty(grads.shape[:1] + grads.shape[2:] * 2)
     for block in _blocks(mesh.num_elements):
-        b_q = vector_at_quad(b, mesh, rule, block=block)
+        b_q = vector_at_quad(b, mesh, block=block)
         # int phi_i b rho dx per element, shape (nb, nloc, dim)
-        b_e = _quad_sum(rule.points, wr[block], b_q)
+        b_e = _quad_sum(bary, wr[block], b_q)
         local[block] = -(b_e @ grads[block])
     return local
 
@@ -272,63 +277,36 @@ def _flux_local(wr: np.ndarray, flux_q: np.ndarray, grads: np.ndarray) -> np.nda
     return ((wr[..., None] * flux_q) @ grads).sum(axis=1)
 
 
-def assemble_weighted_stiffness(
-    mesh: SimplicialMesh,
-    a,
-    rho=None,
-    rule: Optional[QuadratureRule] = None,
-) -> sp.csr_matrix:
+def assemble_weighted_stiffness(mesh: SimplicialMesh, a, rho=None) -> sp.csr_matrix:
     """Assemble S with S[i, j] = int <a grad(phi_j), grad(phi_i)> rho dx."""
-    rule = rule or quadrature_rule(mesh.dim)
-    return _scatter(mesh, _stiffness_local(mesh, a, rho, rule))
+    return _scatter(mesh, _stiffness_local(mesh, a, rho))
 
 
-def assemble_drift(
-    mesh: SimplicialMesh,
-    b,
-    rho=None,
-    rule: Optional[QuadratureRule] = None,
-) -> sp.csr_matrix:
+def assemble_drift(mesh: SimplicialMesh, b, rho=None) -> sp.csr_matrix:
     """Assemble D with D[i, j] = -int <b, grad(phi_j)> phi_i rho dx."""
-    rule = rule or quadrature_rule(mesh.dim)
-    return _scatter(mesh, _drift_local(mesh, b, rho, rule))
+    return _scatter(mesh, _drift_local(mesh, b, rho))
 
 
-def assemble_weighted_mass(
-    mesh: SimplicialMesh,
-    rho=None,
-    rule: Optional[QuadratureRule] = None,
-    allow_signed: bool = False,
-) -> sp.csr_matrix:
-    """Assemble M with M[i, j] = int phi_i phi_j rho dx.
-
-    allow_signed admits sign-changing weights (zero-order coefficients);
-    the default insists on a positive density.
-    """
-    rule = rule or quadrature_rule(mesh.dim)
-    wr = _quad_weights(mesh, rule, rho, allow_signed=allow_signed)
-    nq, nloc = rule.points.shape
-    phi_phi = (rule.points[:, :, None] * rule.points[:, None, :]).reshape(nq, -1)
+def assemble_weighted_mass(mesh: SimplicialMesh, rho=None) -> sp.csr_matrix:
+    """Assemble M with M[i, j] = int phi_i phi_j rho dx for a positive density."""
+    wr = _quad_weights(mesh, rho)
+    bary = quadrature_rule(mesh.dim).points
+    nq, nloc = bary.shape
+    phi_phi = (bary[:, :, None] * bary[:, None, :]).reshape(nq, -1)
     return _scatter(mesh, (wr[:, None, :] @ phi_phi).reshape(-1, nloc, nloc))
 
 
-def assemble_load(
-    mesh: SimplicialMesh,
-    f=None,
-    flux=None,
-    rho=None,
-    rule: Optional[QuadratureRule] = None,
-) -> np.ndarray:
-    """Assemble the vector int f phi_i rho dx + int <flux, grad(phi_i)> rho dx."""
-    rule = rule or quadrature_rule(mesh.dim)
+def assemble_load(mesh: SimplicialMesh, f=None, flux=None, rho=None) -> np.ndarray:
+    """Assemble the vector int f phi_i rho dx + int <flux, grad(phi_i)> rho dx;
+    the weight rho may change sign."""
     grads, _ = element_geometry(mesh)
-    wr = _quad_weights(mesh, rule, rho, allow_signed=True)
+    wr = _quad_weights(mesh, rho, allow_signed=True)
     local = np.zeros((mesh.num_elements, mesh.dim + 1))
     if f is not None:
-        local += _quad_sum(rule.points, wr, scalar_at_quad(f, mesh, rule))
+        local += _quad_sum(quadrature_rule(mesh.dim).points, wr, scalar_at_quad(f, mesh))
     if flux is not None:
         for block in _blocks(mesh.num_elements):
-            flux_q = vector_at_quad(flux, mesh, rule, block=block)
+            flux_q = vector_at_quad(flux, mesh, block=block)
             local[block] += _flux_local(wr[block], flux_q, grads[block])
     return _scatter_vector(mesh, local)
 
@@ -338,20 +316,13 @@ def lumped_weights(mesh: SimplicialMesh, rho=None) -> np.ndarray:
     return assemble_load(mesh, f=1.0, rho=rho)
 
 
-def quadrature_norm(
-    mesh: SimplicialMesh,
-    values,
-    p: float = 2.0,
-    weight=None,
-    rule: Optional[QuadratureRule] = None,
-) -> float:
+def quadrature_norm(mesh: SimplicialMesh, values, p: float = 2.0, weight=None) -> float:
     """L^p norm of a scalar quantity sampled at quadrature points.
 
     `values` may be anything scalar_at_quad accepts. weight is a density
     (None for Lebesgue measure). p = inf takes the max over samples.
     """
-    rule = rule or quadrature_rule(mesh.dim)
-    vals = scalar_at_quad(values, mesh, rule)
+    vals = scalar_at_quad(values, mesh)
     if np.isinf(p):
         return float(np.abs(vals).max())
     if p <= 0:
@@ -359,26 +330,24 @@ def quadrature_norm(
     # |vals|^p in place, one (ne, nq) temporary fewer
     magnitude = np.abs(vals)
     magnitude **= p
-    rho_q = _density_at_quad(weight, mesh, rule)
+    rho_q = _density_at_quad(weight, mesh)
     _, vols = element_geometry(mesh)
-    total = np.einsum("eq,eq,q,e->", magnitude, rho_q, rule.weights, vols)
+    weights = quadrature_rule(mesh.dim).weights
+    total = np.einsum("eq,eq,q,e->", magnitude, rho_q, weights, vols)
     return float(total ** (1.0 / p))
 
 
-def norm(u: FeFunction, p: float = 2.0, weight=None, rule=None) -> float:
+def norm(u: FeFunction, p: float = 2.0, weight=None) -> float:
     """L^p(weight dx) norm of an FE function; p = inf is the max vertex magnitude."""
     if np.isinf(p):
         return float(np.abs(u.values).max())
-    return quadrature_norm(u.mesh, u, p=p, weight=weight, rule=rule)
+    return quadrature_norm(u.mesh, u, p=p, weight=weight)
 
 
-def l2_error(u: FeFunction, exact, weight=None, rule=None) -> float:
+def l2_error(u: FeFunction, exact, weight=None) -> float:
     """L^2(weight dx) distance between an FE function and a callable."""
-    mesh = u.mesh
-    rule = rule or quadrature_rule(mesh.dim)
-    u_q = u.at_quad(rule)
-    e_q = scalar_at_quad(exact, mesh, rule)
-    return quadrature_norm(mesh, u_q - e_q, p=2.0, weight=weight, rule=rule)
+    e_q = scalar_at_quad(exact, u.mesh)
+    return quadrature_norm(u.mesh, u.at_quad() - e_q, p=2.0, weight=weight)
 
 
 class _Restriction:

@@ -68,7 +68,6 @@ from .fem import (
     quadrature_norm,
 )
 from .mesh import SimplicialMesh
-from .quadrature import QuadratureRule
 
 DEFAULT_ALPHAS = tuple(float(2**k) for k in range(13))
 # glibc's mallopt parameter number for the malloc arena limit
@@ -125,7 +124,6 @@ class FormMatrices:
     sym_defect_max: float
     sym_defect_fro: float
     rho: FeFunction
-    rule: QuadratureRule
 
     def energy(self, u: np.ndarray, v: Optional[np.ndarray] = None) -> float:
         """E(u, v) = v^T (S + D) u; v defaults to u."""
@@ -154,10 +152,9 @@ def assemble_form(
     """
     if d_mode not in ("skew", "raw"):
         raise ValueError(f"d_mode must be 'skew' or 'raw', got {d_mode!r}")
-    rule = decomposition.rule
-    s = assemble_weighted_stiffness(mesh, cs.a, rho=density.rho, rule=rule)
-    d_raw = assemble_drift(mesh, decomposition.b_quad, rho=density.rho, rule=rule)
-    m = assemble_weighted_mass(mesh, rho=density.rho, rule=rule)
+    s = assemble_weighted_stiffness(mesh, cs.a, rho=density.rho)
+    d_raw = assemble_drift(mesh, decomposition.b_quad, rho=density.rho)
+    m = assemble_weighted_mass(mesh, rho=density.rho)
     # S, D and M share the mesh's pattern: D^T is a permutation of D's data
     mirrored = d_raw.data[mesh._csr_plan.transpose]
     sym = 0.5 * (d_raw.data + mirrored)
@@ -174,7 +171,6 @@ def assemble_form(
         sym_defect_max=defect_max,
         sym_defect_fro=defect_fro,
         rho=density.rho,
-        rule=rule,
     )
 
 
@@ -193,13 +189,7 @@ def theoretical_sector_bound(
     if d != 3:
         raise DimensionUnsupported(f"theoretical sector bound needs d = 3, got {d}")
     gamma = 2.0 * (d - 1) / (d - 2)
-    b_norm = quadrature_norm(
-        mesh,
-        np.linalg.norm(decomposition.b_quad, axis=2),
-        p=float(d),
-        weight=None,
-        rule=decomposition.rule,
-    )
+    b_norm = quadrature_norm(mesh, np.linalg.norm(decomposition.b_quad, axis=2), p=float(d))
     return 1.0 + (gamma / cs.lam) * (density.rho_max / density.rho_min) * b_norm
 
 

@@ -26,6 +26,7 @@ from .errors import (
     RefinementTooDeep,
     SingularElement,
 )
+from .quadrature import quadrature_rule
 
 MAX_LEVELS = 8
 _BOUNDARY_RTOL = 1e-12
@@ -167,7 +168,7 @@ class SimplicialMesh:
         order.setflags(write=False)
         return order
 
-    # Element geometry (basis gradients, volumes, quadrature points per rule)
+    # Element geometry (basis gradients, volumes, quadrature points)
     # and the CSR plan of the P1 graph are computed on first use and kept
     # read-only for the life of the mesh; every assembly, norm and audit
     # reads them. Element coordinates are not kept: each cached array
@@ -183,8 +184,20 @@ class SimplicialMesh:
         return _read_only(signed_volumes(self.vertices, self.elements, self.dim))
 
     @cached_property
-    def _quad_point_cache(self) -> dict:
-        return {}
+    def _quad_points(self) -> np.ndarray:
+        """Physical coordinates of the points of quadrature_rule(dim) in
+        every element, shape (ne, nq, dim)."""
+        # sum bary[q, k] x_k over k in order, from zero: the bits of
+        # np.einsum("qk,ekd->eqd", bary, coords) at a fraction of its cost
+        bary = quadrature_rule(self.dim).points
+        coords = [self.vertices[self.elements[:, k]] for k in range(self.dim + 1)]
+        pts = np.empty((self.num_elements, len(bary), self.dim))
+        for q, weights in enumerate(bary):
+            acc = np.zeros_like(coords[0])
+            for w, x in zip(weights, coords):
+                acc += w * x
+            pts[:, q] = acc
+        return _read_only(pts)
 
     @cached_property
     def _csr_plan(self) -> CsrPlan:
@@ -225,24 +238,6 @@ class SimplicialMesh:
 
     def total_volume(self) -> float:
         return float(self.volumes().sum())
-
-    def _quad_points(self, bary: np.ndarray) -> np.ndarray:
-        """Physical coordinates of barycentric points (nq, dim + 1) in every
-        element, shape (ne, nq, dim), cached per point set."""
-        key = bary.tobytes()
-        pts = self._quad_point_cache.get(key)
-        if pts is None:
-            # sum bary[q, k] x_k over k in order, from zero: the bits of
-            # np.einsum("qk,ekd->eqd", bary, coords) at a fraction of its cost
-            coords = [self.vertices[self.elements[:, k]] for k in range(self.dim + 1)]
-            pts = np.empty((self.num_elements, len(bary), self.dim))
-            for q, weights in enumerate(bary):
-                acc = np.zeros_like(coords[0])
-                for w, x in zip(weights, coords):
-                    acc += w * x
-                pts[:, q] = acc
-            pts = self._quad_point_cache[key] = _read_only(pts)
-        return pts
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -17,6 +17,11 @@ import numpy as np
 
 from .quadrature import gauss_legendre
 
+# Gauss-Legendre nodes per integration interval of phi_eps and Phi_eps, and
+# the independent count of the unit-mass check
+_NODES = 64
+_MASS_NODES = 200
+
 
 def _eta_raw(t):
     """Unnormalized standard bump exp(1/(t^2 - 1)) on (-1, 1)."""
@@ -43,9 +48,9 @@ def standard_mollifier(t, eps: float = 1.0):
     return _eta_raw(t / eps) / (eps * _bump_normalization())
 
 
-def mollifier_mass(eps: float, nodes: int = 200) -> float:
+def mollifier_mass(eps: float) -> float:
     """Quadrature check of int eta_eps = 1 (independent node count)."""
-    x, w = gauss_legendre(nodes, -eps, eps)
+    x, w = gauss_legendre(_MASS_NODES, -eps, eps)
     return float(w @ standard_mollifier(x, eps))
 
 
@@ -53,7 +58,7 @@ def _clamp(t, eps: float):
     return np.clip(t, -eps, 1.0 + eps)
 
 
-def _phi_transition(t: float, eps: float, nodes: int) -> float:
+def _phi_transition(t: float, eps: float) -> float:
     """Convolution integral on a transition band, split at clamp kinks."""
     half = 0.5 * eps
     cuts = [-half, half]
@@ -65,20 +70,20 @@ def _phi_transition(t: float, eps: float, nodes: int) -> float:
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo <= 0:
             continue
-        x, w = gauss_legendre(nodes, lo, hi)
+        x, w = gauss_legendre(_NODES, lo, hi)
         total += float(w @ (standard_mollifier(x, half) * _clamp(t - x, eps)))
     return total
 
 
-def phi_eps_quadrature(t, eps: float, nodes: int = 64):
+def phi_eps_quadrature(t, eps: float):
     """phi_eps by quadrature everywhere (no closed-form shortcuts)."""
     t = np.asarray(t, dtype=float)
     flat = np.atleast_1d(t).ravel()
-    out = np.array([_phi_transition(x, eps, nodes) for x in flat])
+    out = np.array([_phi_transition(x, eps) for x in flat])
     return out.reshape(np.atleast_1d(t).shape) if t.ndim else float(out[0])
 
 
-def phi_eps(t, eps: float, nodes: int = 64):
+def phi_eps(t, eps: float):
     """The mollified clamp phi_eps = eta_{eps/2} * psi_eps.
 
     Closed forms hold off the transition bands: phi_eps(t) = t on
@@ -99,17 +104,15 @@ def phi_eps(t, eps: float, nodes: int = 64):
     out[hi_band] = 1.0 + eps
     out[mid_band] = flat[mid_band]
     rest = ~(lo_band | hi_band | mid_band)
-    out[rest] = [_phi_transition(x, eps, nodes) for x in flat[rest]]
+    out[rest] = [_phi_transition(x, eps) for x in flat[rest]]
     result = out.reshape(np.atleast_1d(t).shape)
     return float(result[0]) if scalar else result
 
 
-def phi_eps_prime(t, eps: float, nodes: int = 64):
+def phi_eps_prime(t, eps: float):
     """Central difference of the convolution at step eps^2."""
     h = eps * eps
-    return (phi_eps(np.asarray(t) + h, eps, nodes) - phi_eps(np.asarray(t) - h, eps, nodes)) / (
-        2.0 * h
-    )
+    return (phi_eps(np.asarray(t) + h, eps) - phi_eps(np.asarray(t) - h, eps)) / (2.0 * h)
 
 
 @dataclass
@@ -142,17 +145,17 @@ def phi_eps_limits(ts, eps_seq) -> MollifierLimitReport:
     )
 
 
-def _zeta(t: float, eps: float, nodes: int) -> float:
+def _zeta(t: float, eps: float) -> float:
     """zeta_eps(t) = int_{-inf}^{t} eta_{eps/2}(s - 1 - eps/2) ds."""
     if t <= 1.0:
         return 0.0
     if t >= 1.0 + eps:
         return 1.0
-    x, w = gauss_legendre(nodes, 1.0, t)
+    x, w = gauss_legendre(_NODES, 1.0, t)
     return float(w @ standard_mollifier(x - 1.0 - 0.5 * eps, 0.5 * eps))
 
 
-def capital_phi_eps(t, eps: float, nodes: int = 64):
+def capital_phi_eps(t, eps: float):
     """The convex ramp Phi_eps with its first two derivatives.
 
     Returns (Phi, Phi', Phi''). Phi vanishes on (-inf, 1], Phi' = zeta_eps
@@ -168,13 +171,13 @@ def capital_phi_eps(t, eps: float, nodes: int = 64):
     dphi = np.zeros_like(flat)
     ddphi = standard_mollifier(flat - 1.0 - 0.5 * eps, 0.5 * eps)
     for i, x in enumerate(flat):
-        dphi[i] = _zeta(float(x), eps, nodes)
+        dphi[i] = _zeta(float(x), eps)
         if x <= 1.0:
             phi[i] = 0.0
         elif x >= 1.0 + eps:
             phi[i] = x - 1.0 - 0.5 * eps
         else:
-            nodes_x, w = gauss_legendre(nodes, 1.0, float(x))
+            nodes_x, w = gauss_legendre(_NODES, 1.0, float(x))
             kernel = standard_mollifier(nodes_x - 1.0 - 0.5 * eps, 0.5 * eps)
             phi[i] = float(w @ ((float(x) - nodes_x) * kernel))
     if scalar:
@@ -188,12 +191,11 @@ class MollifierFamily:
     """Parameter bundle for report generation."""
 
     eps: float
-    nodes: int = 64
 
     def table(self, ts) -> np.ndarray:
         """Columns: t, phi_eps, phi_eps', Phi_eps, Phi_eps'."""
         ts = np.asarray(ts, dtype=float)
-        phi = phi_eps(ts, self.eps, self.nodes)
-        dphi = phi_eps_prime(ts, self.eps, self.nodes)
-        cap, dcap, _ = capital_phi_eps(ts, self.eps, self.nodes)
+        phi = phi_eps(ts, self.eps)
+        dphi = phi_eps_prime(ts, self.eps)
+        cap, dcap, _ = capital_phi_eps(ts, self.eps)
         return np.column_stack([ts, phi, dphi, cap, dcap])

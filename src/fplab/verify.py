@@ -402,7 +402,7 @@ def criterion_energy_bound(ctx: VerificationContext):
     ok = True
     for case in ("gaussian", "eigen"):
         _, _, _, report = ctx.experiment(case)
-        diag = convergence_diagnostics(report, reduction=1e-3)
+        diag = convergence_diagnostics(report)
         case_ok = (
             report.margin >= 0.0 and diag.l2_monotone and diag.l2_reduction <= 1e-3
         )

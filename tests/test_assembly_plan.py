@@ -35,9 +35,9 @@ def coo_reference(mesh, a, b, rho):
     """S, D and M from 5-operand einsums and a COO-to-CSR conversion."""
     rule = quadrature_rule(mesh.dim)
     grads, vols = element_geometry(mesh)
-    a_q = matrix_at_quad(a, mesh, rule)
-    b_q = vector_at_quad(b, mesh, rule)
-    rho_q = scalar_at_quad(1.0 if rho is None else rho, mesh, rule)
+    a_q = matrix_at_quad(a, mesh)
+    b_q = vector_at_quad(b, mesh)
+    rho_q = scalar_at_quad(1.0 if rho is None else rho, mesh)
     phi, w = rule.points, rule.weights
     local_s = np.einsum("eai,eqab,ebj,eq,q->eij", grads, a_q, grads, rho_q, w)
     local_d = -np.einsum("qi,eqa,eaj,eq,q->eij", phi, b_q, grads, rho_q, w)
@@ -124,13 +124,12 @@ def test_plan_assembly_identities(case):
     weights = lumped_weights(mesh, rho=rho)
     assert np.abs(m @ ones - weights).max() <= RTOL * weights.max()
 
-    rule = quadrature_rule(mesh.dim)
     weight = interpolate(mesh, 1.0 if rho is None else rho)
     density = DensityField(
         rho=weight, rho_min=1.0, rho_max=1.0, residual=0.0, residual_scale=1.0
     )
     decomposition = DriftDecomposition(
-        b_quad=vector_at_quad(b, mesh, rule), rule=rule, rho=weight, quadratic_defect=0.0
+        b_quad=vector_at_quad(b, mesh), rho=weight, quadratic_defect=0.0
     )
     cs = CoefficientSet(name="affine", dim=mesh.dim, a=a, lam=1.0, m_bound=1.0, drift=b)
     d = assemble_form(mesh, cs, density, decomposition, d_mode="skew").d
@@ -156,8 +155,8 @@ def test_plan_is_read_only_and_cached(center):
 @pytest.mark.parametrize("center", [(0.1, -0.2), (0.1, -0.2, 0.3)])
 def test_kernels_ignore_the_memory_layout_of_a_sampled_field(center):
     mesh = build_ball_mesh(center, 1.3, levels=2)
-    dim, rule = mesh.dim, quadrature_rule(mesh.dim)
-    pts = physical_quad_points(mesh, rule)
+    dim = mesh.dim
+    pts = physical_quad_points(mesh)
     stacked = np.concatenate([pts, pts[..., :1]], axis=-1)
     fields = np.einsum("eqa,eqb->eqab", stacked, stacked) + np.eye(dim + 1)
     view = fields[:, :, :dim, :dim]  # strided

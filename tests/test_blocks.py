@@ -30,8 +30,7 @@ from fplab.forms import assemble_form
 
 def test_samplers_share_the_block_contract():
     mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=2)
-    rule = quadrature_rule(2)
-    nq = rule.weights.size
+    nq = quadrature_rule(2).weights.size
     ne = mesh.num_elements
     rotator = preset("rotator", 2)
     fields = [
@@ -47,13 +46,13 @@ def test_samplers_share_the_block_contract():
     ]
     for sampler, field in fields:
         # a block of a whole-mesh field is the block's rows of its whole sample
-        whole = sampler(field, mesh, rule)
+        whole = sampler(field, mesh)
         assert whole.shape[:2] == (ne, nq)
-        assert np.array_equal(sampler(field, mesh, rule, block=slice(3, 8)), whole[3:8])
+        assert np.array_equal(sampler(field, mesh, block=slice(3, 8)), whole[3:8])
     with pytest.raises(ValueError, match="scalar field array"):
-        scalar_at_quad(np.zeros((5, nq)), mesh, rule, block=slice(3, 8))
+        scalar_at_quad(np.zeros((5, nq)), mesh, block=slice(3, 8))
     with pytest.raises(ValueError, match="vector field array"):
-        vector_at_quad(np.zeros((ne - 1, nq, 2)), mesh, rule, block=slice(3, 8))
+        vector_at_quad(np.zeros((ne - 1, nq, 2)), mesh, block=slice(3, 8))
 
 
 @pytest.mark.parametrize("dim, level", [(2, 3), (3, 2)])
@@ -64,9 +63,8 @@ def test_pre_evaluated_fields_match_their_callables(dim, level, monkeypatch):
     monkeypatch.setattr(fplab.fem, "_BLOCK_ELEMENTS", 97)
     mesh = build_ball_mesh((0.0,) * dim, 1.0, levels=level)
     cs = preset("gaussian_gradient", dim)
-    rule = quadrature_rule(dim)
     sampled = dataclasses.replace(
-        cs, a=matrix_at_quad(cs.a, mesh, rule), drift=vector_at_quad(cs.drift, mesh, rule)
+        cs, a=matrix_at_quad(cs.a, mesh), drift=vector_at_quad(cs.drift, mesh)
     )
     outputs = []
     for c in (cs, sampled):

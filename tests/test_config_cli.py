@@ -302,6 +302,27 @@ def test_cli_mesh_writes_report(tmp_path):
     assert report["quality"]["num_elements"] == 96
 
 
+@pytest.mark.parametrize(
+    "domain",
+    [
+        dict(domain_kind="box", dim=3, box_lo=(0.5, 1.0, 0.5), box_hi=(1.5, 2.0, 1.5)),
+        dict(domain_kind="box", dim=2, box_lo=(1.0, -1.5), box_hi=(2.0, -0.5)),
+        dict(dim=3, center=(2.0, 0.0, 0.0), radius=1.0),
+        dict(dim=2, center=(5.0, 0.0), radius=0.5),
+    ],
+)
+@pytest.mark.parametrize("name", ["example_i", "example_ii"])
+def test_preset_bounds_cover_a_domain_away_from_the_origin(domain, name):
+    cfg = ExperimentConfig(level=1, preset_name=name, **domain)
+    mesh = fplab.cli._build_mesh(cfg)
+    assert (np.linalg.norm(mesh.vertices, axis=1) > 0.9).all()
+    cs = fplab.cli._coefficients(cfg, mesh)
+    a = cs.a(mesh.vertices)
+    assert np.abs(a).max() <= cs.m_bound
+    smallest = np.linalg.eigvalsh(0.5 * (a + a.transpose(0, 2, 1)))[:, 0]
+    assert smallest.min() >= cs.lam
+
+
 def test_cli_usage_errors_exit_two(tmp_path):
     bad = write_config(tmp_path, "[domain]\nkind = ball\ndim = 2\n")
     assert main(["mesh", "--config", bad]) == 2

@@ -98,16 +98,15 @@ def test_lumped_weights_partition_volume():
 
 def test_quadrature_norm_square():
     mesh = build_box_mesh((0.0, 0.0), (1.0, 1.0), 8)
-    rule = quadrature_rule(2)
     u = interpolate(mesh, lambda x: x[..., 0])
     # ||x_0||_{L^2} on the unit square is 1/sqrt(3); the interpolant of a
     # linear function is exact, so quadrature reproduces it to roundoff
-    val = quadrature_norm(mesh, u.at_quad(rule), p=2.0, rule=rule)
+    val = quadrature_norm(mesh, u.at_quad(), p=2.0)
     assert val == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-13)
     # p = 1 of the constant 1 is the volume
-    ones = np.ones_like(u.at_quad(rule))
-    assert quadrature_norm(mesh, ones, p=1.0, rule=rule) == pytest.approx(1.0, rel=1e-14)
-    assert quadrature_norm(mesh, u.at_quad(rule), p=np.inf, rule=rule) <= 1.0 + 1e-14
+    ones = np.ones_like(u.at_quad())
+    assert quadrature_norm(mesh, ones, p=1.0) == pytest.approx(1.0, rel=1e-14)
+    assert quadrature_norm(mesh, u.at_quad(), p=np.inf) <= 1.0 + 1e-14
 
 
 def test_norm_weighted():
@@ -156,7 +155,7 @@ def test_p1_field_of_another_mesh_is_refused():
         assemble_weighted_mass(disk2, rho=interpolate(disk1, 1.0))
     div_a = weak_divergence_matrix(disk1, preset("identity", 2).a)
     with pytest.raises(ValueError, match="another mesh"):
-        vector_at_quad(div_a, disk2, quadrature_rule(2))
+        vector_at_quad(div_a, disk2)
     # on its own mesh the field samples as before
     assert quadrature_norm(disk1, u) == norm(u)
 
@@ -165,9 +164,9 @@ def test_positivity_guard():
     mesh = build_box_mesh((0.0, 0.0), (1.0, 1.0), 2)
     with pytest.raises(NonPositiveDensity):
         assemble_weighted_mass(mesh, rho=lambda x: x[..., 0] - 0.5)
-    # allow_signed admits the same weight
-    m = assemble_weighted_mass(mesh, rho=lambda x: x[..., 0] - 0.5, allow_signed=True)
-    assert np.isfinite(m.toarray()).all()
+    # the load vector admits the same weight
+    load = assemble_load(mesh, f=1.0, rho=lambda x: x[..., 0] - 0.5)
+    assert np.isfinite(load).all()
 
 
 def test_nonfinite_field_rejected():
@@ -217,7 +216,7 @@ def test_gradients_are_computed_once_per_mesh(monkeypatch):
 
 def _cached_geometry(mesh):
     grads, vols = element_geometry(mesh)
-    pts = physical_quad_points(mesh, quadrature_rule(mesh.dim))
+    pts = physical_quad_points(mesh)
     return {"grads": grads, "vols": vols, "pts": pts}
 
 

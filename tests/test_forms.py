@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import fplab.forms
 from fplab import (
     DEFAULT_ALPHAS,
+    DensityNotPositive,
     DimensionUnsupported,
     Resolvent,
     apply_generator,
@@ -27,6 +28,7 @@ from fplab import (
     sector_constant,
     solve_invariant_density,
     solve_resolvent,
+    stationarity_matrix,
     strong_continuity_gaps,
     theoretical_sector_bound,
 )
@@ -66,6 +68,35 @@ def test_skew_mode_energy_identity(gaussian2):
         diffusion = float(f @ (form.s @ f))
         # the skew drift block cancels exactly on the diagonal
         assert abs(form.energy(f) - diffusion) <= 1e-12 * diffusion
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    cells=st.integers(2, 5),
+    extent=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    name=st.sampled_from(["gaussian_gradient", "rotator", "example_ii"]),
+    seed=st.integers(0, 2**16),
+)
+def test_skew_energy_identity_on_random_boxes(dim, cells, extent, name, seed):
+    lo = (-0.5,) * dim
+    hi = tuple(x - 0.5 for x in extent[:dim])
+    mesh = build_box_mesh(lo, hi, cells)
+    cs = preset(name, dim)
+    try:
+        density = solve_invariant_density(mesh, cs)
+    except DensityNotPositive:
+        # a stationarity matrix with no positive off-diagonal entry (a
+        # Z-matrix) would have a positive kernel vector
+        k = stationarity_matrix(mesh, cs).tocoo()
+        assert (k.data[k.row != k.col] > 0).any()
+        return
+    form = assemble_form(mesh, cs, density, decompose_drift(mesh, cs, density))
+    f = np.zeros(mesh.num_vertices)
+    f[form.interior] = np.random.default_rng(seed).standard_normal(form.interior.size)
+    diffusion = float(f @ (form.s @ f))
+    assert abs(form.energy(f) - diffusion) <= 1e-12 * diffusion
+    assert abs(float(f @ (form.d @ f))) <= 1e-12 * diffusion
 
 
 def test_raw_mode_defect_vanishes_without_drift():
