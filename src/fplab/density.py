@@ -7,7 +7,7 @@ transpose of the drift-diffusion operator matrix, so the density spans the
 kernel of the adjoint system, exactly as in the continuum.
 
 The density is found by pinning a vertex to 1, twice with different pins
-(solve_invariant_density): on a refined mesh with at least 4096 vertices
+(solve_invariant_density): on a mesh with a lineage and 4096 vertices or more
 by GMRES with the Galerkin V-cycle of fem._Multigrid along the lineage, as
 multilevel stationary-distribution solvers do (Horton & Leutenegger 1994),
 and below that by sparse LUs, which stay the test oracle. One function
@@ -118,8 +118,9 @@ def solve_invariant_density(mesh: SimplicialMesh, cs: CoefficientSet) -> Density
     is one-dimensional. The result is normalized to unit mean over the mesh.
 
     On a mesh with a refinement lineage and at least
-    _DENSITY_MULTIGRID_MIN_VERTICES (4096) vertices the pins are vertex 0
-    and the vertex of the lineage's first mesh farthest from it, and each
+    _DENSITY_MULTIGRID_MIN_VERTICES (4096) vertices the pins are the first
+    vertex of the lineage's first mesh and its vertex farthest from that
+    one (vertex 0 and another for balls and boxes alike), and each
     pinned system is solved by V(2,2)-cycle-preconditioned GMRES (restart
     20) to a relative residual of 1e-12 within 10 restart cycles, with one
     coarse-level LU per pin; the iteration counts land in `iterations`.
@@ -142,10 +143,13 @@ def solve_invariant_density(mesh: SimplicialMesh, cs: CoefficientSet) -> Density
     k = stationarity_matrix(mesh, cs)
     multigrid = bool(mesh.lineage) and mesh.num_vertices >= _DENSITY_MULTIGRID_MIN_VERTICES
     if multigrid:
-        # vertices of the lineage's first mesh keep their index on every
-        # level; the second pin is the one of them farthest from vertex 0
-        base = mesh.vertices[: mesh.lineage[0].num_vertices]
-        pins = [0, int(np.argmax(np.linalg.norm(base - base[0], axis=1)))]
+        # the ids on this mesh of the lineage's first mesh's vertices; the
+        # pins are its first vertex and the one of them farthest from it
+        ids = np.arange(mesh.lineage[0].num_vertices)
+        for level in mesh.lineage:
+            ids = level.fine_ids()[ids]
+        base = mesh.vertices[ids]
+        pins = [int(ids[0]), int(ids[np.argmax(np.linalg.norm(base - base[0], axis=1))])]
     else:
         interior = mesh.interior
         dist = np.linalg.norm(mesh.vertices[interior] - mesh.vertices.mean(axis=0), axis=1)

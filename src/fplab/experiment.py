@@ -350,10 +350,7 @@ def run_experiment(
     h1_seminorms = np.zeros(n)
     chi_u_norms = np.zeros(n)
     res = Resolvent(form, backend=backend, tol=tol, maxiter=maxiter)
-
-    # each task fills its own index of the arrays
-    def work(i, _):
-        alpha = alphas[i]
+    for i, alpha in enumerate(alphas):
         u = solve_resolvent(res, alpha, h_vals)
         scaled = alpha * u.values
         x = chi * scaled
@@ -362,8 +359,6 @@ def run_experiment(
         cutoff_gaps[i] = form.l2_norm(x - chi_h)
         h1_seminorms[i] = float(np.sqrt(max(x @ (s_identity @ x), 0.0)))
         chi_u_norms[i] = form.l2_norm(x)
-
-    res.map(work, range(n))
     sup_energy = float(energies.max()) if n else 0.0
     return EnergyBoundReport(
         alphas=alphas,

@@ -6,41 +6,28 @@ its antisymmetric part, which makes the discrete analog of the
 divergence-free identity hold exactly: x^T D x = 0 for every x, so the
 energy E(f, f) collapses to the diffusion part alone.
 
-A Resolvent solves alpha M + S + D on the interior either by a sparse LU
-("direct") or by GMRES preconditioned with a geometric multigrid V-cycle
-on the mesh's refinement lineage ("gmres"), which only a mesh made by
-refine_uniform has. The skew part D is small next to the SPD part
-alpha M + S, so the iteration count does not grow under refinement
-(Eisenstat, Elman & Schultz 1983). From 2000 interior unknowns on, the
-direct LU is taken in float32 and each solve is refined in float64 to a
-float64 backward error, or else redone by a float64 LU (mixed-precision
-iterative refinement, Buttari et al. 2007); the checks (contraction,
-resolvent identity, sub-Markov range, strong continuity) use multigrid
-GMRES to a relative residual of 1e-12 on a refined mesh; and M^{-1} (the
-generator, the strong continuity bound) is applied by Jacobi-preconditioned
-CG to a relative residual of 1e-14, since M is well conditioned. Below that
-size they all use a sparse LU. The interior systems and their V-cycle come
-from fem._Restriction, as the density's pinned systems do.
-
-The checks solve their alphas in turn on the calling thread. The direct
-sweeps (resolvent_sweep, experiment.run_experiment) solve one independent
-system per alpha through Resolvent.map, which runs two alphas at a time on
-worker threads, because SciPy's sparse LU releases the interpreter lock:
-each alpha's factor is made, used and freed on one worker, and the
-results, the factorization count and the solve order at each alpha are
-those of a sequential sweep. With one usable CPU, on systems too small to
-gain from it (fewer than 2000 interior unknowns), or with multigrid GMRES,
-whose solves take milliseconds, the work runs inline.
+A Resolvent solves alpha M + S + D on the interior by one policy. "gmres"
+runs GMRES preconditioned by a geometric multigrid V-cycle along the mesh's
+refinement lineage (a refined mesh or a box of 2**k cells per axis) to its
+tolerance. "direct" takes a float64 sparse LU below 2000 interior unknowns
+or on a mesh without a lineage; from 2000 on, on a mesh with one, it
+refines in float64, each correction a V-cycle GMRES solve, to a float64
+backward error (GMRES-based iterative refinement, Carson & Higham 2018),
+or else falls back to the LU. The skew part D is small next to the SPD
+part alpha M + S, so the iteration count does not grow under refinement
+(Eisenstat, Elman & Schultz 1983). The checks
+(contraction, resolvent identity, sub-Markov range, strong continuity) use
+multigrid GMRES to a relative residual of 1e-12 on such a mesh from 2000
+interior unknowns on, and M^{-1} (the generator, the strong continuity
+bound) is applied by Jacobi-preconditioned CG to a relative residual of
+1e-14, since M is well conditioned; below that size they use a sparse LU.
+The interior systems and their V-cycle come from fem._Restriction, as the
+density's pinned systems do. Everything runs on the calling thread.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import os
-import threading
-import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,42 +57,14 @@ from .fem import (
 from .mesh import SimplicialMesh
 
 DEFAULT_ALPHAS = tuple(float(2**k) for k in range(13))
-# glibc's mallopt parameter number for the malloc arena limit
-_M_ARENA_MAX = -8
-# alphas factored at once by Resolvent.map, at most the usable CPUs; with
-# 1 the work runs inline
-_WORKERS = min(
-    2,
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
-)
-# Resolvent.map also runs inline below this many interior unknowns: such
-# LUs take milliseconds, and handing them to threads cost more than it
-# saved (a 13-alpha sweep with 63 unknowns took 9.7 ms instead of 5.3 ms)
-_POOL_MIN_UNKNOWNS = 2000
-# the checks solve with multigrid GMRES from this many interior unknowns of
-# a refined mesh on (a 3D level-4 LU takes 120-170 ms, a solve ~10 ms), to
-# this relative residual; mass_solve runs CG from this many interior
-# unknowns on (3D level 5: 0.03 s against an 8.6 s LU), to _MASS_RTOL; and
-# the direct backend factors in float32 from this many on
+# from this many interior unknowns of a mesh with a lineage on, the direct
+# backend refines with the V-cycle and the checks solve with multigrid
+# GMRES (a 3D level-4 LU takes 120-170 ms, a solve ~10 ms), to this
+# relative residual; and mass_solve runs CG from this many interior
+# unknowns on (3D level 5: 0.03 s against an 8.6 s LU), to _MASS_RTOL
 _MULTIGRID_MIN_UNKNOWNS = 2000
 _CHECK_RTOL = 1e-12
 _MASS_RTOL = 1e-14
-
-
-@functools.cache
-def _share_main_arena():
-    """Make new threads allocate from glibc's main malloc arena (else a no-op).
-
-    A worker's own arena kept its last freed factor resident: 13-alpha sweeps
-    on the 3D level-4 ball peaked at 226 MB that way, 182-188 MB without it.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_ARENA_MAX, 1)
 
 
 @dataclass
@@ -247,47 +206,40 @@ class Resolvent:
     """G_alpha = (alpha M + S + D)^{-1} on the interior DOFs of one form.
 
     The interior block of the mesh's pattern (where S, D and M must lie) is
-    indexed once, so the system for one alpha is a gather of its data. It is
-    factored on its first solve and the factor is reused for every further
-    solve at that alpha on the same thread; a solve at another alpha
-    replaces it. The checks solve on the calling thread. Factors are held
-    per thread, so each thread holds at most one system factor, and a
-    factor is freed on the thread that made it: map() drops a worker's
-    factor before each task returns. (A SuperLU factor freed on another
-    thread left its memory with the thread that made it: 12 factors on the
-    3D level-4 ball raised RSS from 170 to 386 MB, against 193 MB when each
-    was freed where it was made.) Before it starts its threads, map() sets
-    glibc's arena limit to 1, so that workers allocate from the main arena
-    and a worker's last factor does not stay resident after it is freed.
-    mass_solve applies M^{-1}. A Resolvent is meant to live for one
-    computation: the form itself stores no factors, so holding on to them
-    never stacks on later stages' memory.
+    indexed once, so the system for one alpha is a gather of its data. Its
+    solver (an LU or a V-cycle) is made on the first solve at that alpha and
+    reused for every further solve at it; a solve at another alpha replaces
+    it, so a Resolvent holds one system at a time. mass_solve applies
+    M^{-1}. A Resolvent is meant to live for one computation: the form
+    itself stores no factors, so holding on to them never stacks on later
+    stages' memory.
 
     The interior unknowns are held in the mesh's nested-dissection order:
     `interior` is `order[~boundary[order]]` for `order =
     mesh.dissection_order`, and every interior vector the Resolvent takes
-    or returns (the factor's and mass_solve's) is indexed by it. Sparse
+    or returns (the solver's and mass_solve's) is indexed by it. Sparse
     LUs are taken in that order as is (permc_spec="NATURAL"), which fills
     far less than SuperLU's own COLAMD ordering of P1 systems.
 
     lumped=True replaces M by its row-sum diagonal (the sub-Markov scheme).
-    backend "direct" uses a sparse LU. From 2000 interior unknowns on it is
-    a float32 LU (one per alpha, in the same order); a solve starts from
-    x = LU^{-1} b and adds LU^{-1} (b - K x), the residual taken in float64,
-    until ||b - K x|| <= 4 eps (||K|| ||x|| + ||b||) in the infinity norm
-    with eps that of float64. If a step does not halve the residual or 10
-    steps do not reach it, a float64 LU replaces the float32 one and solves
-    this and every later right side at that alpha. "gmres" uses GMRES
-    (restart 20) with relative tolerance tol and at most maxiter restart
-    cycles, preconditioned by a V(2,2)-cycle (fem._Multigrid): damped Jacobi
-    (weight 0.6) on every level of the mesh's refinement lineage and a
-    sparse LU on the coarsest level that has interior unknowns. The
+    Both backends iterate with a V(2,2)-cycle (fem._Multigrid): damped
+    Jacobi (weight 0.6) on every level of the mesh's refinement lineage and
+    a sparse LU on the coarsest level that has interior unknowns. The
     Galerkin operators P^T M P and P^T (S + D) P of every level are built
-    once, so an alpha only costs alpha M_l + (S + D)_l and one small LU;
-    the mesh must have a lineage (be made by refine_uniform), else
-    ValueError. Solves go through solve_resolvent, which records the
-    residual norm of the calling thread's latest solve in `residual` and
-    its GMRES iterations or refinement steps in `iterations`.
+    once, so an alpha only costs alpha M_l + (S + D)_l and one small LU.
+    "gmres" runs GMRES (restart 20) with relative tolerance tol and at most
+    maxiter restart cycles, preconditioned by the V-cycle; the mesh must
+    have a lineage, else ValueError. "direct" takes a float64 sparse LU
+    below 2000 interior unknowns or on a mesh without a lineage. Otherwise
+    a solve starts from x = 0 and adds corrections, each one restart cycle
+    of V-cycle GMRES on b - K x to a relative residual of 1e-6, the residual
+    taken in float64, until ||b - K x|| <= 4 eps (||K|| ||x|| + ||b||) in
+    the infinity norm with eps that of float64. If a correction does not
+    halve the residual or 10 corrections after the first do not reach it,
+    a float64 LU solves this and every later right side at that alpha.
+    Solves go through solve_resolvent, which records the residual norm of
+    the latest solve in `residual` and its GMRES iterations or refinement
+    steps (corrections after the first) in `iterations`, None after an LU.
     """
 
     def __init__(
@@ -318,95 +270,34 @@ class Resolvent:
             m = _csr(mesh, np.where(rows == plan.indices, row_sums[rows], 0.0))
         self.m = m
         self._block = _Restriction(mesh, interior)
-        self._held = _Held()
+        self._alpha = self._k_int = self._solver = None
+        self.residual = self.iterations = None
         self._mass = None
         self._levels = None
-        if backend == "gmres":
-            if not mesh.lineage:
-                raise ValueError(
-                    "the gmres backend needs a mesh with a refinement lineage "
-                    "(one made by refine_uniform); this mesh has none"
-                )
+        if backend == "gmres" and not mesh.lineage:
+            raise ValueError(
+                "the gmres backend needs a mesh with a refinement lineage (one "
+                "made by refine_uniform, or a box of 2**k cells per axis); "
+                "this mesh has none"
+            )
+        if backend == "gmres" or (mesh.lineage and interior.size >= _MULTIGRID_MIN_UNKNOWNS):
             k = self._block.matrix(form.s.data + form.d.data)
             self._levels = self._block.multigrid(self._block.matrix(m.data), k)
 
-    @property
-    def residual(self):
-        """Residual norm of the calling thread's latest solve (None before it)."""
-        return self._held.residual
-
-    @property
-    def iterations(self):
-        """GMRES iterations or float32 refinement steps of the calling
-        thread's latest solve (None after a float64 LU or before the first)."""
-        return self._held.iterations
-
-    def map(self, work, items) -> list:
-        """[work(x, earlier) for x in items], two items at a time.
-
-        The direct sweeps (resolvent_sweep, experiment.run_experiment) run
-        their alphas through it. Each work(x, earlier) must solve at one
-        alpha only. It runs on a worker thread, which factors that alpha's
-        system on its first solve, reuses the factor for work's further
-        solves and drops it when work returns; so at most two factors are
-        alive at once, and an item that repeats an alpha factors it again.
-        `earlier(k)` returns (waiting for it if need be) the result of
-        items[k]; k must be below the index of x, because items start in
-        order. The results come back in the order of items, and the first
-        failing item in that order raises. With one usable CPU, fewer than
-        2000 interior unknowns or the gmres backend, every item runs inline,
-        in order, on the calling thread.
-        """
-        if (
-            _WORKERS < 2
-            or self.interior.size < _POOL_MIN_UNKNOWNS
-            or self.backend == "gmres"
-        ):
-            results = []
-            for x in items:
-                results.append(self._task(work, x, results.__getitem__))
-            return results
-        _share_main_arena()
-        futures = []
-
-        def earlier(k):
-            return futures[k].result()
-
-        pool = ThreadPoolExecutor(_WORKERS)
-        try:
-            for x in items:
-                futures.append(pool.submit(self._task, work, x, earlier))
-            return [future.result() for future in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
-
-    def _task(self, work, x, earlier):
-        """work(x, earlier), then drop the factor this thread made for it."""
-        try:
-            return work(x, earlier)
-        except BaseException as exc:
-            # the failed frames' locals may still reference the factor
-            traceback.clear_frames(exc.__traceback__)
-            raise
-        finally:
-            held = self._held
-            held.alpha = held.k_int = held.factor = None
-
     def _system(self, alpha: float):
-        """Interior matrix alpha M + S + D and its factor (or V-cycle)."""
-        held = self._held
-        if alpha != held.alpha:
-            # drop the old factor before building the next one
-            held.alpha = held.k_int = held.factor = None
+        """Interior matrix alpha M + S + D and its solver (see Resolvent)."""
+        if alpha != self._alpha:
+            # drop the old solver before building the next one
+            self._alpha = self._k_int = self._solver = None
             k = alpha * self.m.data + self.form.s.data + self.form.d.data
             k_int = self._block.matrix(k)
-            if self.backend == "direct":
-                factor = _DirectFactor(k_int, k_int.shape[0] >= _MULTIGRID_MIN_UNKNOWNS)
-            else:
+            cycle = None
+            if self._levels is not None:
                 levels = [(alpha * m + k).tocsr() for m, k in self._levels.levels]
-                factor = self._levels.v_cycle(levels + [k_int])
-            held.alpha, held.k_int, held.factor = alpha, k_int, factor
-        return held.k_int, held.factor
+                cycle = self._levels.v_cycle(levels + [k_int])
+            solver = cycle if self.backend == "gmres" else _DirectSolver(k_int, cycle)
+            self._alpha, self._k_int, self._solver = alpha, k_int, solver
+        return self._k_int, self._solver
 
     def mass_solve(self, z: np.ndarray) -> np.ndarray:
         """M^{-1} z on interior DOFs: Jacobi-preconditioned CG to a relative
@@ -421,23 +312,25 @@ class Resolvent:
         return self._mass(z)
 
 
-class _DirectFactor:
-    """Sparse LU of one interior system; with `single` a float32 LU whose
-    solves are refined to float64 accuracy (see Resolvent). A call returns
-    the solution and its refinement steps, None after a float64 LU."""
+class _DirectSolver:
+    """One interior system solved to float64 accuracy: by refinement with
+    V-cycle GMRES corrections when given the V-cycle, else (or once the
+    refinement fails) by a float64 sparse LU (see Resolvent). A call returns
+    the solution and its refinement steps, None after the LU."""
 
-    def __init__(self, k_int: sp.csr_matrix, single: bool):
-        self.k_int, self.single, self.norm = k_int, single, None
-        if single:
+    def __init__(self, k_int: sp.csr_matrix, cycle: Optional[spla.LinearOperator]):
+        self.k_int, self.cycle, self.lu = k_int, cycle, None
+        if cycle is None:
+            self.lu = spla.splu(k_int.tocsc(), permc_spec="NATURAL")
+        else:
             # ||K||_inf; abs(k_int) would sort the index arrays it shares in place
             self.norm = np.add.reduceat(np.abs(k_int.data), k_int.indptr[:-1]).max()
-        a = k_int.astype(np.float32 if single else float, copy=False)
-        self.lu = spla.splu(a.tocsc(), permc_spec="NATURAL")
 
     def __call__(self, b: np.ndarray):
-        if self.single:
-            x, last = self.lu.solve(b.astype(np.float32)).astype(float), np.inf
+        if self.lu is None:
+            x, r, last = np.zeros_like(b), b, np.inf
             for steps in range(11):
+                x += _gmres(self.k_int, r, self.cycle, 1e-6, 1)[0]
                 r = b - self.k_int @ x
                 size, scale = np.abs(r).max(), self.norm * np.abs(x).max() + np.abs(b).max()
                 if size <= 4 * np.finfo(float).eps * scale:
@@ -445,19 +338,9 @@ class _DirectFactor:
                 if steps == 10 or not size <= last / 2:  # capped, stagnating or not finite
                     break
                 last = size
-                x += self.lu.solve(r.astype(np.float32))
-            # free the float32 LU first; the float64 one serves every later solve
-            self.lu = None
+            # the LU serves this and every later solve
             self.lu = spla.splu(self.k_int.tocsc(), permc_spec="NATURAL")
-            self.single = False
         return self.lu.solve(b), None
-
-
-class _Held(threading.local):
-    """One thread's held system: its alpha, matrix and factor, and the
-    residual and iteration count of its latest solve."""
-
-    alpha = k_int = factor = residual = iterations = None
 
 
 def _mass_cg(m_int: sp.csr_matrix, z: np.ndarray) -> np.ndarray:
@@ -487,9 +370,9 @@ def solve_resolvent(form, alpha: float, f) -> FeFunction:
     M-projection of f, leaving an alpha-independent gap for data with a
     nonzero boundary trace).
 
-    `form` is a Resolvent, which reuses its factor across solves at the same
-    alpha and solves with its own backend, tol and maxiter, or a
-    FormMatrices, which gets a one-shot default Resolvent (a sparse LU).
+    `form` is a Resolvent, which reuses its solver across solves at the
+    same alpha and solves with its own backend, tol and maxiter, or a
+    FormMatrices, which gets a one-shot default (direct) Resolvent.
     GMRES that misses its tolerance within maxiter restart cycles of 20
     inner iterations raises SolverDivergence, and a residual check guards
     both backends.
@@ -502,11 +385,11 @@ def solve_resolvent(form, alpha: float, f) -> FeFunction:
     f_zeroed = np.zeros_like(f_vec)
     f_zeroed[interior] = f_vec[interior]
     rhs = (res.m @ f_zeroed)[interior]
-    k_int, factor = res._system(alpha)
+    k_int, solver = res._system(alpha)
     if res.backend == "direct":
-        u_int, iterations = factor(rhs)
+        u_int, iterations = solver(rhs)
     else:
-        u_int, info, iterations = _gmres(k_int, rhs, factor, res.tol, res.maxiter)
+        u_int, info, iterations = _gmres(k_int, rhs, solver, res.tol, res.maxiter)
         if info != 0:
             raise SolverDivergence(
                 f"gmres failed to reach rtol={res.tol:.1e} "
@@ -518,8 +401,8 @@ def solve_resolvent(form, alpha: float, f) -> FeFunction:
         raise SolverDivergence(
             f"resolvent residual {resid:.3e} exceeds tolerance at alpha={alpha}"
         )
-    res._held.residual = float(resid)
-    res._held.iterations = iterations
+    res.residual = float(resid)
+    res.iterations = iterations
     u = np.zeros(res.form.mesh.num_vertices)
     u[interior] = u_int
     return FeFunction(mesh=res.form.mesh, values=u)
@@ -745,7 +628,7 @@ def resolvent_sweep(
     The residuals are those of the solver's residual guard. The identity
     check at (alphas[0], alphas[2]) reuses the sweep's own G_alpha f solves:
     alphas[2] is solved first, so that the identity's extra alphas[0] solve
-    reuses the factor of the sweep's own alphas[0] solve. The sub-Markov
+    reuses the solver of the sweep's own alphas[0] solve. The sub-Markov
     check at alphas[0] uses the sweep's backend, tol and maxiter as well.
     """
     rng = np.random.default_rng(seed)
@@ -757,21 +640,14 @@ def resolvent_sweep(
     j = min(2, len(alphas) - 1)
     ratios = [0.0] * len(alphas)
     residuals = [0.0] * len(alphas)
-    ident = None
-
-    # each task fills its own index i
-    def work(i, earlier):
-        nonlocal ident
+    for i in [j] + [i for i in range(len(alphas)) if i != j]:
         u = solve_resolvent(res, alphas[i], f)
         ratios[i] = float(alphas[i] * form.l2_norm(u.values) / f_norm)
         residuals[i] = res.residual
+        if i == j:
+            u_b = u
         if i == 0:
-            # the first task solves at alphas[j]
-            u_b = u if j == 0 else earlier(0)
             ident = _identity_report(res, alphas[0], alphas[j], f, u, u_b)
-        return u
-
-    res.map(work, [j] + [i for i in range(len(alphas)) if i != j])
     lumped = Resolvent(form, backend=backend, lumped=True, tol=tol, maxiter=maxiter)
     sub = _submarkov(lumped, alphas[0], None, 1e-8)
     return ResolventSweepReport(

@@ -121,8 +121,10 @@ class SimplicialMesh:
     domain : Ball | Box | None
         Descriptor used for boundary detection and refinement projection.
     lineage : tuple of RefinementLevel
-        The meshes this one was refined from by refine_uniform, coarsest
-        first; empty for a mesh that was built or read, not refined.
+        The coarser meshes this one nests in, coarsest first: those it was
+        refined from by refine_uniform, and for a box of 2**k cells per axis
+        the boxes of 1, 2, ..., 2**(k-1) cells; empty for a read mesh, a
+        ball template and any other box.
     """
 
     dim: int
@@ -206,28 +208,30 @@ class SimplicialMesh:
     def _prolongations(self, kept) -> list:
         """Prolongations along the lineage between kept vertices, coarsest first.
 
-        kept is vertex ids of this mesh. A lineage mesh of n vertices keeps
-        the kept ones below n, since every lineage vertex keeps its index on
-        each finer mesh. Entry k maps values at the kept vertices of lineage
-        level k (in index order) to values at the kept vertices of the next
-        finer mesh, the last one to this mesh's in the order of kept:
-        P = [I; (e_i + e_j) / 2], a coarse vertex keeping its value and a
-        midpoint taking the mean of its edge's ends. Values off the kept
-        vertices are zero.
+        kept is vertex ids of this mesh. A lineage mesh keeps the vertices
+        whose own row on the next finer mesh (see RefinementLevel) is kept
+        there. Entry k maps values at the kept vertices of lineage level k
+        (in index order) to values at the kept vertices of the next finer
+        mesh, the last one to this mesh's in the order of kept: every fine
+        vertex takes the mean of its two parents' values, so a coarse vertex
+        keeps its value and a midpoint takes the mean of its edge's ends.
+        Values off the kept vertices are zero.
         """
         mask = np.zeros(self.num_vertices, dtype=bool)
         mask[kept] = True
-        out = []
-        for level in self.lineage:
-            nc, edges = level.num_vertices, level.edges
-            mids = np.arange(nc, nc + len(edges))
-            rows = np.concatenate([np.arange(nc), np.repeat(mids, 2)])
-            cols = np.concatenate([np.arange(nc), edges.ravel()])
-            vals = np.concatenate([np.ones(nc), np.full(edges.size, 0.5)])
-            p = sp.csr_matrix((vals, (rows, cols)), shape=(nc + len(edges), nc))
-            fine = kept if level is self.lineage[-1] else mask[: nc + len(edges)]
-            out.append(p[fine][:, mask[:nc]])
-        return out
+        fine, out = kept, []
+        for level in reversed(self.lineage):
+            parents = level.parents
+            nf = len(parents)
+            # a coarse vertex's two halves sum to 1
+            p = sp.csr_matrix(
+                (np.full(2 * nf, 0.5), (np.arange(nf).repeat(2), parents.ravel())),
+                shape=(nf, level.num_vertices),
+            )
+            coarse = mask[level.fine_ids()]
+            out.append(p[fine][:, coarse])
+            fine = mask = coarse
+        return out[::-1]
 
     def element_coords(self) -> np.ndarray:
         """Vertex coordinates per element, shape (ne, dim + 1, dim)."""
@@ -246,15 +250,22 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 class RefinementLevel(NamedTuple):
-    """A coarse mesh of a refinement lineage, as read-only arrays.
+    """A coarse mesh of a refinement lineage, as a read-only parent table.
 
-    The finer mesh's vertices are the num_vertices coarse ones followed by
-    one midpoint per row of edges (its two parent vertices, int32, in
-    _mesh_edges order).
+    Row i of parents holds the two coarse vertices (int32) whose mean is
+    vertex i of the next finer mesh: a coarse vertex is its own parent
+    twice, a midpoint has the ends of its coarse edge.
     """
 
     num_vertices: int
-    edges: np.ndarray  # (nE, 2)
+    parents: np.ndarray  # (nf, 2)
+
+    def fine_ids(self) -> np.ndarray:
+        """The next finer mesh's id of every coarse vertex, shape (num_vertices,)."""
+        own = np.flatnonzero(self.parents[:, 0] == self.parents[:, 1])
+        ids = np.empty(self.num_vertices, dtype=np.int64)
+        ids[self.parents[own, 0]] = own
+        return ids
 
 
 class CsrPlan(NamedTuple):
@@ -416,7 +427,12 @@ def build_box_mesh(lo, hi, cells_per_axis) -> SimplicialMesh:
     """Kuhn-subdivide a tensor grid on an axis-aligned box.
 
     Every grid cell is split along the same lo-to-hi diagonal (2 triangles in
-    2D, 6 tetrahedra in 3D), which yields a conforming, nonobtuse mesh.
+    2D, 6 tetrahedra in 3D), which yields a conforming, nonobtuse mesh. With
+    the same 2**k cells on every axis the mesh records the boxes of 1, 2,
+    ..., 2**(k-1) cells as its lineage: every Kuhn simplex of the n grid is
+    a union of those of the 2n grid (Freudenthal 1942), and a fine vertex
+    with grid index g is the mean of the coarse vertices g // 2 and
+    -(-g // 2), which are one coarse vertex or the ends of a coarse edge.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -444,7 +460,16 @@ def build_box_mesh(lo, hi, cells_per_axis) -> SimplicialMesh:
     # vertex ids follow the C order of the meshgrid above
     elements = np.ravel_multi_index(np.moveaxis(grid_index, -1, 0), cells + 1)
     domain = Box(lo=tuple(lo), hi=tuple(hi))
-    return _orient_and_build(vertices, elements.reshape(-1, dim + 1), dim, domain)
+    lineage = []
+    if (cells == cells[0]).all() and cells[0] & (cells[0] - 1) == 0:
+        for n in 2 ** np.arange(int(cells[0]).bit_length() - 1):  # coarse cells per axis
+            g = np.indices((2 * n + 1,) * dim).reshape(dim, -1)
+            parents = [np.ravel_multi_index(x, (n + 1,) * dim) for x in (g // 2, -(-g // 2))]
+            parents = _read_only(np.stack(parents, axis=1).astype(np.int32))
+            lineage.append(RefinementLevel(int(n + 1) ** dim, parents))
+    return _orient_and_build(
+        vertices, elements.reshape(-1, dim + 1), dim, domain, lineage=tuple(lineage)
+    )
 
 
 def _mesh_edges(mesh: SimplicialMesh):
@@ -610,7 +635,8 @@ def refine_uniform(mesh: SimplicialMesh) -> SimplicialMesh:
         children = np.concatenate(
             [local[:, _RED_CORNERS_3D], local[rows, octahedron]], axis=1
         )
-    level = RefinementLevel(nv, _read_only(edges.astype(np.int32)))
+    parents = np.concatenate([np.arange(nv).repeat(2).reshape(-1, 2), edges])
+    level = RefinementLevel(nv, _read_only(parents.astype(np.int32)))
     return _orient_and_build(
         vertices,
         children.reshape(-1, dim + 1),

@@ -403,9 +403,7 @@ def criterion_energy_bound(ctx: VerificationContext):
     for case in ("gaussian", "eigen"):
         _, _, _, report = ctx.experiment(case)
         diag = convergence_diagnostics(report)
-        case_ok = (
-            report.margin >= 0.0 and diag.l2_monotone and diag.l2_reduction <= 1e-3
-        )
+        case_ok = report.margin >= 0.0 and diag.l2_monotone and diag.l2_reduction_ok
         ok = ok and case_ok
         parts.append(
             f"{case}: sup E {report.sup_energy:.4f} vs bound {report.bound:.1f},"

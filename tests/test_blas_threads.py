@@ -34,8 +34,9 @@ def _run_stage(config, stage, threads):
 def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the 2D level-5 disk has 12481 vertices, above the size from which the
     # density is solved by multigrid GMRES, and 12097 interior unknowns,
-    # above the size from which the direct backend factors in float32; the
-    # runs share one config, because a report embeds the config hash
+    # above the size from which the direct backend refines with V-cycle
+    # GMRES corrections; the runs share one config, because a report embeds
+    # the config hash
     out = tmp_path / "out"
     config = tmp_path / "run.ini"
     config.write_text(

@@ -200,8 +200,7 @@ _BALL = "[domain]\nkind = ball\ndim = 2\nradius = 1.0\n"
         (_BALL + "[resolvent]\nbackend = magic\n",
          "[resolvent] backend must be direct or gmres, got 'magic'"),
         (_BALL + "level = 0\n[resolvent]\nbackend = gmres\n",
-         "[resolvent] backend = gmres needs a refined ball mesh "
-         "([domain] kind = ball, level >= 1)"),
+         "[resolvent] backend = gmres needs [domain] level >= 1"),
         (_BALL + "[resolvent]\nmaxiter = 1.5\n", "invalid value for [resolvent] maxiter: '1.5'"),
         (_BALL + "[vmo]\nradii = a\n", "bad float list for [vmo] radii: 'a'"),
         (_BALL + "[mollifier]\neps = -0.1\n", "[mollifier] eps values must be positive"),

@@ -191,11 +191,28 @@ def test_lu_pins_differ_on_a_mesh_with_one_interior_vertex(dim, monkeypatch):
     assert len(pins) == 2 and pins[1] != pins[0]
 
 
-def test_multigrid_density_matches_the_lu_path():
-    mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=5)
+@pytest.mark.parametrize(
+    "mesh, far",
+    [
+        (build_ball_mesh((0.0, 0.0), 1.0, levels=5), 7),
+        # the pins are the one-cell box's corners lo and hi, at the first and
+        # last vertex of the box of 64 cells per axis
+        (build_box_mesh((-1.0, -1.0), (1.0, 1.0), 64), 65**2 - 1),
+    ],
+    ids=["ball", "box"],
+)
+def test_multigrid_density_matches_the_lu_path(mesh, far, monkeypatch):
     assert mesh.num_vertices >= _DENSITY_MULTIGRID_MIN_VERTICES
-    cs = preset("gaussian_gradient", 2)
+    cs = preset("gaussian_gradient", 2, radius=float(np.sqrt(2.0)))
+    pins = []
+
+    def recording(mesh, k, pin, multigrid):
+        pins.append(pin)
+        return _pinned_solve(mesh, k, pin, multigrid)
+
+    monkeypatch.setattr(fplab.density, "_pinned_solve", recording)
     density = solve_invariant_density(mesh, cs)
+    assert pins == [0, far]
     assert len(density.iterations) == 2
     # no nested-dissection order was computed for the multigrid path
     assert "dissection_order" not in vars(mesh)

@@ -1,6 +1,7 @@
 """Dirichlet form assembly and resolvent family checks."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fplab import (
     DEFAULT_ALPHAS,
     DensityNotPositive,
     DimensionUnsupported,
+    ContractionViolation,
     Resolvent,
     apply_generator,
     assemble_form,
@@ -419,6 +421,20 @@ def lu_fill(a, permc_spec):
 @pytest.fixture(scope="module")
 def rotator3():
     return make_pipeline("rotator", 3, 3)
+
+
+def test_contraction_violation_names_the_first_offending_alpha(rotator3):
+    form = rotator3[4]
+    alphas = tuple(float(4**k) for k in range(4))
+    rows = check_contraction(form, alphas=alphas, trials=3, seed=45).rows
+    # every ratio above the largest one at the first alpha now violates
+    threshold = max(ratio for alpha, _, ratio in rows if alpha == alphas[0])
+    offenders = [(alpha, ratio) for alpha, _, ratio in rows if ratio > threshold]
+    assert len({alpha for alpha, _ in offenders}) >= 2
+    alpha, ratio = offenders[0]
+    message = f"||alpha G_alpha f|| / ||f|| = {ratio:.12f} at alpha={alpha}"
+    with pytest.raises(ContractionViolation, match=re.escape(message)):
+        check_contraction(form, alphas=alphas, trials=3, seed=45, tol=threshold - 1.0)
 
 
 def test_dissection_order_fills_no_more_than_colamd(rotator3):

@@ -1,7 +1,10 @@
 """Refinement lineage and the multigrid-preconditioned GMRES backend."""
 
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
@@ -33,6 +36,7 @@ from fplab import (
 )
 from fplab.cli import main
 from fplab.forms import _CHECK_RTOL, _MULTIGRID_MIN_UNKNOWNS
+from fplab.mesh import _mesh_edges
 
 
 def make_form(mesh, name="rotator"):
@@ -85,59 +89,175 @@ def test_refinement_records_the_lineage():
     assert meshes[0].lineage == ()
     assert len(fine.lineage) == 2
     for coarse, level, finer in zip(meshes, fine.lineage, meshes[1:]):
-        assert level.num_vertices == coarse.num_vertices
-        assert level.num_vertices + len(level.edges) == finer.num_vertices
-        assert np.array_equal((~fine.boundary)[: level.num_vertices], ~coarse.boundary)
-        assert not level.edges.flags.writeable
-        # an interior midpoint sits halfway between its edge's ends
-        mids = np.arange(level.num_vertices, finer.num_vertices)
-        inner = ~finer.boundary[mids]
-        halfway = finer.vertices[level.edges].mean(axis=1)
-        np.testing.assert_allclose(finer.vertices[mids][inner], halfway[inner], atol=1e-15)
+        n = level.num_vertices
+        assert n == coarse.num_vertices
+        assert len(level.parents) == finer.num_vertices
+        assert level.parents.dtype == np.int32 and not level.parents.flags.writeable
+        # the coarse vertices come first, each its own parent, then one
+        # midpoint per coarse edge
+        np.testing.assert_array_equal(level.parents[:n], np.arange(n).repeat(2).reshape(-1, 2))
+        np.testing.assert_array_equal(level.parents[n:], _mesh_edges(coarse)[0])
+        np.testing.assert_array_equal(level.fine_ids(), np.arange(n))
+        # an interior vertex sits halfway between its parents
+        inner = ~finer.boundary
+        halfway = coarse.vertices[level.parents].mean(axis=1)
+        np.testing.assert_allclose(finer.vertices[inner], halfway[inner], atol=1e-15)
     # a refined mesh inherits the coarse mesh's lineage
     again = refine_uniform(fine)
     assert again.lineage[:2] == fine.lineage
 
 
 @pytest.mark.parametrize(
-    "base",
+    "meshes",
     [
-        build_ball_mesh((0.0, 0.0), 1.0),
-        build_ball_mesh((0.0, 0.0, 0.0), 1.0),
-        build_box_mesh((0.0, 0.0), (1.0, 2.0), 3),
-        build_box_mesh((-1.0, 0.0, 0.0), (1.0, 1.0, 1.0), 2),
+        [build_ball_mesh((0.0, 0.0), 1.0)],
+        [build_ball_mesh((0.0, 0.0, 0.0), 1.0)],
+        [build_box_mesh((0.0, 0.0), (1.0, 2.0), 3)],
+        # the box of 2 cells and the one-cell box of its lineage
+        [build_box_mesh((-1.0, 0.0, 0.0), (1.0, 1.0, 1.0), n) for n in (1, 2)],
     ],
 )
-def test_lineage_vertices_keep_their_boundary_flag(base):
-    # a lineage mesh's vertices keep their index and their boundary flag on
-    # every finer mesh, so a mask of the finest mesh restricts to each level
-    meshes = [base]
+def test_lineage_vertices_keep_their_place_and_boundary_flag(meshes):
+    # every lineage mesh's vertex has an id on each finer mesh, at the same
+    # place and with the same boundary flag, so a mask of the finest mesh
+    # restricts to each level
+    meshes = list(meshes)
     for _ in range(2):
         meshes.append(refine_uniform(meshes[-1]))
     fine = meshes[-1]
-    for coarse, level in zip(meshes, fine.lineage):
-        n = level.num_vertices
-        np.testing.assert_array_equal(fine.vertices[:n], coarse.vertices)
-        np.testing.assert_array_equal((~fine.boundary)[:n], ~coarse.boundary)
+    assert len(fine.lineage) == len(meshes) - 1
+    for k, coarse in enumerate(meshes[:-1]):
+        assert fine.lineage[k].num_vertices == coarse.num_vertices
+        ids = np.arange(coarse.num_vertices)
+        for level in fine.lineage[k:]:
+            ids = level.fine_ids()[ids]
+        np.testing.assert_allclose(fine.vertices[ids], coarse.vertices, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(fine.boundary[ids], coarse.boundary)
 
 
-def test_built_and_read_meshes_have_no_lineage(tmp_path):
-    assert build_box_mesh((0.0, 0.0), (1.0, 1.0), 4).lineage == ()
+def test_meshes_without_a_lineage(tmp_path):
+    assert build_box_mesh((0.0, 0.0), (1.0, 1.0), 6).lineage == ()
+    assert build_box_mesh((0.0, 0.0), (1.0, 1.0), (4, 2)).lineage == ()
+    assert build_box_mesh((0.0, 0.0), (1.0, 1.0), 1).lineage == ()
+    assert build_ball_mesh((0.0, 0.0), 1.0).lineage == ()
     path = tmp_path / "mesh.npz"
     write_mesh(build_ball_mesh((0.0, 0.0), 1.0, levels=2), path)
     assert read_mesh(path).lineage == ()
 
 
-def test_prolongation_interpolates_coarse_interior_values():
-    mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=2)
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("cells", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_kuhn_box_of_2n_cells_nests_in_the_box_of_n(dim, cells):
+    lo, hi = np.array([-1.0, 0.0, 0.5][:dim]), np.array([1.0, 1.5, 2.0][:dim])
+    coarse = build_box_mesh(lo, hi, cells)
+    fine = build_box_mesh(lo, hi, 2 * cells)
+
+    def cell(points):
+        index = np.floor((points - lo) / ((hi - lo) / cells)).astype(int)
+        return np.ravel_multi_index(index.T, (cells,) * dim)
+
+    # every fine element lies inside one of the d! coarse elements of the
+    # coarse cell that holds its centroid
+    by_cell = np.argsort(cell(coarse.element_coords().mean(axis=1)), kind="stable")
+    by_cell = by_cell.reshape(cells**dim, -1)
+    assert by_cell.shape[1] == (2 if dim == 2 else 6)
+    corners = fine.element_coords()
+    coords = coarse.element_coords()[by_cell[cell(corners.mean(axis=1))]]
+    inverse = np.linalg.inv(coords[:, :, 1:] - coords[:, :, :1])  # rows x_j - x_0
+    inside = True
+    for k in range(dim + 1):
+        local = np.einsum("nqd,nqdj->nqj", corners[:, None, k] - coords[:, :, 0], inverse)
+        bary = np.concatenate([1.0 - local.sum(axis=2, keepdims=True), local], axis=2)
+        inside = inside & (bary.min(axis=2) >= -1e-12)
+    assert inside.any(axis=1).all()
+    # a fine vertex with grid index g is the mean of the coarse vertices
+    # g // 2 and -(-g // 2), which are one vertex or the ends of a coarse edge
+    g = np.indices((2 * cells + 1,) * dim).reshape(dim, -1)
+    parents = np.stack(
+        [np.ravel_multi_index(x, (cells + 1,) * dim) for x in (g // 2, -(-g // 2))], axis=1
+    )
+    np.testing.assert_allclose(
+        coarse.vertices[parents].mean(axis=1), fine.vertices, rtol=0, atol=1e-15
+    )
+    edges = {tuple(e) for e in _mesh_edges(coarse)[0].tolist()}
+    split = parents[parents[:, 0] != parents[:, 1]]
+    assert {tuple(p) for p in split.tolist()} <= edges
+    if cells & (cells - 1) == 0:
+        np.testing.assert_array_equal(fine.lineage[-1].parents, parents)
+        assert len(fine.lineage) == len(coarse.lineage) + 1
+
+
+# vertices, elements and boundary flags of Kuhn boxes as built before boxes
+# recorded a lineage: sha256 of the three arrays' bytes in turn
+BOX_DIGESTS = {
+    (2, 8): "11f62d6e0f8c6b4ca899128f7a353d6867d3add6ba5b0e6c7cf247675ff1cc1f",
+    (3, 4): "25b3360039711846865f2f1ddf173ae0c803a6751c29bb833d87b3fc3f21821a",
+    (3, 8): "3e8a4d0d1262424eb72f9a27152f5ec2d8e4466114d3634df01571e618a47b09",
+}
+
+
+@pytest.mark.parametrize("dim, cells", sorted(BOX_DIGESTS))
+def test_box_meshes_are_unchanged_by_their_lineage(dim, cells):
+    mesh = build_box_mesh((-1.0,) * dim, (1.0, 2.0, 0.5)[:dim], cells)
+    assert mesh.lineage
+    digest = hashlib.sha256()
+    for a in (mesh.vertices, mesh.elements, mesh.boundary):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == BOX_DIGESTS[dim, cells]
+
+
+def old_prolongations(mesh, kept):
+    """The prolongations as built from each level's midpoint edges, when
+    every lineage vertex kept its index on each finer mesh."""
+    mask = np.zeros(mesh.num_vertices, dtype=bool)
+    mask[kept] = True
+    out = []
+    for level in mesh.lineage:
+        nc = level.num_vertices
+        edges = level.parents[nc:]
+        mids = np.arange(nc, nc + len(edges))
+        rows = np.concatenate([np.arange(nc), np.repeat(mids, 2)])
+        cols = np.concatenate([np.arange(nc), edges.ravel()])
+        vals = np.concatenate([np.ones(nc), np.full(edges.size, 0.5)])
+        p = sp.csr_matrix((vals, (rows, cols)), shape=(nc + len(edges), nc))
+        fine = kept if level is mesh.lineage[-1] else mask[: nc + len(edges)]
+        out.append(p[fine][:, mask[:nc]])
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ball_prolongations_equal_the_edge_based_ones(dim):
+    mesh = build_ball_mesh((0.0,) * dim, 1.0, levels=3)
+    order = mesh.dissection_order
+    for kept in (order[~mesh.boundary[order]], np.arange(1, mesh.num_vertices)):
+        new, old = mesh._prolongations(kept), old_prolongations(mesh, kept)
+        assert len(new) == len(old) == 3
+        for a, b in zip(new, old):
+            assert a.shape == b.shape
+            for x, y in zip((a.data, a.indices, a.indptr), (b.data, b.indices, b.indptr)):
+                np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize(
+    "mesh, coarse_mesh",
+    [
+        (build_ball_mesh((0.0, 0.0), 1.0, levels=2), build_ball_mesh((0.0, 0.0), 1.0, levels=1)),
+        (
+            build_box_mesh((0.0, 0.0, 0.0), (1.0, 1.0, 2.0), 8),
+            build_box_mesh((0.0, 0.0, 0.0), (1.0, 1.0, 2.0), 4),
+        ),
+    ],
+    ids=["ball", "box"],
+)
+def test_prolongation_interpolates_coarse_interior_values(mesh, coarse_mesh):
     level = mesh.lineage[-1]
     p = mesh._prolongations(mesh.interior)[-1]
-    coarse_interior = (~mesh.boundary)[: level.num_vertices]
-    assert p.shape == (mesh.interior.size, int(coarse_interior.sum()))
+    assert p.shape == (mesh.interior.size, coarse_mesh.interior.size)
     coarse = np.zeros(level.num_vertices)
-    coarse[coarse_interior] = np.random.default_rng(5).standard_normal(p.shape[1])
-    fine = np.concatenate([coarse, coarse[level.edges].mean(axis=1)])
-    np.testing.assert_array_equal(p @ coarse[coarse_interior], fine[mesh.interior])
+    coarse[coarse_mesh.interior] = np.random.default_rng(5).standard_normal(p.shape[1])
+    # a P1 function of the coarse mesh is linear on each fine element
+    fine = coarse[level.parents].mean(axis=1)
+    np.testing.assert_array_equal(p @ coarse[coarse_mesh.interior], fine[mesh.interior])
 
 
 def test_prolongation_between_all_vertices_but_a_pin():
@@ -152,7 +272,7 @@ def test_prolongation_between_all_vertices_but_a_pin():
     level = mesh.lineage[-1]
     coarse = np.random.default_rng(6).standard_normal(level.num_vertices)
     coarse[pin] = 0.0
-    fine = np.concatenate([coarse, coarse[level.edges].mean(axis=1)])
+    fine = coarse[level.parents].mean(axis=1)
     np.testing.assert_array_equal(p[-1] @ coarse[keep[-2]], fine[keep[-1]])
 
 
@@ -236,24 +356,31 @@ def test_cg_mass_solve_that_misses_its_tolerance_raises(disk_forms, monkeypatch)
         apply_generator(form, interior_data(form, 60))
 
 
-def test_gmres_needs_a_lineage():
-    form = make_form(build_box_mesh((0.0, 0.0), (1.0, 1.0), 8))
+def test_gmres_needs_a_lineage(tmp_path):
+    form = make_form(build_box_mesh((0.0, 0.0), (1.0, 1.0), 6))
     with pytest.raises(ValueError, match="lineage"):
         Resolvent(form, backend="gmres")
+    path = tmp_path / "mesh.npz"
+    write_mesh(build_ball_mesh((0.0, 0.0), 1.0, levels=2), path)
+    with pytest.raises(ValueError, match="lineage"):
+        Resolvent(make_form(read_mesh(path)), backend="gmres")
 
 
-def test_gmres_config_needs_a_refined_ball(tmp_path, capsys):
+def test_gmres_config_needs_level_one(tmp_path, capsys):
     box = "[domain]\nkind = box\ndim = 2\nlo = 0 0\nhi = 1 1\n"
+    ball = "[domain]\nkind = ball\ndim = 2\nradius = 1.0\n"
     gmres = "[resolvent]\nbackend = gmres\n"
-    with pytest.raises(ConfigError, match="refined ball"):
-        parse_config_text(box + gmres)
-    with pytest.raises(ConfigError, match="refined ball"):
-        parse_config_text("[domain]\nkind = ball\ndim = 2\nradius = 1.0\nlevel = 0\n" + gmres)
-    assert parse_config_text(box).backend == "direct"
+    for domain in (box, ball):
+        with pytest.raises(ConfigError, match="level >= 1"):
+            parse_config_text(domain + "level = 0\n" + gmres)
+        assert parse_config_text(domain + "level = 1\n" + gmres).backend == "gmres"
     path = tmp_path / "run.ini"
-    path.write_text(f"[run]\noutput_dir = {tmp_path / 'out'}\n" + box + gmres)
+    path.write_text(f"[run]\noutput_dir = {tmp_path / 'out'}\n" + box + "level = 0\n" + gmres)
     assert main(["resolvent", "--config", str(path)]) == 2
-    assert "refined ball" in capsys.readouterr().err
+    assert "level >= 1" in capsys.readouterr().err
+    # a box of level >= 1 has a lineage, so its resolvent runs on gmres
+    path.write_text(f"[run]\noutput_dir = {tmp_path / 'out'}\n" + box + "level = 3\n" + gmres)
+    assert main(["resolvent", "--config", str(path)]) == 0
 
 
 def test_checks_pick_multigrid_on_refined_meshes(disk_forms, lu_sizes, monkeypatch):
@@ -285,11 +412,12 @@ def test_checks_pick_multigrid_on_refined_meshes(disk_forms, lu_sizes, monkeypat
     np.testing.assert_allclose(multigrid[3], direct[3], rtol=1e-8)
 
 
-def test_sweep_submarkov_follows_the_sweep_backend(disk_forms, lu_sizes, monkeypatch):
+def test_sweep_submarkov_follows_the_sweep_backend(disk_forms, lu_sizes):
     form = disk_forms[2]
     n = form.interior.size
-    # the checks would pick multigrid at this size; the sweep's backend rules
-    monkeypatch.setattr(fplab.forms, "_MULTIGRID_MIN_UNKNOWNS", 0)
+    # below the cut the direct sweep factors every alpha and the lumped
+    # system; the gmres sweep factors only coarse levels, where a check at
+    # this size would factor the lumped system
     alphas = (1.0, 4.0, 16.0)
     direct = resolvent_sweep(form, alphas=alphas, seed=57)
     assert lu_sizes == [n] * (len(alphas) + 1)
