@@ -165,10 +165,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"[resolvent] backend must be direct or gmres, got {cfg.backend!r}"
         )
-    if cfg.backend == "gmres" and cfg.level < 1:
-        # the multigrid preconditioner runs on the mesh's lineage, which the
-        # ball template and the one-cell box lack
-        raise ConfigError("[resolvent] backend = gmres needs [domain] level >= 1")
     if any(e <= 0 for e in cfg.mollifier_eps):
         raise ConfigError("[mollifier] eps values must be positive")
     return cfg

@@ -7,11 +7,12 @@ transpose of the drift-diffusion operator matrix, so the density spans the
 kernel of the adjoint system, exactly as in the continuum.
 
 The density is found by pinning a vertex to 1, twice with different pins
-(solve_invariant_density): on a mesh with a lineage and 4096 vertices or more
-by GMRES with the Galerkin V-cycle of fem._Multigrid along the lineage, as
-multilevel stationary-distribution solvers do (Horton & Leutenegger 1994),
-and below that by sparse LUs, which stay the test oracle. One function
-(_pinned_solve) restricts K through fem._Restriction for both.
+(solve_invariant_density). fem's one solver rule, applied to the nv - 1
+unknowns of a pinned system, picks how: on a mesh with a lineage from 2000
+unknowns on by GMRES with the Galerkin V-cycle of fem._Multigrid along the
+lineage, as multilevel stationary-distribution solvers do (Horton &
+Leutenegger 1994), and otherwise by sparse LUs, which stay the test oracle.
+One function (_pinned_solve) restricts K through fem._Restriction for both.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ import scipy.sparse.linalg as spla
 from .coefficients import CoefficientSet
 from .errors import DensityNotPositive, KernelDimensionError
 from .fem import (
+    _MULTIGRID_RTOL,
     FeFunction,
     _blocks,
     _drift_local,
     _gmres,
     _Restriction,
+    _runs_multigrid,
     _scatter,
     _scatter_vector,
     _stiffness_local,
@@ -40,11 +43,7 @@ from .fem import (
 )
 from .mesh import SimplicialMesh
 
-# on a mesh with a refinement lineage and at least this many vertices the
-# pinned systems are solved by multigrid GMRES to a relative residual of
-# _DENSITY_RTOL within _DENSITY_MAXITER restart cycles, else by sparse LUs
-_DENSITY_MULTIGRID_MIN_VERTICES = 4096
-_DENSITY_RTOL = 1e-12
+# multigrid GMRES on a pinned system stops within this many restart cycles
 _DENSITY_MAXITER = 10
 # the density's stationarity residual max|K rho| may be at most this
 # multiple of max(max|K| max|rho|, 1)
@@ -96,11 +95,11 @@ def _pinned_solve(mesh: SimplicialMesh, k: sp.csr_matrix, pin: int, multigrid: b
     if multigrid:
         levels = block.multigrid(sub)
         cycle = levels.v_cycle([x for x, in levels.levels] + [sub])
-        x, info, iterations = _gmres(sub, rhs, cycle, _DENSITY_RTOL, _DENSITY_MAXITER)
+        x, info, iterations = _gmres(sub, rhs, cycle, _MULTIGRID_RTOL, _DENSITY_MAXITER)
         if info != 0 or not np.isfinite(x).all():
             raise KernelDimensionError(
                 f"multigrid GMRES on the stationarity system pinned at vertex {pin} "
-                f"missed rtol={_DENSITY_RTOL:.0e} within {iterations} iterations; "
+                f"missed rtol={_MULTIGRID_RTOL:.0e} within {iterations} iterations; "
                 "the pinned system may be singular"
             )
     else:
@@ -117,13 +116,14 @@ def solve_invariant_density(mesh: SimplicialMesh, cs: CoefficientSet) -> Density
     system; a second solve with a different pin certifies that the kernel
     is one-dimensional. The result is normalized to unit mean over the mesh.
 
-    On a mesh with a refinement lineage and at least
-    _DENSITY_MULTIGRID_MIN_VERTICES (4096) vertices the pins are the first
-    vertex of the lineage's first mesh and its vertex farthest from that
-    one (vertex 0 and another for balls and boxes alike), and each
-    pinned system is solved by V(2,2)-cycle-preconditioned GMRES (restart
-    20) to a relative residual of 1e-12 within 10 restart cycles, with one
-    coarse-level LU per pin; the iteration counts land in `iterations`.
+    When fem's rule picks the V-cycle for the nv - 1 unknowns of a pinned
+    system (a mesh with a refinement lineage and at least 2001 vertices),
+    the pins are the first vertex of the lineage's first mesh and its
+    vertex farthest from that one (vertex 0 and another for balls and boxes
+    alike), and each pinned system is solved by V(2,2)-cycle-preconditioned
+    GMRES (restart 20) to a relative residual of 1e-12 within 10 restart
+    cycles, with one coarse-level LU per pin; the iteration counts land in
+    `iterations`.
     Otherwise the first pin is the interior vertex nearest to the vertex
     centroid and the second the vertex farthest from the first (boundary
     vertices allowed, so the two differ even with one interior vertex),
@@ -141,7 +141,7 @@ def solve_invariant_density(mesh: SimplicialMesh, cs: CoefficientSet) -> Density
         normalized density is <= 0.
     """
     k = stationarity_matrix(mesh, cs)
-    multigrid = bool(mesh.lineage) and mesh.num_vertices >= _DENSITY_MULTIGRID_MIN_VERTICES
+    multigrid = _runs_multigrid(mesh, mesh.num_vertices - 1)
     if multigrid:
         # the ids on this mesh of the lineage's first mesh's vertices; the
         # pins are its first vertex and the one of them farthest from it

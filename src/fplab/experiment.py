@@ -34,7 +34,7 @@ from .fem import (
     scalar_at_quad,
     vector_at_quad,
 )
-from .forms import DEFAULT_ALPHAS, FormMatrices, Resolvent, solve_resolvent
+from .forms import DEFAULT_ALPHAS, FormMatrices, Resolvent, _monotone, solve_resolvent
 from .quadrature import quadrature_rule
 
 # max of d/dt (6t^5 - 15t^4 + 10t^3) = 30 t^2 (1-t)^2 on [0, 1], at t = 1/2
@@ -397,7 +397,7 @@ def convergence_diagnostics(report: EnergyBoundReport) -> ConvergenceDiagnostics
     cutoff gaps drop by the same factor.
     """
     gaps = report.l2_gaps
-    monotone = bool((np.diff(gaps) <= 1e-12 + 1e-9 * gaps[:-1]).all())
+    monotone = _monotone(gaps)
     l2_reduction = float(gaps[-1] / gaps[0]) if gaps[0] > 0 else 0.0
     l2_ok = gaps[-1] <= _GAP_REDUCTION * gaps[0] if gaps[0] > 0 else True
     h_norm = max(report.constants.h_l2, report.h_l2)

@@ -32,7 +32,10 @@ _Restriction is the one restricted-system path of the package, for the
 resolvent and the invariant density's pinned systems alike: the pattern
 restricted to kept vertices, from which it gathers CSR matrices and builds
 _Multigrid, the one geometric multigrid (Galerkin levels along the lineage
-and a V(2,2)-cycle that preconditions _gmres).
+and a V(2,2)-cycle that preconditions _gmres). One rule (_runs_multigrid)
+picks the solver of every restricted system: the V-cycle when its mesh has
+a lineage and it has at least _MULTIGRID_MIN_UNKNOWNS (2000) unknowns, else
+a float64 sparse LU. Its callers only pick the V-cycle's stopping rule.
 """
 
 from __future__ import annotations
@@ -56,6 +59,12 @@ _GMRES_RESTART = 20
 # coarse-level correction
 _JACOBI_WEIGHT = 0.6
 _SMOOTHING_SWEEPS = 2
+# a restricted system of a mesh with a lineage runs the V-cycle from this
+# many unknowns on, else a sparse LU (a 3D level-4 LU takes 120-170 ms, a
+# V-cycle GMRES solve ~10 ms); the checks and the density run GMRES to
+# _MULTIGRID_RTOL
+_MULTIGRID_MIN_UNKNOWNS = 2000
+_MULTIGRID_RTOL = 1e-12
 
 
 def _p1_at_quad(mesh, values: np.ndarray, block: slice) -> np.ndarray:
@@ -348,6 +357,12 @@ def l2_error(u: FeFunction, exact, weight=None) -> float:
     """L^2(weight dx) distance between an FE function and a callable."""
     e_q = scalar_at_quad(exact, u.mesh)
     return quadrature_norm(u.mesh, u.at_quad() - e_q, p=2.0, weight=weight)
+
+
+def _runs_multigrid(mesh: SimplicialMesh, unknowns: int) -> bool:
+    """Whether a restricted system of the mesh with this many unknowns runs
+    the V-cycle (else a float64 sparse LU): the one solver rule."""
+    return bool(mesh.lineage) and unknowns >= _MULTIGRID_MIN_UNKNOWNS
 
 
 class _Restriction:

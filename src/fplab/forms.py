@@ -6,23 +6,21 @@ its antisymmetric part, which makes the discrete analog of the
 divergence-free identity hold exactly: x^T D x = 0 for every x, so the
 energy E(f, f) collapses to the diffusion part alone.
 
-A Resolvent solves alpha M + S + D on the interior by one policy. "gmres"
-runs GMRES preconditioned by a geometric multigrid V-cycle along the mesh's
-refinement lineage (a refined mesh or a box of 2**k cells per axis) to its
-tolerance. "direct" takes a float64 sparse LU below 2000 interior unknowns
-or on a mesh without a lineage; from 2000 on, on a mesh with one, it
-refines in float64, each correction a V-cycle GMRES solve, to a float64
-backward error (GMRES-based iterative refinement, Carson & Higham 2018),
-or else falls back to the LU. The skew part D is small next to the SPD
-part alpha M + S, so the iteration count does not grow under refinement
-(Eisenstat, Elman & Schultz 1983). The checks
-(contraction, resolvent identity, sub-Markov range, strong continuity) use
-multigrid GMRES to a relative residual of 1e-12 on such a mesh from 2000
-interior unknowns on, and M^{-1} (the generator, the strong continuity
-bound) is applied by Jacobi-preconditioned CG to a relative residual of
-1e-14, since M is well conditioned; below that size they use a sparse LU.
-The interior systems and their V-cycle come from fem._Restriction, as the
-density's pinned systems do. Everything runs on the calling thread.
+A Resolvent solves alpha M + S + D on the interior. fem's one rule picks
+its solver: the V-cycle along the mesh's refinement lineage (a refined mesh
+or a box of 2**k cells per axis) from 2000 interior unknowns on, else a
+float64 sparse LU, whatever the backend. The backend picks the V-cycle's
+stopping rule: "gmres" runs V-cycle GMRES to its tolerance, and "direct"
+refines in float64 with V-cycle GMRES corrections to a float64 backward
+error (Carson & Higham 2018), or else falls back to the LU. The skew part
+D is small next to the SPD part alpha M + S, so the iteration count does
+not grow under refinement (Eisenstat, Elman & Schultz 1983). The checks
+(contraction, resolvent identity, sub-Markov range, strong continuity)
+solve with "gmres" to a relative residual of 1e-12. M^{-1} is applied by
+Jacobi-preconditioned CG (M is well conditioned) to 1e-14 from 2000
+interior unknowns on, else by a sparse LU. The interior systems come from
+fem._Restriction, as the density's pinned systems do. Everything runs on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -45,10 +43,13 @@ from .errors import (
 )
 from .fem import (
     _GMRES_RESTART,
+    _MULTIGRID_MIN_UNKNOWNS,
+    _MULTIGRID_RTOL,
     FeFunction,
     _csr,
     _gmres,
     _Restriction,
+    _runs_multigrid,
     assemble_drift,
     assemble_weighted_mass,
     assemble_weighted_stiffness,
@@ -57,13 +58,8 @@ from .fem import (
 from .mesh import SimplicialMesh
 
 DEFAULT_ALPHAS = tuple(float(2**k) for k in range(13))
-# from this many interior unknowns of a mesh with a lineage on, the direct
-# backend refines with the V-cycle and the checks solve with multigrid
-# GMRES (a 3D level-4 LU takes 120-170 ms, a solve ~10 ms), to this
-# relative residual; and mass_solve runs CG from this many interior
-# unknowns on (3D level 5: 0.03 s against an 8.6 s LU), to _MASS_RTOL
-_MULTIGRID_MIN_UNKNOWNS = 2000
-_CHECK_RTOL = 1e-12
+# mass_solve runs CG from fem._MULTIGRID_MIN_UNKNOWNS interior unknowns on
+# (3D level 5: 0.03 s against an 8.6 s LU), to this relative residual
 _MASS_RTOL = 1e-14
 
 
@@ -222,17 +218,16 @@ class Resolvent:
     far less than SuperLU's own COLAMD ordering of P1 systems.
 
     lumped=True replaces M by its row-sum diagonal (the sub-Markov scheme).
-    Both backends iterate with a V(2,2)-cycle (fem._Multigrid): damped
-    Jacobi (weight 0.6) on every level of the mesh's refinement lineage and
-    a sparse LU on the coarsest level that has interior unknowns. The
-    Galerkin operators P^T M P and P^T (S + D) P of every level are built
-    once, so an alpha only costs alpha M_l + (S + D)_l and one small LU.
-    "gmres" runs GMRES (restart 20) with relative tolerance tol and at most
-    maxiter restart cycles, preconditioned by the V-cycle; the mesh must
-    have a lineage, else ValueError. "direct" takes a float64 sparse LU
-    below 2000 interior unknowns or on a mesh without a lineage. Otherwise
-    a solve starts from x = 0 and adds corrections, each one restart cycle
-    of V-cycle GMRES on b - K x to a relative residual of 1e-6, the residual
+    fem's rule picks the solver. From 2000 interior unknowns on a mesh with
+    a refinement lineage it is a V(2,2)-cycle (fem._Multigrid): damped
+    Jacobi (weight 0.6) on every level and a sparse LU on the coarsest one
+    with interior unknowns. Its Galerkin operators P^T M P and P^T (S + D) P
+    are built once, so an alpha only costs alpha M_l + (S + D)_l and one
+    small LU. Otherwise it is a float64 sparse LU, for either backend. The
+    backend picks the V-cycle's stopping rule. "gmres" runs GMRES (restart
+    20) to relative tolerance tol within maxiter restart cycles. "direct"
+    starts from x = 0 and adds corrections, each one restart cycle of
+    V-cycle GMRES on b - K x to a relative residual of 1e-6, the residual
     taken in float64, until ||b - K x|| <= 4 eps (||K|| ||x|| + ||b||) in
     the infinity norm with eps that of float64. If a correction does not
     halve the residual or 10 corrections after the first do not reach it,
@@ -274,18 +269,13 @@ class Resolvent:
         self.residual = self.iterations = None
         self._mass = None
         self._levels = None
-        if backend == "gmres" and not mesh.lineage:
-            raise ValueError(
-                "the gmres backend needs a mesh with a refinement lineage (one "
-                "made by refine_uniform, or a box of 2**k cells per axis); "
-                "this mesh has none"
-            )
-        if backend == "gmres" or (mesh.lineage and interior.size >= _MULTIGRID_MIN_UNKNOWNS):
+        if _runs_multigrid(mesh, interior.size):
             k = self._block.matrix(form.s.data + form.d.data)
             self._levels = self._block.multigrid(self._block.matrix(m.data), k)
 
     def _system(self, alpha: float):
-        """Interior matrix alpha M + S + D and its solver (see Resolvent)."""
+        """Interior matrix alpha M + S + D and its solver: a _DirectSolver,
+        or the V-cycle that preconditions gmres (see Resolvent)."""
         if alpha != self._alpha:
             # drop the old solver before building the next one
             self._alpha = self._k_int = self._solver = None
@@ -295,7 +285,8 @@ class Resolvent:
             if self._levels is not None:
                 levels = [(alpha * m + k).tocsr() for m, k in self._levels.levels]
                 cycle = self._levels.v_cycle(levels + [k_int])
-            solver = cycle if self.backend == "gmres" else _DirectSolver(k_int, cycle)
+            gmres = cycle is not None and self.backend == "gmres"
+            solver = cycle if gmres else _DirectSolver(k_int, cycle)
             self._alpha, self._k_int, self._solver = alpha, k_int, solver
         return self._k_int, self._solver
 
@@ -352,14 +343,6 @@ def _mass_cg(m_int: sp.csr_matrix, z: np.ndarray) -> np.ndarray:
     return w
 
 
-def _check_resolvent(form: FormMatrices, lumped: bool = False) -> Resolvent:
-    """The Resolvent of a check: multigrid GMRES to _CHECK_RTOL on a refined
-    mesh with at least _MULTIGRID_MIN_UNKNOWNS interior unknowns, else LU."""
-    if form.mesh.lineage and form.interior.size >= _MULTIGRID_MIN_UNKNOWNS:
-        return Resolvent(form, backend="gmres", lumped=lumped, tol=_CHECK_RTOL)
-    return Resolvent(form, lumped=lumped)
-
-
 def solve_resolvent(form, alpha: float, f) -> FeFunction:
     """Solve (alpha M + S + D) u = M f on interior DOFs with zero boundary.
 
@@ -386,7 +369,7 @@ def solve_resolvent(form, alpha: float, f) -> FeFunction:
     f_zeroed[interior] = f_vec[interior]
     rhs = (res.m @ f_zeroed)[interior]
     k_int, solver = res._system(alpha)
-    if res.backend == "direct":
+    if isinstance(solver, _DirectSolver):
         u_int, iterations = solver(rhs)
     else:
         u_int, info, iterations = _gmres(k_int, rhs, solver, res.tol, res.maxiter)
@@ -426,7 +409,7 @@ def check_contraction(
     Raises ContractionViolation if any ratio exceeds 1 + tol.
     """
     rng = np.random.default_rng(seed)
-    res = _check_resolvent(form)
+    res = Resolvent(form, backend="gmres", tol=_MULTIGRID_RTOL)
     rows = []
     # all trials at one alpha share its factor
     for alpha in alphas:
@@ -456,7 +439,7 @@ def check_resolvent_identity(
     form: FormMatrices, alpha: float, beta: float, f
 ) -> ResolventIdentityReport:
     """Defect of G_alpha - G_beta - (beta - alpha) G_alpha G_beta applied to f."""
-    res = _check_resolvent(form)
+    res = Resolvent(form, backend="gmres", tol=_MULTIGRID_RTOL)
     # beta first, so that both alpha solves share one factor
     u_b = solve_resolvent(res, beta, f)
     return _identity_report(res, alpha, beta, f, solve_resolvent(res, alpha, f), u_b)
@@ -486,27 +469,25 @@ class SubmarkovReport:
     max_value: float
 
 
-def check_submarkov(
-    form: FormMatrices,
-    alpha: float,
-    f=None,
-    tol: float = 1e-8,
-) -> SubmarkovReport:
-    """Check 0 <= alpha G_alpha f <= 1 for indicator-like data 0 <= f <= 1.
+def check_submarkov(form, alpha: float, f=None, tol: float = 1e-8) -> SubmarkovReport:
+    """Check 0 <= alpha G_alpha f <= 1 for indicator-like data 0 <= f <= 1;
+    f None means 1 on the interior.
 
     The weighted mass is lumped; with non-positive stiffness off-diagonals
     the system matrix is then an M-matrix and the bounds are exact in exact
-    arithmetic. Raises SubmarkovViolation beyond tol.
+    arithmetic. Raises SubmarkovViolation beyond tol. `form` is a
+    FormMatrices, solved like the other checks (gmres to 1e-12), or a
+    lumped Resolvent, which solves with its own backend, tol and maxiter;
+    a Resolvent that is not lumped is a ValueError.
     """
-    return _submarkov(_check_resolvent(form, lumped=True), alpha, f, tol)
-
-
-def _submarkov(res: Resolvent, alpha: float, f, tol: float) -> SubmarkovReport:
-    """check_submarkov solved with res; f None means 1 on the interior."""
-    form = res.form
+    res = form
+    if not isinstance(res, Resolvent):
+        res = Resolvent(form, backend="gmres", lumped=True, tol=_MULTIGRID_RTOL)
+    if not res.lumped:
+        raise ValueError("check_submarkov needs a lumped Resolvent")
     if f is None:
-        f_vec = np.zeros(form.mesh.num_vertices)
-        f_vec[form.interior] = 1.0
+        f_vec = np.zeros(res.form.mesh.num_vertices)
+        f_vec[res.form.interior] = 1.0
     else:
         f_vec = f.values if isinstance(f, FeFunction) else np.asarray(f, dtype=float)
     if f_vec.min() < -1e-14 or f_vec.max() > 1 + 1e-14:
@@ -588,17 +569,22 @@ def strong_continuity_gaps(
     f_vec = np.zeros_like(f_raw)
     f_vec[interior] = f_raw[interior]
     alphas = np.asarray(sorted(float(a) for a in alphas))
-    res = _check_resolvent(form)
+    res = Resolvent(form, backend="gmres", tol=_MULTIGRID_RTOL)
     gaps = np.array(
         [form.l2_norm(a * solve_resolvent(res, a, f_vec).values - f_vec) for a in alphas]
     )
     z = ((form.s + form.d) @ f_vec)[res.interior]
     w = res.mass_solve(z)
     final_bound = float(np.sqrt(max(z @ w, 0.0))) / alphas[-1]
-    monotone = bool((np.diff(gaps) <= 1e-12 + 1e-9 * gaps[:-1]).all())
     return StrongContinuityReport(
-        alphas=alphas, gaps=gaps, final_bound=final_bound, monotone=monotone
+        alphas=alphas, gaps=gaps, final_bound=final_bound, monotone=_monotone(gaps)
     )
+
+
+def _monotone(gaps: np.ndarray) -> bool:
+    """Whether no gap exceeds the one before it by more than 1e-12 plus
+    1e-9 of that one (rounding of the solves)."""
+    return bool((np.diff(gaps) <= 1e-12 + 1e-9 * gaps[:-1]).all())
 
 
 @dataclass
@@ -649,7 +635,7 @@ def resolvent_sweep(
         if i == 0:
             ident = _identity_report(res, alphas[0], alphas[j], f, u, u_b)
     lumped = Resolvent(form, backend=backend, lumped=True, tol=tol, maxiter=maxiter)
-    sub = _submarkov(lumped, alphas[0], None, 1e-8)
+    sub = check_submarkov(lumped, alphas[0])
     return ResolventSweepReport(
         alphas=[float(a) for a in alphas],
         contraction_ratios=ratios,

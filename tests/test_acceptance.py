@@ -6,11 +6,20 @@ pass/fail line per criterion. Criterion 11 drives the `verify` subcommand
 end to end through the command line entry point.
 """
 
+import dataclasses
 import json
+
+import numpy as np
 
 import fplab.verify
 from fplab.cli import main
-from fplab.verify import CRITERIA, VerificationContext, _evaluate, run_all
+from fplab.verify import (
+    CRITERIA,
+    VerificationContext,
+    _evaluate,
+    criterion_energy_bound,
+    run_all,
+)
 
 # shared across criteria so meshes, densities, and experiment sweeps are
 # assembled once, mirroring how the verify subcommand runs them
@@ -71,6 +80,20 @@ def test_criterion_07_has_one_name_whatever_its_outcome(monkeypatch):
     raised = run_all()[6]
     assert raised.detail == "raised ValueError: sweep unavailable"
     assert raised.name == passing.name == "energy_bound"
+
+
+def test_criterion_07_fails_when_the_cutoff_gaps_do_not_close(monkeypatch):
+    # every other flag holds: only cutoff_reduction_ok turns False
+    real = _CTX.experiment
+
+    def stalled(ctx, case):
+        pipe, cutoff, h_tilde, report = real(case)
+        flat = np.full_like(report.cutoff_gaps, report.cutoff_gaps[0])
+        return pipe, cutoff, h_tilde, dataclasses.replace(report, cutoff_gaps=flat)
+
+    monkeypatch.setattr(VerificationContext, "experiment", stalled)
+    passed, _ = criterion_energy_bound(VerificationContext())
+    assert not passed
 
 
 def test_criterion_08_constants_ledger():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fplab.cli
 import fplab.errors
+import fplab.fem
 from fplab import (
     ConfigError,
     ContractionViolation,
@@ -113,7 +114,6 @@ def _configs(draw):
     kind = draw(st.sampled_from(("ball", "box")))
     point = st.tuples(*[_finite] * dim)
     level = draw(st.integers(0, 9))
-    refined_ball = kind == "ball" and level >= 1
     return ExperimentConfig(
         seed=draw(_int),
         output_dir=draw(_string),
@@ -131,7 +131,7 @@ def _configs(draw):
         cutoff_outer=draw(_finite),
         alphas=tuple(draw(st.lists(_positive, min_size=1, max_size=5))),
         d_mode=draw(st.sampled_from(("skew", "raw"))),
-        backend=draw(st.sampled_from(("direct", "gmres") if refined_ball else ("direct",))),
+        backend=draw(st.sampled_from(("direct", "gmres"))),
         tol=draw(_finite),
         maxiter=draw(_int),
         vmo_radii=tuple(draw(st.lists(_finite, max_size=4))),
@@ -199,8 +199,6 @@ _BALL = "[domain]\nkind = ball\ndim = 2\nradius = 1.0\n"
          "[resolvent] d_mode must be skew or raw, got 'sideways'"),
         (_BALL + "[resolvent]\nbackend = magic\n",
          "[resolvent] backend must be direct or gmres, got 'magic'"),
-        (_BALL + "level = 0\n[resolvent]\nbackend = gmres\n",
-         "[resolvent] backend = gmres needs [domain] level >= 1"),
         (_BALL + "[resolvent]\nmaxiter = 1.5\n", "invalid value for [resolvent] maxiter: '1.5'"),
         (_BALL + "[vmo]\nradii = a\n", "bad float list for [vmo] radii: 'a'"),
         (_BALL + "[mollifier]\neps = -0.1\n", "[mollifier] eps values must be positive"),
@@ -370,9 +368,28 @@ def test_cli_resolvent_with_plot_data(tmp_path):
     assert max(report["contraction_ratios"]) <= 1.0 + 1e-10
 
 
+def test_cli_gmres_at_level_zero_is_the_direct_lu(tmp_path):
+    # the level-0 disk has no lineage, so both backends take one LU per alpha
+    csv = {}
+    for backend in ("direct", "gmres"):
+        out = tmp_path / backend
+        cfg = write_config(
+            tmp_path,
+            f"[run]\noutput_dir = {out}\n"
+            "[domain]\nkind = ball\ndim = 2\nradius = 1.0\nlevel = 0\n"
+            f"[resolvent]\nalphas = dyadic:3\nbackend = {backend}\n",
+        )
+        assert main(["resolvent", "--config", cfg]) == 0
+        csv[backend] = (out / "resolvent.csv").read_bytes()
+    assert csv["gmres"] == csv["direct"]
+
+
 @pytest.mark.parametrize("stage", ["resolvent", "experiment"])
-def test_cli_solver_divergence_exits_three(tmp_path, capsys, stage):
-    # rtol = 1e-30 is out of GMRES's reach; three restarts keep the failure quick
+def test_cli_solver_divergence_exits_three(tmp_path, capsys, stage, monkeypatch):
+    # rtol = 1e-30 is out of GMRES's reach; three restarts keep the failure
+    # quick. The level-1 ball is below the cut, which is lowered to 0 so that
+    # gmres runs the V-cycle
+    monkeypatch.setattr(fplab.fem, "_MULTIGRID_MIN_UNKNOWNS", 0)
     cfg = write_config(
         tmp_path,
         "[run]\n"

@@ -23,11 +23,8 @@ from fplab import (
     vector_at_quad,
 )
 from fplab.cli import main
-from fplab.density import (
-    _DENSITY_MULTIGRID_MIN_VERTICES,
-    _pinned_solve,
-    stationarity_matrix,
-)
+from fplab.density import _pinned_solve, stationarity_matrix
+from fplab.fem import _runs_multigrid
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +199,7 @@ def test_lu_pins_differ_on_a_mesh_with_one_interior_vertex(dim, monkeypatch):
     ids=["ball", "box"],
 )
 def test_multigrid_density_matches_the_lu_path(mesh, far, monkeypatch):
-    assert mesh.num_vertices >= _DENSITY_MULTIGRID_MIN_VERTICES
+    assert _runs_multigrid(mesh, mesh.num_vertices - 1)
     cs = preset("gaussian_gradient", 2, radius=float(np.sqrt(2.0)))
     pins = []
 
@@ -238,7 +235,7 @@ def test_cli_density_exits_three_when_multigrid_misses_its_tolerance(
     disk5, tmp_path, capsys, monkeypatch
 ):
     # rtol = 1e-30 is out of GMRES's reach; one restart cycle keeps it quick
-    monkeypatch.setattr(fplab.density, "_DENSITY_RTOL", 1e-30)
+    monkeypatch.setattr(fplab.density, "_MULTIGRID_RTOL", 1e-30)
     monkeypatch.setattr(fplab.density, "_DENSITY_MAXITER", 1)
     cfg = tmp_path / "run.ini"
     cfg.write_text(
@@ -282,6 +279,6 @@ def test_disconnected_refined_mesh_raises_kernel_dimension_error():
     )
     for _ in range(3):
         mesh = refine_uniform(mesh)
-    assert mesh.num_vertices >= _DENSITY_MULTIGRID_MIN_VERTICES
+    assert _runs_multigrid(mesh, mesh.num_vertices - 1)
     with pytest.raises(KernelDimensionError, match="pinned solves disagree"):
         solve_invariant_density(mesh, preset("gaussian_gradient", 2))

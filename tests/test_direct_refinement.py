@@ -26,8 +26,7 @@ from fplab import (
     solve_invariant_density,
     solve_resolvent,
 )
-from fplab.fem import _csr
-from fplab.forms import _MULTIGRID_MIN_UNKNOWNS
+from fplab.fem import _MULTIGRID_MIN_UNKNOWNS, _csr
 
 EPS = np.finfo(float).eps
 

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 import fplab.fem
 import fplab.forms
 from fplab import (
-    ConfigError,
     DensityNotPositive,
     Resolvent,
     SolverDivergence,
@@ -23,7 +22,6 @@ from fplab import (
     check_resolvent_identity,
     check_submarkov,
     decompose_drift,
-    parse_config_text,
     preset,
     read_mesh,
     refine_uniform,
@@ -34,8 +32,7 @@ from fplab import (
     strong_continuity_gaps,
     write_mesh,
 )
-from fplab.cli import main
-from fplab.forms import _CHECK_RTOL, _MULTIGRID_MIN_UNKNOWNS
+from fplab.fem import _MULTIGRID_MIN_UNKNOWNS, _MULTIGRID_RTOL
 from fplab.mesh import _mesh_edges
 
 
@@ -53,6 +50,14 @@ def interior_data(form, seed):
     f = np.zeros(form.mesh.num_vertices)
     f[form.interior] = np.random.default_rng(seed).standard_normal(form.interior.size)
     return f
+
+
+def multigrid_resolvent(monkeypatch, form, **kwargs):
+    """A gmres Resolvent that runs the V-cycle at any size: fem's cut is
+    lowered to 0 while it is made, which is when it picks its solver."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fplab.fem, "_MULTIGRID_MIN_UNKNOWNS", 0)
+        return Resolvent(form, backend="gmres", **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -277,17 +282,18 @@ def test_prolongation_between_all_vertices_but_a_pin():
 
 
 @pytest.mark.parametrize("dim, level", [(2, 3), (2, 4), (2, 5), (3, 3)])
-def test_multigrid_matches_direct(disk_forms, dim, level):
+def test_multigrid_matches_direct(disk_forms, dim, level, monkeypatch):
     form = disk_forms[level] if dim == 2 else ball_form(dim, level)
     f = interior_data(form, 51)
-    multigrid = Resolvent(form, backend="gmres", tol=_CHECK_RTOL)
+    # below the cut the reference is the LU, above it the direct refinement
+    multigrid = multigrid_resolvent(monkeypatch, form, tol=_MULTIGRID_RTOL)
     for alpha in (1.0, 64.0, 4096.0):
         u = solve_resolvent(multigrid, alpha, f).values
         ref = solve_resolvent(form, alpha, f).values
         assert np.linalg.norm(u - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
-def test_multigrid_skips_levels_without_interior_unknowns(lu_sizes):
+def test_multigrid_skips_levels_without_interior_unknowns(lu_sizes, monkeypatch):
     # a one-cell box has no interior vertex; refined twice, its lineage
     # starts with that level, and the coarse LU lands on the next one
     mesh = refine_uniform(refine_uniform(build_box_mesh((0.0, 0.0), (1.0, 1.0), 1)))
@@ -295,31 +301,33 @@ def test_multigrid_skips_levels_without_interior_unknowns(lu_sizes):
     assert [int(interior[: level.num_vertices].sum()) for level in mesh.lineage] == [0, 1]
     form = make_form(mesh)
     f = interior_data(form, 58)
-    u = solve_resolvent(Resolvent(form, backend="gmres", tol=_CHECK_RTOL), 3.0, f).values
+    u = solve_resolvent(multigrid_resolvent(monkeypatch, form, tol=_MULTIGRID_RTOL), 3.0, f).values
     assert lu_sizes == [1]
     ref = solve_resolvent(form, 3.0, f).values
     assert np.linalg.norm(u - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
-def test_iterations_do_not_grow_under_refinement(disk_forms):
+def test_iterations_do_not_grow_under_refinement(disk_forms, monkeypatch):
     for alpha in (1.0, 64.0, 4096.0):
         counts = []
         for level, form in sorted(disk_forms.items()):
-            res = Resolvent(form, backend="gmres", tol=_CHECK_RTOL)
+            res = multigrid_resolvent(monkeypatch, form, tol=_MULTIGRID_RTOL)
             solve_resolvent(res, alpha, interior_data(form, 52))
             counts.append(res.iterations)
         assert all(5 <= c <= 20 for c in counts), (alpha, counts)
         assert max(counts) - min(counts) <= 4, (alpha, counts)
 
 
-def test_iterations_is_none_after_a_direct_solve(disk_forms):
+def test_iterations_is_none_after_a_direct_solve(disk_forms, monkeypatch):
     form = disk_forms[2]
     f = interior_data(form, 53)
-    direct = Resolvent(form)
-    assert direct.iterations is None
-    solve_resolvent(direct, 2.0, f)
-    assert direct.iterations is None and direct.residual is not None
-    multigrid = Resolvent(form, backend="gmres")
+    # below the cut both backends take the LU
+    for backend in ("direct", "gmres"):
+        lu = Resolvent(form, backend=backend)
+        assert lu.iterations is None
+        solve_resolvent(lu, 2.0, f)
+        assert lu.iterations is None and lu.residual is not None
+    multigrid = multigrid_resolvent(monkeypatch, form)
     solve_resolvent(multigrid, 2.0, f)
     assert isinstance(multigrid.iterations, int) and multigrid.iterations > 0
 
@@ -356,31 +364,44 @@ def test_cg_mass_solve_that_misses_its_tolerance_raises(disk_forms, monkeypatch)
         apply_generator(form, interior_data(form, 60))
 
 
-def test_gmres_needs_a_lineage(tmp_path):
-    form = make_form(build_box_mesh((0.0, 0.0), (1.0, 1.0), 6))
-    with pytest.raises(ValueError, match="lineage"):
-        Resolvent(form, backend="gmres")
+def test_gmres_without_a_lineage_is_the_direct_lu(tmp_path, lu_sizes, monkeypatch):
+    # with the cut at 0 only the lineage decides: a box of 6 cells and a
+    # read mesh have none, so gmres takes the same LU as direct
     path = tmp_path / "mesh.npz"
     write_mesh(build_ball_mesh((0.0, 0.0), 1.0, levels=2), path)
-    with pytest.raises(ValueError, match="lineage"):
-        Resolvent(make_form(read_mesh(path)), backend="gmres")
+    forms = [make_form(build_box_mesh((0.0, 0.0), (1.0, 1.0), 6)), make_form(read_mesh(path))]
+    monkeypatch.setattr(fplab.fem, "_MULTIGRID_MIN_UNKNOWNS", 0)
+    for form in forms:
+        f = interior_data(form, 61)
+        del lu_sizes[:]
+        u = {}
+        for backend in ("direct", "gmres"):
+            res = Resolvent(form, backend=backend)
+            u[backend] = solve_resolvent(res, 3.0, f).values
+            assert res.iterations is None
+        assert lu_sizes == [form.interior.size] * 2
+        assert np.array_equal(u["gmres"], u["direct"])
 
 
-def test_gmres_config_needs_level_one(tmp_path, capsys):
-    box = "[domain]\nkind = box\ndim = 2\nlo = 0 0\nhi = 1 1\n"
-    ball = "[domain]\nkind = ball\ndim = 2\nradius = 1.0\n"
-    gmres = "[resolvent]\nbackend = gmres\n"
-    for domain in (box, ball):
-        with pytest.raises(ConfigError, match="level >= 1"):
-            parse_config_text(domain + "level = 0\n" + gmres)
-        assert parse_config_text(domain + "level = 1\n" + gmres).backend == "gmres"
-    path = tmp_path / "run.ini"
-    path.write_text(f"[run]\noutput_dir = {tmp_path / 'out'}\n" + box + "level = 0\n" + gmres)
-    assert main(["resolvent", "--config", str(path)]) == 2
-    assert "level >= 1" in capsys.readouterr().err
-    # a box of level >= 1 has a lineage, so its resolvent runs on gmres
-    path.write_text(f"[run]\noutput_dir = {tmp_path / 'out'}\n" + box + "level = 3\n" + gmres)
-    assert main(["resolvent", "--config", str(path)]) == 0
+def test_one_cut_switches_the_density_and_the_resolvent(lu_sizes, monkeypatch):
+    # the 2D level-3 disk is below the cut: its 816 pinned unknowns and 721
+    # interior unknowns both reach a cut lowered to 721
+    mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=3)
+    cs = preset("rotator", 2)
+    n = int((~mesh.boundary).sum())
+    assert n < _MULTIGRID_MIN_UNKNOWNS
+    for cut in (_MULTIGRID_MIN_UNKNOWNS, n):
+        monkeypatch.setattr(fplab.fem, "_MULTIGRID_MIN_UNKNOWNS", cut)
+        multigrid = cut == n
+        density = solve_invariant_density(mesh, cs)
+        assert (len(density.iterations) == 2) is multigrid
+        form = assemble_form(mesh, cs, density, decompose_drift(mesh, cs, density))
+        del lu_sizes[:]
+        res = Resolvent(form)
+        solve_resolvent(res, 3.0, interior_data(form, 62))
+        # the V-cycle factors its coarsest level only
+        assert (max(lu_sizes) < n) is multigrid
+        assert (res.iterations is not None) is multigrid
 
 
 def test_checks_pick_multigrid_on_refined_meshes(disk_forms, lu_sizes, monkeypatch):
@@ -395,6 +416,8 @@ def test_checks_pick_multigrid_on_refined_meshes(disk_forms, lu_sizes, monkeypat
     )
     assert lu_sizes.count(n) == 2 + 2 + 1 + 13 + 1
     del lu_sizes[:]
+    # the rule's cut, and mass_solve's CG from the same size
+    monkeypatch.setattr(fplab.fem, "_MULTIGRID_MIN_UNKNOWNS", n)
     monkeypatch.setattr(fplab.forms, "_MULTIGRID_MIN_UNKNOWNS", n)
     multigrid = (
         check_contraction(form, alphas=(1.0, 100.0), trials=2, seed=56).rows,
@@ -412,16 +435,17 @@ def test_checks_pick_multigrid_on_refined_meshes(disk_forms, lu_sizes, monkeypat
     np.testing.assert_allclose(multigrid[3], direct[3], rtol=1e-8)
 
 
-def test_sweep_submarkov_follows_the_sweep_backend(disk_forms, lu_sizes):
+def test_sweep_submarkov_follows_the_sweep_backend(disk_forms, lu_sizes, monkeypatch):
     form = disk_forms[2]
     n = form.interior.size
     # below the cut the direct sweep factors every alpha and the lumped
-    # system; the gmres sweep factors only coarse levels, where a check at
-    # this size would factor the lumped system
+    # system; with the cut lowered the gmres sweep factors only coarse
+    # levels, where a check would still factor the lumped system
     alphas = (1.0, 4.0, 16.0)
     direct = resolvent_sweep(form, alphas=alphas, seed=57)
     assert lu_sizes == [n] * (len(alphas) + 1)
     del lu_sizes[:]
+    monkeypatch.setattr(fplab.fem, "_MULTIGRID_MIN_UNKNOWNS", 0)
     multigrid = resolvent_sweep(form, alphas=alphas, seed=57, backend="gmres")
     assert n not in lu_sizes and multigrid.backend == "gmres"
     assert multigrid.submarkov_max == pytest.approx(direct.submarkov_max, rel=1e-9)
