@@ -9,9 +9,10 @@ kernel of the adjoint system, exactly as in the continuum.
 The density is found by pinning a vertex to 1, twice with different pins
 (solve_invariant_density). fem's one solver rule, applied to the nv - 1
 unknowns of a pinned system, picks how: on a mesh with a lineage from 2000
-unknowns on by GMRES with the Galerkin V-cycle of fem._Multigrid along the
-lineage, as multilevel stationary-distribution solvers do (Horton &
-Leutenegger 1994), and otherwise by sparse LUs, which stay the test oracle.
+unknowns on by fem._gmres right-preconditioned with the Galerkin V-cycle
+of fem._Multigrid along the lineage, as multilevel stationary-distribution
+solvers do (Horton & Leutenegger 1994), and otherwise by sparse LUs, which
+stay the test oracle.
 One function (_pinned_solve) restricts K through fem._Restriction for both.
 """
 
@@ -120,10 +121,10 @@ def solve_invariant_density(mesh: SimplicialMesh, cs: CoefficientSet) -> Density
     system (a mesh with a refinement lineage and at least 2001 vertices),
     the pins are the first vertex of the lineage's first mesh and its
     vertex farthest from that one (vertex 0 and another for balls and boxes
-    alike), and each pinned system is solved by V(2,2)-cycle-preconditioned
-    GMRES (restart 20) to a relative residual of 1e-12 within 10 restart
-    cycles, with one coarse-level LU per pin; the iteration counts land in
-    `iterations`.
+    alike), and each pinned system is solved by GMRES (restart 20), right
+    preconditioned with the V(2,2)-cycle, to an explicit relative residual
+    of 1e-12 within 10 restart cycles, with one coarse-level LU per pin; the
+    inner iteration counts land in `iterations`.
     Otherwise the first pin is the interior vertex nearest to the vertex
     centroid and the second the vertex farthest from the first (boundary
     vertices allowed, so the two differ even with one interior vertex),

@@ -32,14 +32,16 @@ _Restriction is the one restricted-system path of the package, for the
 resolvent and the invariant density's pinned systems alike: the pattern
 restricted to kept vertices, from which it gathers CSR matrices and builds
 _Multigrid, the one geometric multigrid (Galerkin levels along the lineage
-and a V(2,2)-cycle that preconditions _gmres). One rule (_runs_multigrid)
-picks the solver of every restricted system: the V-cycle when its mesh has
-a lineage and it has at least _MULTIGRID_MIN_UNKNOWNS (2000) unknowns, else
-a float64 sparse LU. Its callers only pick the V-cycle's stopping rule.
+and a V(2,2)-cycle that right-preconditions _gmres, the package's one
+GMRES). One rule (_runs_multigrid) picks the solver of every restricted
+system: the V-cycle when its mesh has a lineage and it has at least
+_MULTIGRID_MIN_UNKNOWNS (2000) unknowns, else a float64 sparse LU. Its
+callers only pick the V-cycle's stopping rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -407,7 +409,7 @@ class _Multigrid:
             levels.append(tuple((xt @ a @ x).tocsr() for a in levels[-1]))
         self.levels = levels[:0:-1]
 
-    def v_cycle(self, a) -> spla.LinearOperator:
+    def v_cycle(self, a) -> Callable[[np.ndarray], np.ndarray]:
         """The V(2,2)-cycle for the CSR level matrices a, coarsest first:
         damped Jacobi (weight 0.6) on every level and a sparse LU of the
         coarsest, which is factored here."""
@@ -427,25 +429,56 @@ class _Multigrid:
                 x += w * (b - x_a @ x)
             return x
 
-        return spla.LinearOperator(
-            a[-1].shape, matvec=lambda b: cycle(np.ravel(b), len(a) - 1)
-        )
+        return lambda b: cycle(b, len(a) - 1)
 
 
-def _gmres(a, b, preconditioner, rtol: float, maxiter: int):
-    """GMRES (restart 20) on a x = b to relative residual rtol within maxiter
-    restart cycles: x, SciPy's info (0 when rtol was met) and the number of
-    inner iterations."""
-    residuals = []
-    x, info = spla.gmres(
-        a,
-        b,
-        rtol=rtol,
-        atol=0.0,
-        restart=_GMRES_RESTART,
-        maxiter=maxiter,
-        M=preconditioner,
-        callback=residuals.append,
-        callback_type="pr_norm",
-    )
-    return x, info, len(residuals)
+def _gmres(a, b, preconditioner, rtol: float, maxiter: int, x=None):
+    """GMRES (restart 20; Saad & Schultz 1986) on a x = b from x (zeros by
+    default), right-preconditioned by M: x, info (0 when the explicit
+    ||b - a x||_2 <= rtol ||b||_2, else maxiter) and the inner iterations.
+    Arnoldi runs on a M with classical Gram-Schmidt and one
+    reorthogonalization. A cycle ends at a residual estimate of
+    rtol ||b||_2 or after 20 iterations and adds M (V y) to x: M is applied
+    once per iteration and once per cycle, within maxiter cycles."""
+    x = np.zeros_like(b) if x is None else x.copy()
+    target = rtol * np.linalg.norm(b)
+    basis = np.empty((_GMRES_RESTART + 1, b.size))
+    iterations = 0
+    for cycles in range(maxiter + 1):
+        r = b - a @ x
+        beta = np.linalg.norm(r)
+        if beta <= target:
+            return x, 0, iterations
+        if cycles == maxiter or not np.isfinite(beta):
+            break
+        basis[0] = r / beta
+        g, columns, rotations = [float(beta)], [], []
+        for j in range(_GMRES_RESTART):
+            w = a @ preconditioner(basis[j])
+            v = basis[: j + 1]
+            h = v @ w
+            w -= h @ v
+            again = v @ w
+            w -= again @ v
+            norm = float(np.linalg.norm(w))
+            # rotate the new Hessenberg column to triangular; |g[j + 1]| is the
+            # residual norm of the least-squares solution over the basis
+            column = (h + again).tolist()
+            for i, (c, s) in enumerate(rotations):
+                top, bottom = column[i : i + 2]
+                column[i : i + 2] = c * top + s * bottom, c * bottom - s * top
+            d = math.hypot(column[j], norm)
+            c, s = column[j] / d, norm / d
+            rotations.append((c, s))
+            column[j] = d
+            columns.append(column)
+            g[j : j + 1] = c * g[j], -s * g[j]
+            iterations += 1
+            if abs(g[j + 1]) <= target:
+                break
+            basis[j + 1] = w / norm
+        y = g[: len(columns)]
+        for i in reversed(range(len(y))):
+            y[i] = (y[i] - sum(columns[m][i] * y[m] for m in range(i + 1, len(y)))) / columns[i][i]
+        x += preconditioner(np.asarray(y) @ basis[: len(y)])
+    return x, maxiter, iterations

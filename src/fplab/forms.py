@@ -11,10 +11,11 @@ its solver: the V-cycle along the mesh's refinement lineage (a refined mesh
 or a box of 2**k cells per axis) from 2000 interior unknowns on, else a
 float64 sparse LU, whatever the backend. The backend picks the V-cycle's
 stopping rule: "gmres" runs V-cycle GMRES to its tolerance, and "direct"
-refines in float64 with V-cycle GMRES corrections to a float64 backward
-error (Carson & Higham 2018), or else falls back to the LU. The skew part
-D is small next to the SPD part alpha M + S, so the iteration count does
-not grow under refinement (Eisenstat, Elman & Schultz 1983). The checks
+refines in float64 (Carson & Higham 2018), one restart cycle of that GMRES
+on b per step, each continuing from the last x, to a float64 backward
+error, or else falls back to the LU. The skew part D is small next to the
+SPD part alpha M + S, so the iteration count does not grow under
+refinement (Eisenstat, Elman & Schultz 1983). The checks
 (contraction, resolvent identity, sub-Markov range, strong continuity)
 solve with "gmres" to a relative residual of 1e-12. M^{-1} is applied by
 Jacobi-preconditioned CG (M is well conditioned) to 1e-14 from 2000
@@ -27,12 +28,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import fem
 from .coefficients import CoefficientSet
 from .density import DensityField, DriftDecomposition
 from .errors import (
@@ -43,7 +45,6 @@ from .errors import (
 )
 from .fem import (
     _GMRES_RESTART,
-    _MULTIGRID_MIN_UNKNOWNS,
     _MULTIGRID_RTOL,
     FeFunction,
     _csr,
@@ -224,17 +225,18 @@ class Resolvent:
     with interior unknowns. Its Galerkin operators P^T M P and P^T (S + D) P
     are built once, so an alpha only costs alpha M_l + (S + D)_l and one
     small LU. Otherwise it is a float64 sparse LU, for either backend. The
-    backend picks the V-cycle's stopping rule. "gmres" runs GMRES (restart
-    20) to relative tolerance tol within maxiter restart cycles. "direct"
-    starts from x = 0 and adds corrections, each one restart cycle of
-    V-cycle GMRES on b - K x to a relative residual of 1e-6, the residual
-    taken in float64, until ||b - K x|| <= 4 eps (||K|| ||x|| + ||b||) in
-    the infinity norm with eps that of float64. If a correction does not
-    halve the residual or 10 corrections after the first do not reach it,
-    a float64 LU solves this and every later right side at that alpha.
-    Solves go through solve_resolvent, which records the residual norm of
-    the latest solve in `residual` and its GMRES iterations or refinement
-    steps (corrections after the first) in `iterations`, None after an LU.
+    backend picks the V-cycle's stopping rule for fem._gmres, GMRES (restart
+    20) right-preconditioned by the V-cycle. "gmres" runs it to relative
+    tolerance tol within maxiter restart cycles. "direct" runs it on b from
+    x = 0 one restart cycle per refinement step, each continuing from the
+    last x and ending at a residual estimate of 4 eps ||b||_2, until the
+    float64 residual meets ||b - K x|| <= 4 eps (||K|| ||x|| + ||b||) in the
+    infinity norm with eps that of float64. If a step does not halve that
+    residual or 10 steps after the first do not reach it, a float64 LU
+    solves this and every later right side at that alpha. Solves go
+    through solve_resolvent, which records the residual norm of the latest
+    solve in `residual` and its GMRES inner iterations (summed over the
+    restart cycles of a direct solve) in `iterations`, None after an LU.
     """
 
     def __init__(
@@ -296,7 +298,7 @@ class Resolvent:
         that is factored once. CG that misses it raises SolverDivergence."""
         if self._mass is None:
             m_int = self._block.matrix(self.m.data)
-            if self.interior.size >= _MULTIGRID_MIN_UNKNOWNS:
+            if self.interior.size >= fem._MULTIGRID_MIN_UNKNOWNS:
                 self._mass = functools.partial(_mass_cg, m_int)
             else:
                 self._mass = spla.splu(m_int.tocsc(), permc_spec="NATURAL").solve
@@ -304,12 +306,13 @@ class Resolvent:
 
 
 class _DirectSolver:
-    """One interior system solved to float64 accuracy: by refinement with
-    V-cycle GMRES corrections when given the V-cycle, else (or once the
-    refinement fails) by a float64 sparse LU (see Resolvent). A call returns
-    the solution and its refinement steps, None after the LU."""
+    """One interior system solved to float64 accuracy: by refinement whose
+    steps are restart cycles of one V-cycle GMRES run when given the
+    V-cycle, else (or once the refinement fails) by a float64 sparse LU (see
+    Resolvent). A call returns the solution and its GMRES inner iterations,
+    None after the LU."""
 
-    def __init__(self, k_int: sp.csr_matrix, cycle: Optional[spla.LinearOperator]):
+    def __init__(self, k_int: sp.csr_matrix, cycle: Optional[Callable]):
         self.k_int, self.cycle, self.lu = k_int, cycle, None
         if cycle is None:
             self.lu = spla.splu(k_int.tocsc(), permc_spec="NATURAL")
@@ -319,13 +322,15 @@ class _DirectSolver:
 
     def __call__(self, b: np.ndarray):
         if self.lu is None:
-            x, r, last = np.zeros_like(b), b, np.inf
+            rule = 4 * np.finfo(float).eps
+            x, last, iterations = None, np.inf, 0
             for steps in range(11):
-                x += _gmres(self.k_int, r, self.cycle, 1e-6, 1)[0]
+                x, _, count = _gmres(self.k_int, b, self.cycle, rule, 1, x)
+                iterations += count
                 r = b - self.k_int @ x
                 size, scale = np.abs(r).max(), self.norm * np.abs(x).max() + np.abs(b).max()
-                if size <= 4 * np.finfo(float).eps * scale:
-                    return x, steps
+                if size <= rule * scale:
+                    return x, iterations
                 if steps == 10 or not size <= last / 2:  # capped, stagnating or not finite
                     break
                 last = size

@@ -1,5 +1,5 @@
 """Direct resolvent solves above the size cut: float64 iterative refinement
-whose corrections are V-cycle-preconditioned GMRES solves.
+whose steps are restart cycles of one V-cycle-preconditioned GMRES run.
 
 The 2D level-5 disk has 12097 interior unknowns and the 3D box of 16 cells
 per axis 3375, above the 2000 from which the direct backend refines on a
@@ -26,7 +26,7 @@ from fplab import (
     solve_invariant_density,
     solve_resolvent,
 )
-from fplab.fem import _MULTIGRID_MIN_UNKNOWNS, _csr
+from fplab.fem import _GMRES_RESTART, _MULTIGRID_MIN_UNKNOWNS, _csr
 
 EPS = np.finfo(float).eps
 
@@ -97,14 +97,30 @@ def lu_sizes(monkeypatch):
     return counter.sizes
 
 
+@pytest.fixture
+def gmres_runs(monkeypatch):
+    """The inner iteration counts of fplab.forms' calls of fem._gmres, one
+    entry per call."""
+    counts = []
+
+    def counted(*args, **kwargs):
+        out = fplab.fem._gmres(*args, **kwargs)
+        counts.append(out[2])
+        return out
+
+    monkeypatch.setattr(fplab.forms, "_gmres", counted)
+    return counts
+
+
 @pytest.mark.parametrize("case", ["disk5", "box16"])
 @pytest.mark.parametrize("mode", ["skew", "raw"])
-def test_refined_solves_match_float64_lu(case, mode, request):
+def test_refined_solves_match_float64_lu(case, mode, request, gmres_runs):
     form = request.getfixturevalue(case)[mode]
     res = Resolvent(form)
     assert res.interior.size >= _MULTIGRID_MIN_UNKNOWNS
     f = interior_data(form, 70)
     for alpha in DEFAULT_ALPHAS:
+        del gmres_runs[:]
         u = solve_resolvent(res, alpha, f).values
         ref = float64_solve(res, alpha, f)
         assert form.l2_norm(u - ref) <= 1e-12 * form.l2_norm(ref), alpha
@@ -114,21 +130,25 @@ def test_refined_solves_match_float64_lu(case, mode, request):
         k_norm = spla.norm(k_int.copy(), np.inf)
         backward = np.abs(rhs - k_int @ x).max()
         assert backward <= 4.0 * EPS * (k_norm * np.abs(x).max() + np.abs(rhs).max()), alpha
-        assert isinstance(res.iterations, int) and 1 <= res.iterations <= 10
+        # one restart cycle (a call with maxiter 1) meets it
+        assert gmres_runs == [res.iterations], alpha
+        assert 1 <= res.iterations <= _GMRES_RESTART, alpha
 
 
-def test_refinement_steps_per_alpha_above_the_cut(disk5, disk3, lu_sizes):
+def test_refinement_steps_per_alpha_above_the_cut(disk5, disk3, lu_sizes, gmres_runs):
     form = disk5["skew"]
     n = form.interior.size
     res = Resolvent(form)
     f = interior_data(form, 71)
-    steps = []
+    cycles = []
     for alpha in DEFAULT_ALPHAS:
+        del gmres_runs[:]
         solve_resolvent(res, alpha, f)
-        steps.append(res.iterations)
-    # one or two corrections after the first V-cycle GMRES solve, whose
-    # 1e-6 relative residual alone misses the float64 backward error
-    assert all(s in (1, 2) for s in steps), steps
+        cycles.append(len(gmres_runs))
+        assert res.iterations == sum(gmres_runs)
+    # one restart cycle of V-cycle GMRES on b, stopped at a 4-eps relative
+    # residual estimate, meets the float64 backward error at every alpha
+    assert cycles == [1] * len(DEFAULT_ALPHAS), cycles
     # the sweep (alphas and the lumped sub-Markov system) factors only the
     # V-cycle's coarsest levels
     del lu_sizes[:]

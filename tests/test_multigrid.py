@@ -32,7 +32,7 @@ from fplab import (
     strong_continuity_gaps,
     write_mesh,
 )
-from fplab.fem import _MULTIGRID_MIN_UNKNOWNS, _MULTIGRID_RTOL
+from fplab.fem import _GMRES_RESTART, _MULTIGRID_MIN_UNKNOWNS, _MULTIGRID_RTOL, _gmres
 from fplab.mesh import _mesh_edges
 
 
@@ -332,6 +332,76 @@ def test_iterations_is_none_after_a_direct_solve(disk_forms, monkeypatch):
     assert isinstance(multigrid.iterations, int) and multigrid.iterations > 0
 
 
+def dominant_system(n, seed):
+    """A random non-symmetric, strictly diagonally dominant CSR matrix of
+    order n, with a counting Jacobi preconditioner: (a, jacobi, calls)."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    a += np.diag(np.abs(a).sum(axis=1) + 1.0)
+    calls = []
+
+    def jacobi(v):
+        calls.append(1)
+        return v / np.diag(a)
+
+    return sp.csr_matrix(a), jacobi, calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**16),
+    rtol=st.sampled_from([1e-4, 1e-8, 1e-12]),
+    maxiter=st.integers(2, 4),
+)
+def test_gmres_meets_its_tolerance_on_dominant_systems(n, seed, rtol, maxiter):
+    a, jacobi, calls = dominant_system(n, seed)
+    rng = np.random.default_rng(seed + 1)
+    b, start = rng.standard_normal(n), rng.standard_normal(n)
+    x, info, iterations = _gmres(a, b, jacobi, rtol, maxiter, start)
+    # Jacobi makes these systems contractions: one cycle of 20 sufficed for
+    # every n up to 60 and 30 seeds each
+    assert info == 0 and iterations <= _GMRES_RESTART * maxiter
+    assert np.linalg.norm(b - a @ x) <= rtol * np.linalg.norm(b)
+    dense = a.toarray()
+    # the forward error is at most ||A^-1||_2 times the residual
+    gap = np.linalg.norm(x - np.linalg.solve(dense, b))
+    assert gap <= 1.01 * rtol * np.linalg.norm(b) * np.linalg.norm(np.linalg.inv(dense), 2)
+
+
+def test_gmres_at_the_solution_or_with_zero_data_does_not_iterate():
+    a, jacobi, calls = dominant_system(30, 1)
+    # integer data make b = a x exact, so the start has a zero residual
+    a.data = np.round(a.data)
+    x = np.arange(30.0)
+    out, info, iterations = _gmres(a, a @ x, jacobi, 0.0, 3, x)
+    assert np.array_equal(out, x) and (info, iterations) == (0, 0) and not calls
+    out, info, iterations = _gmres(a, np.zeros(30), jacobi, 1e-12, 3)
+    assert np.array_equal(out, np.zeros(30)) and (info, iterations) == (0, 0) and not calls
+
+
+def test_gmres_applies_the_preconditioner_once_per_iteration_and_per_cycle():
+    a, jacobi, calls = dominant_system(50, 2)
+    b = np.random.default_rng(3).standard_normal(50)
+    # rtol 0: the residual estimate of a cycle decays past any rounding
+    # level, but only an exact breakdown would end a cycle early
+    x, info, iterations = _gmres(a, b, jacobi, 0.0, 3)
+    assert (info, iterations) == (3, 3 * _GMRES_RESTART)
+    assert len(calls) == iterations + 3
+    # a reachable one: one cycle that stops on its residual estimate
+    del calls[:]
+    x, info, iterations = _gmres(a, b, jacobi, 1e-8, 3)
+    assert info == 0 and 0 < iterations < _GMRES_RESTART
+    assert len(calls) == iterations + 1
+
+
+def test_gmres_stops_after_a_cycle_that_leaves_a_non_finite_residual():
+    a, _, _ = dominant_system(30, 4)
+    b = np.ones(30)
+    x, info, iterations = _gmres(a, b, lambda v: np.full_like(v, np.nan), 1e-8, 1000)
+    assert (info, iterations) == (1000, _GMRES_RESTART) and np.isnan(x).all()
+
+
 def test_cg_mass_solve_matches_the_mass_lu(lu_sizes):
     form = ball_form(3, 4)
     del lu_sizes[:]
@@ -357,7 +427,7 @@ class StalledCg:
 
 
 def test_cg_mass_solve_that_misses_its_tolerance_raises(disk_forms, monkeypatch):
-    monkeypatch.setattr(fplab.forms, "_MULTIGRID_MIN_UNKNOWNS", 0)
+    monkeypatch.setattr(fplab.fem, "_MULTIGRID_MIN_UNKNOWNS", 0)
     monkeypatch.setattr(fplab.forms, "spla", StalledCg())
     form = disk_forms[2]
     with pytest.raises(SolverDivergence, match="mass matrix CG missed rtol=1e-14"):
@@ -416,9 +486,8 @@ def test_checks_pick_multigrid_on_refined_meshes(disk_forms, lu_sizes, monkeypat
     )
     assert lu_sizes.count(n) == 2 + 2 + 1 + 13 + 1
     del lu_sizes[:]
-    # the rule's cut, and mass_solve's CG from the same size
+    # the rule's cut, which also switches mass_solve to CG
     monkeypatch.setattr(fplab.fem, "_MULTIGRID_MIN_UNKNOWNS", n)
-    monkeypatch.setattr(fplab.forms, "_MULTIGRID_MIN_UNKNOWNS", n)
     multigrid = (
         check_contraction(form, alphas=(1.0, 100.0), trials=2, seed=56).rows,
         check_resolvent_identity(form, 1.0, 10.0, f).relative_defect,
