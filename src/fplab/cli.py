@@ -179,6 +179,7 @@ def cmd_resolvent(cfg: ExperimentConfig, emit_plots: bool) -> int:
         "submarkov_min": sweep.submarkov_min,
         "submarkov_max": sweep.submarkov_max,
         "backend": sweep.backend,
+        "lu_solves": sweep.lu_solves,
         "d_mode": sweep.d_mode,
         "sym_defect_max": form.sym_defect_max,
     }

@@ -13,7 +13,7 @@ unknowns on by fem._gmres right-preconditioned with the Galerkin V-cycle
 of fem._Multigrid along the lineage, as multilevel stationary-distribution
 solvers do (Horton & Leutenegger 1994), and otherwise by sparse LUs, which
 stay the test oracle.
-One function (_pinned_solve) restricts K through fem._Restriction for both.
+One function (_pinned_solve) restricts K to the other vertices for both.
 """
 
 from __future__ import annotations
@@ -86,11 +86,10 @@ def stationarity_matrix(mesh: SimplicialMesh, cs: CoefficientSet) -> sp.csr_matr
 
 def _pinned_solve(mesh: SimplicialMesh, k: sp.csr_matrix, pin: int, multigrid: bool):
     """The kernel vector of K with value 1 at pin, and the GMRES iteration
-    count (None after an LU). The unknowns are the vertices but the pin: in
-    index order for V-cycle-preconditioned GMRES along the lineage, else in
-    the mesh's nested-dissection order, factored as is."""
-    order = np.arange(mesh.num_vertices) if multigrid else mesh.dissection_order
-    kept = order[order != pin]
+    count (None after an LU). The unknowns are the vertices but the pin, in
+    index order, solved by V-cycle-preconditioned GMRES along the lineage
+    or else by a sparse LU."""
+    kept = np.delete(np.arange(mesh.num_vertices), pin)
     block = _Restriction(mesh, kept)
     sub, rhs = block.matrix(k.data), -k.getcol(pin).toarray().ravel()[kept]
     if multigrid:
@@ -104,7 +103,7 @@ def _pinned_solve(mesh: SimplicialMesh, k: sp.csr_matrix, pin: int, multigrid: b
                 "the pinned system may be singular"
             )
     else:
-        x, iterations = spla.splu(sub.tocsc(), permc_spec="NATURAL").solve(rhs), None
+        x, iterations = spla.splu(sub.tocsc()).solve(rhs), None
     full = np.ones(mesh.num_vertices)  # 1 at the pin
     full[kept] = x
     return full, iterations

@@ -371,8 +371,8 @@ class _Restriction:
     """Matrices on the mesh's P1 pattern (`mesh._csr_plan`) restricted to
     kept vertex ids, in their order. The pattern is indexed once, so a
     restricted matrix is one gather of pattern data. The matrices share its
-    index arrays, read-only so that an in-place canonicalization (abs()
-    sorts unsorted rows) raises ValueError instead of corrupting them."""
+    index arrays, read-only as a guard; every caller keeps its ids sorted,
+    so the matrices are canonical and abs() writes nothing to them."""
 
     def __init__(self, mesh: SimplicialMesh, kept: np.ndarray):
         self.mesh, self.kept = mesh, kept

@@ -20,8 +20,8 @@ refinement (Eisenstat, Elman & Schultz 1983). The checks
 solve with "gmres" to a relative residual of 1e-12. M^{-1} is applied by
 Jacobi-preconditioned CG (M is well conditioned) to 1e-14 from 2000
 interior unknowns on, else by a sparse LU. The interior systems come from
-fem._Restriction, as the density's pinned systems do. Everything runs on
-the calling thread.
+fem._Restriction, in the mesh's own vertex order, as the density's pinned
+systems do. Everything runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ DEFAULT_ALPHAS = tuple(float(2**k) for k in range(13))
 # mass_solve runs CG from fem._MULTIGRID_MIN_UNKNOWNS interior unknowns on
 # (3D level 5: 0.03 s against an 8.6 s LU), to this relative residual
 _MASS_RTOL = 1e-14
+# the rounding check_contraction and check_submarkov allow past 1 (and 0)
+_CONTRACTION_TOL, _SUBMARKOV_TOL = 1e-10, 1e-8
 
 
 @dataclass
@@ -211,12 +213,9 @@ class Resolvent:
     itself stores no factors, so holding on to them never stacks on later
     stages' memory.
 
-    The interior unknowns are held in the mesh's nested-dissection order:
-    `interior` is `order[~boundary[order]]` for `order =
-    mesh.dissection_order`, and every interior vector the Resolvent takes
-    or returns (the solver's and mass_solve's) is indexed by it. Sparse
-    LUs are taken in that order as is (permc_spec="NATURAL"), which fills
-    far less than SuperLU's own COLAMD ordering of P1 systems.
+    The unknowns, `interior`, are `form.interior` (index order); every
+    interior vector the Resolvent takes or returns is indexed by them.
+    Sparse LUs are taken in SuperLU's own (COLAMD) column order.
 
     lumped=True replaces M by its row-sum diagonal (the sub-Markov scheme).
     fem's rule picks the solver. From 2000 interior unknowns on a mesh with
@@ -254,8 +253,7 @@ class Resolvent:
         self.tol = tol
         self.maxiter = maxiter
         mesh = form.mesh
-        order = mesh.dissection_order
-        self.interior = interior = order[~mesh.boundary[order]]
+        self.interior = interior = form.interior
         plan = mesh._csr_plan
         for x in (form.s, form.d, form.m):
             if not all(map(np.array_equal, (x.indptr, x.indices), (plan.indptr, plan.indices))):
@@ -301,7 +299,7 @@ class Resolvent:
             if self.interior.size >= fem._MULTIGRID_MIN_UNKNOWNS:
                 self._mass = functools.partial(_mass_cg, m_int)
             else:
-                self._mass = spla.splu(m_int.tocsc(), permc_spec="NATURAL").solve
+                self._mass = spla.splu(m_int.tocsc()).solve
         return self._mass(z)
 
 
@@ -315,10 +313,9 @@ class _DirectSolver:
     def __init__(self, k_int: sp.csr_matrix, cycle: Optional[Callable]):
         self.k_int, self.cycle, self.lu = k_int, cycle, None
         if cycle is None:
-            self.lu = spla.splu(k_int.tocsc(), permc_spec="NATURAL")
+            self.lu = spla.splu(k_int.tocsc())
         else:
-            # ||K||_inf; abs(k_int) would sort the index arrays it shares in place
-            self.norm = np.add.reduceat(np.abs(k_int.data), k_int.indptr[:-1]).max()
+            self.norm = spla.norm(k_int, np.inf)
 
     def __call__(self, b: np.ndarray):
         if self.lu is None:
@@ -335,7 +332,7 @@ class _DirectSolver:
                     break
                 last = size
             # the LU serves this and every later solve
-            self.lu = spla.splu(self.k_int.tocsc(), permc_spec="NATURAL")
+            self.lu = spla.splu(self.k_int.tocsc())
         return self.lu.solve(b), None
 
 
@@ -407,11 +404,10 @@ def check_contraction(
     alphas=(1.0, 10.0, 100.0, 1000.0),
     trials: int = 5,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> ContractionReport:
     """Verify ||alpha G_alpha f|| <= ||f|| in L^2(mu) for random trial data.
 
-    Raises ContractionViolation if any ratio exceeds 1 + tol.
+    Raises ContractionViolation if any ratio exceeds 1 + 1e-10.
     """
     rng = np.random.default_rng(seed)
     res = Resolvent(form, backend="gmres", tol=_MULTIGRID_RTOL)
@@ -423,7 +419,7 @@ def check_contraction(
             f[form.interior] = rng.standard_normal(form.interior.size)
             u = solve_resolvent(res, alpha, f)
             ratio = alpha * form.l2_norm(u.values) / form.l2_norm(f)
-            if ratio > 1.0 + tol:
+            if ratio > 1.0 + _CONTRACTION_TOL:
                 raise ContractionViolation(
                     f"||alpha G_alpha f|| / ||f|| = {ratio:.12f} at alpha={alpha}"
                 )
@@ -474,13 +470,12 @@ class SubmarkovReport:
     max_value: float
 
 
-def check_submarkov(form, alpha: float, f=None, tol: float = 1e-8) -> SubmarkovReport:
-    """Check 0 <= alpha G_alpha f <= 1 for indicator-like data 0 <= f <= 1;
-    f None means 1 on the interior.
+def check_submarkov(form, alpha: float) -> SubmarkovReport:
+    """Check 0 <= alpha G_alpha f <= 1 for f = 1 on the interior.
 
     The weighted mass is lumped; with non-positive stiffness off-diagonals
     the system matrix is then an M-matrix and the bounds are exact in exact
-    arithmetic. Raises SubmarkovViolation beyond tol. `form` is a
+    arithmetic. Raises SubmarkovViolation beyond 1e-8. `form` is a
     FormMatrices, solved like the other checks (gmres to 1e-12), or a
     lumped Resolvent, which solves with its own backend, tol and maxiter;
     a Resolvent that is not lumped is a ValueError.
@@ -490,17 +485,10 @@ def check_submarkov(form, alpha: float, f=None, tol: float = 1e-8) -> SubmarkovR
         res = Resolvent(form, backend="gmres", lumped=True, tol=_MULTIGRID_RTOL)
     if not res.lumped:
         raise ValueError("check_submarkov needs a lumped Resolvent")
-    if f is None:
-        f_vec = np.zeros(res.form.mesh.num_vertices)
-        f_vec[res.form.interior] = 1.0
-    else:
-        f_vec = f.values if isinstance(f, FeFunction) else np.asarray(f, dtype=float)
-    if f_vec.min() < -1e-14 or f_vec.max() > 1 + 1e-14:
-        raise ValueError("submarkov trial data must satisfy 0 <= f <= 1")
-    u = solve_resolvent(res, alpha, f_vec)
+    u = solve_resolvent(res, alpha, (~res.form.mesh.boundary).astype(float))
     lo = float(alpha * u.values.min())
     hi = float(alpha * u.values.max())
-    if lo < -tol or hi > 1.0 + tol:
+    if lo < -_SUBMARKOV_TOL or hi > 1.0 + _SUBMARKOV_TOL:
         raise SubmarkovViolation(
             f"alpha G_alpha f has range [{lo:.3e}, {hi:.3e}] at alpha={alpha}"
         )
@@ -604,6 +592,7 @@ class ResolventSweepReport:
     submarkov_max: float
     backend: str
     d_mode: str
+    lu_solves: int  # the per-alpha solves that a sparse LU answered
 
 
 def resolvent_sweep(
@@ -631,10 +620,12 @@ def resolvent_sweep(
     j = min(2, len(alphas) - 1)
     ratios = [0.0] * len(alphas)
     residuals = [0.0] * len(alphas)
+    lu_solves = 0
     for i in [j] + [i for i in range(len(alphas)) if i != j]:
         u = solve_resolvent(res, alphas[i], f)
         ratios[i] = float(alphas[i] * form.l2_norm(u.values) / f_norm)
         residuals[i] = res.residual
+        lu_solves += res.iterations is None
         if i == j:
             u_b = u
         if i == 0:
@@ -650,4 +641,5 @@ def resolvent_sweep(
         submarkov_max=sub.max_value,
         backend=backend,
         d_mode=form.d_mode,
+        lu_solves=lu_solves,
     )

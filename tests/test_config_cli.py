@@ -366,6 +366,8 @@ def test_cli_resolvent_with_plot_data(tmp_path):
     assert all(len(line.split()) == 2 for line in body)
     report = json.loads((out / "resolvent_report.json").read_text())
     assert max(report["contraction_ratios"]) <= 1.0 + 1e-10
+    # the level-1 disk is below the multigrid cut: an LU answers every alpha
+    assert report["lu_solves"] == 3
 
 
 def test_cli_gmres_at_level_zero_is_the_direct_lu(tmp_path):

@@ -211,8 +211,6 @@ def test_multigrid_density_matches_the_lu_path(mesh, far, monkeypatch):
     density = solve_invariant_density(mesh, cs)
     assert pins == [0, far]
     assert len(density.iterations) == 2
-    # no nested-dissection order was computed for the multigrid path
-    assert "dissection_order" not in vars(mesh)
     # the LU of the same pinned systems is the oracle
     k = stationarity_matrix(mesh, cs)
     weights = lumped_weights(mesh)

@@ -70,7 +70,7 @@ def float64_solve(res, alpha, f):
     """The float64 LU solution, as the direct backend computes it below the cut."""
     k_int, rhs = system(res, alpha, f)
     u = np.zeros(res.form.mesh.num_vertices)
-    u[res.interior] = spla.splu(k_int.tocsc(), permc_spec="NATURAL").solve(rhs)
+    u[res.interior] = spla.splu(k_int.tocsc()).solve(rhs)
     return u
 
 
@@ -127,7 +127,7 @@ def test_refined_solves_match_float64_lu(case, mode, request, gmres_runs):
         # the normwise backward error meets the stopping rule
         k_int, rhs = system(res, alpha, f)
         x = u[res.interior]
-        k_norm = spla.norm(k_int.copy(), np.inf)
+        k_norm = spla.norm(k_int, np.inf)
         backward = np.abs(rhs - k_int @ x).max()
         assert backward <= 4.0 * EPS * (k_norm * np.abs(x).max() + np.abs(rhs).max()), alpha
         # one restart cycle (a call with maxiter 1) meets it
@@ -152,13 +152,13 @@ def test_refinement_steps_per_alpha_above_the_cut(disk5, disk3, lu_sizes, gmres_
     # the sweep (alphas and the lumped sub-Markov system) factors only the
     # V-cycle's coarsest levels
     del lu_sizes[:]
-    resolvent_sweep(form, seed=71)
+    assert resolvent_sweep(form, seed=71).lu_solves == 0
     assert lu_sizes and max(lu_sizes) < n
     # below the cut: one float64 LU per alpha and one for the lumped system
     small = disk3["skew"]
     assert small.interior.size < _MULTIGRID_MIN_UNKNOWNS
     del lu_sizes[:]
-    resolvent_sweep(small, seed=71)
+    assert resolvent_sweep(small, seed=71).lu_solves == len(DEFAULT_ALPHAS)
     assert lu_sizes == [small.interior.size] * (len(DEFAULT_ALPHAS) + 1)
 
 
@@ -192,3 +192,6 @@ def test_refinement_that_cannot_meet_the_rule_falls_back_to_float64_lu(disk5, lu
     g = interior_data(form, 74)
     assert np.array_equal(solve_resolvent(res, 1.0, g).values, float64_solve(res, 1.0, g))
     assert lu_sizes.count(n) == 1 and res.iterations is None
+    # the sweep reports the fallbacks: alphas 1 and 4 fall back, while at
+    # 4096 the mass dominates and the refinement meets its rule
+    assert resolvent_sweep(form, alphas=(1.0, 4.0, 4096.0), seed=73).lu_solves == 2

@@ -34,6 +34,7 @@ from fplab import (
     strong_continuity_gaps,
     theoretical_sector_bound,
 )
+from fplab.fem import _runs_multigrid
 
 
 def make_pipeline(name, dim, level, d_mode="skew", **kw):
@@ -51,13 +52,17 @@ def gaussian2():
     return make_pipeline("gaussian_gradient", 2, 2)
 
 
-@pytest.fixture(scope="module")
-def box_form():
-    mesh = build_box_mesh((0.0, 0.0), (1.0, 1.0), 8)
+def identity_box_form(cells):
+    mesh = build_box_mesh((0.0, 0.0), (1.0, 1.0), cells)
     cs = preset("identity", 2)
     density = solve_invariant_density(mesh, cs)
     dec = decompose_drift(mesh, cs, density)
     return assemble_form(mesh, cs, density, dec)
+
+
+@pytest.fixture(scope="module")
+def box_form():
+    return identity_box_form(8)
 
 
 def test_skew_mode_energy_identity(gaussian2):
@@ -142,12 +147,6 @@ def test_submarkov_box(box_form):
     rep = check_submarkov(box_form, alpha=10.0)
     assert rep.min_value >= -1e-8
     assert rep.max_value <= 1.0 + 1e-8
-
-
-def test_submarkov_rejects_bad_data(box_form):
-    f = np.full(box_form.mesh.num_vertices, 2.0)
-    with pytest.raises(ValueError):
-        check_submarkov(box_form, alpha=1.0, f=f)
 
 
 def test_submarkov_takes_a_lumped_resolvent_only(box_form):
@@ -419,17 +418,12 @@ def colamd_solve(form, alpha, f):
     return u
 
 
-def lu_fill(a, permc_spec):
-    lu = spla.splu(a.tocsc(), permc_spec=permc_spec)
-    return lu.L.nnz + lu.U.nnz - a.shape[0]
-
-
 @pytest.fixture(scope="module")
 def rotator3():
     return make_pipeline("rotator", 3, 3)
 
 
-def test_contraction_violation_names_the_first_offending_alpha(rotator3):
+def test_contraction_violation_names_the_first_offending_alpha(rotator3, monkeypatch):
     form = rotator3[4]
     alphas = tuple(float(4**k) for k in range(4))
     rows = check_contraction(form, alphas=alphas, trials=3, seed=45).rows
@@ -439,25 +433,17 @@ def test_contraction_violation_names_the_first_offending_alpha(rotator3):
     assert len({alpha for alpha, _ in offenders}) >= 2
     alpha, ratio = offenders[0]
     message = f"||alpha G_alpha f|| / ||f|| = {ratio:.12f} at alpha={alpha}"
+    monkeypatch.setattr(fplab.forms, "_CONTRACTION_TOL", threshold - 1.0)
     with pytest.raises(ContractionViolation, match=re.escape(message)):
-        check_contraction(form, alphas=alphas, trials=3, seed=45, tol=threshold - 1.0)
+        check_contraction(form, alphas=alphas, trials=3, seed=45)
 
 
-def test_dissection_order_fills_no_more_than_colamd(rotator3):
-    form = rotator3[4]
-    res = Resolvent(form)
-    k = (4.0 * form.m + form.s + form.d).tocsr()
-    nested = k[res.interior][:, res.interior]
-    natural = k[form.interior][:, form.interior]
-    assert lu_fill(nested, "NATURAL") <= lu_fill(natural, "COLAMD")
-
-
-def test_resolvent_interior_is_the_dissection_order(rotator3):
-    form = rotator3[4]
-    res = Resolvent(form)
-    order = form.mesh.dissection_order
-    assert np.array_equal(res.interior, order[~form.mesh.boundary[order]])
-    assert np.array_equal(np.sort(res.interior), form.interior)
+@pytest.mark.parametrize("cells", [8, 64], ids=["lu", "multigrid"])
+def test_resolvent_interior_is_the_form_interior(cells):
+    form = identity_box_form(cells)
+    assert _runs_multigrid(form.mesh, form.interior.size) == (cells == 64)
+    for lumped in (False, True):
+        assert np.array_equal(Resolvent(form, lumped=lumped).interior, form.interior)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 64.0])
@@ -478,10 +464,8 @@ def test_resolvent_matches_colamd_solve(rotator3, alpha):
 @example(cells=(2, 60), stretch=0.05)  # one interior column of 59 vertices
 @example(cells=(24, 24), stretch=1.0)
 @example(cells=(2, 2), stretch=4.0)  # one interior vertex on a tall box
-def test_dissection_order_on_random_boxes(cells, stretch):
+def test_resolvent_matches_colamd_solve_on_random_boxes(cells, stretch):
     mesh = build_box_mesh((0.0, 0.0), (1.0, stretch), cells)
-    order = mesh.dissection_order
-    assert np.array_equal(np.sort(order), np.arange(mesh.num_vertices))
     if mesh.interior.size == 0:
         return
     # the rotator drift grows with |x|; slowing it on a tall box keeps it

@@ -449,47 +449,6 @@ def test_invalid_inputs_raise():
         build_box_mesh((0.0,), (1.0,), 2)
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: build_ball_mesh((0.0, 0.0), 1.0, levels=4),
-        lambda: build_ball_mesh((0.0, 0.0, 0.0), 1.0, levels=3),
-        lambda: build_box_mesh((0.0, 0.0), (1.0, 3.0), (5, 40)),
-    ],
-)
-def test_dissection_order_is_a_cached_deterministic_permutation(build):
-    mesh = build()
-    order = mesh.dissection_order
-    assert np.array_equal(np.sort(order), np.arange(mesh.num_vertices))
-    # computed once: a second access returns the very same array
-    assert mesh.dissection_order is order
-    assert not order.flags.writeable
-    assert np.array_equal(build().dissection_order, order)
-
-
-def test_dissection_order_puts_separator_last():
-    # a 16 x 16 grid of 289 vertices is cut at the median x = 0.5; the
-    # edges crossing the cut start on the column x = 7/16, which becomes
-    # the top separator and must close the order
-    mesh = build_box_mesh((0.0, 0.0), (1.0, 1.0), 16)
-    order = mesh.dissection_order
-    line = np.flatnonzero(np.abs(mesh.vertices[:, 0] - 7.0 / 16.0) < 1e-12)
-    assert np.array_equal(np.sort(order[-line.size:]), line)
-
-
-def test_dissection_keeps_an_uncuttable_part_whole():
-    # a fan of 100 vertices on the line x = 0 around one apex at x = 1: the
-    # median of the longest axis is 0, so no vertex lies below the cut and
-    # the whole mesh stays one leaf in its own numbering
-    line = np.stack([np.zeros(100), np.linspace(0.0, 0.5, 100)], axis=1)
-    vertices = np.vstack([line, [[1.0, 0.25]]])
-    elements = np.array([(k, k + 1, 100) for k in range(99)])
-    mesh = SimplicialMesh(
-        dim=2, vertices=vertices, elements=elements, boundary=np.ones(101, dtype=bool)
-    )
-    assert np.array_equal(mesh.dissection_order, np.arange(101))
-
-
 def test_refinement_keeps_hand_set_boundary_flags():
     # two unit squares side by side with the left one's Box descriptor: the
     # descriptor misses most of the right square's boundary
