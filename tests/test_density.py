@@ -221,6 +221,50 @@ def test_multigrid_density_matches_the_lu_path(mesh, far, monkeypatch):
         assert np.abs(v - density.rho.values).max() <= 1e-10 * np.abs(v).max()
 
 
+class RecordingSplu:
+    """Stands in for scipy.sparse.linalg inside fplab.density: records what splu factors."""
+
+    def __init__(self):
+        self.matrices = []
+
+    def splu(self, a, **kwargs):
+        self.matrices.append((a, kwargs))
+        return spla.splu(a, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+
+@pytest.mark.parametrize("multigrid", [False, True], ids=["lu", "multigrid"])
+def test_pinned_system_keeps_every_vertex_but_the_pin_in_index_order(multigrid, monkeypatch):
+    mesh = build_box_mesh((-1.0, -1.0), (1.0, 1.0), 64 if multigrid else 8)
+    assert _runs_multigrid(mesh, mesh.num_vertices - 1) == multigrid
+    k = stationarity_matrix(mesh, preset("gaussian_gradient", 2, radius=float(np.sqrt(2.0))))
+    pin = int(mesh.interior[mesh.interior.size // 2])
+    kept = np.delete(np.arange(mesh.num_vertices), pin)
+    systems = []
+    recorder = RecordingSplu()
+    monkeypatch.setattr(fplab.density, "spla", recorder)
+
+    def recording_gmres(a, b, *args):
+        systems.append(a)
+        return fplab.fem._gmres(a, b, *args)
+
+    monkeypatch.setattr(fplab.density, "_gmres", recording_gmres)
+    v, iterations = _pinned_solve(mesh, k, pin, multigrid)
+    if multigrid:
+        assert recorder.matrices == [] and iterations >= 1
+    else:
+        # one LU with SuperLU's default column order
+        systems = [a for a, kwargs in recorder.matrices if kwargs == {}]
+        assert len(recorder.matrices) == 1 and iterations is None
+    (sub,) = systems
+    assert (sub != k[kept][:, kept]).nnz == 0
+    # the kernel vector is 1 at the pin and solves every kept row
+    assert v[pin] == 1.0
+    assert np.abs((k @ v)[kept]).max() <= 1e-9 * np.abs(k).max() * np.abs(v).max()
+
+
 def test_density_iterations_do_not_grow_under_refinement(disk5):
     cs = preset("gaussian_gradient", 2)
     counts = [solve_invariant_density(m, cs).iterations for m in (disk5, refine_uniform(disk5))]

@@ -16,6 +16,7 @@ from fplab import (
     DimensionUnsupported,
     ContractionViolation,
     Resolvent,
+    SubmarkovViolation,
     apply_generator,
     assemble_form,
     build_ball_mesh,
@@ -34,7 +35,7 @@ from fplab import (
     strong_continuity_gaps,
     theoretical_sector_bound,
 )
-from fplab.fem import _runs_multigrid
+from fplab.fem import _MULTIGRID_MIN_UNKNOWNS, _runs_multigrid
 
 
 def make_pipeline(name, dim, level, d_mode="skew", **kw):
@@ -154,6 +155,57 @@ def test_submarkov_takes_a_lumped_resolvent_only(box_form):
     assert check_submarkov(lumped, alpha=10.0) == check_submarkov(box_form, alpha=10.0)
     with pytest.raises(ValueError, match="lumped Resolvent"):
         check_submarkov(Resolvent(box_form), alpha=10.0)
+
+
+def test_submarkov_rejects_bad_data(box_form):
+    for alpha in (0.0, -1.0):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            check_submarkov(box_form, alpha=alpha)
+
+
+def test_submarkov_solves_for_one_on_the_interior(box_form):
+    # the lumped system alpha M_l + S + D with f = 1 on the interior, solved densely
+    alpha, interior = 10.0, box_form.interior
+    lumped = np.asarray(box_form.m.sum(axis=1)).ravel()
+    k = (alpha * sp.diags(lumped) + box_form.s + box_form.d).toarray()
+    u = np.zeros(box_form.mesh.num_vertices)
+    u[interior] = np.linalg.solve(k[np.ix_(interior, interior)], lumped[interior])
+    rep = check_submarkov(box_form, alpha=alpha)
+    assert rep.min_value == pytest.approx(alpha * u.min(), abs=1e-12)
+    assert rep.max_value == pytest.approx(alpha * u.max(), rel=1e-10)
+
+
+def test_submarkov_violation_names_the_range(box_form, monkeypatch):
+    rep = check_submarkov(box_form, alpha=10.0)
+    assert 0.0 < rep.max_value < 1.0
+    # a tolerance that puts 1 + tol just below the maximum
+    monkeypatch.setattr(fplab.forms, "_SUBMARKOV_TOL", rep.max_value - 1.0 - 1e-6)
+    message = f"range [{rep.min_value:.3e}, {rep.max_value:.3e}] at alpha=10.0"
+    with pytest.raises(SubmarkovViolation, match=re.escape(message)):
+        check_submarkov(box_form, alpha=10.0)
+
+
+def test_mass_lu_solves_the_interior_mass(box_form):
+    interior = box_form.interior
+    z = np.random.default_rng(17).standard_normal(interior.size)
+    for lumped in (False, True):
+        res = Resolvent(box_form, lumped=lumped)
+        assert interior.size < _MULTIGRID_MIN_UNKNOWNS
+        m_int = res.m.toarray()[np.ix_(interior, interior)]
+        ref = np.linalg.solve(m_int, z)
+        assert np.linalg.norm(res.mass_solve(z) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 64.0])
+def test_lu_resolvent_equals_the_default_order_lu(box_form, alpha):
+    # below the cut the resolvent is one SuperLU factorization of the
+    # interior system in vertex order, with SuperLU's default column order
+    f = interior_data(box_form, 41)
+    k = (alpha * box_form.m + box_form.s + box_form.d).tocsr()
+    k_int = k[box_form.interior][:, box_form.interior]
+    ref = np.zeros_like(f)
+    ref[box_form.interior] = spla.splu(k_int.tocsc()).solve((box_form.m @ f)[box_form.interior])
+    assert np.array_equal(solve_resolvent(box_form, alpha, f).values, ref)
 
 
 def test_resolvent_restricts_boundary_data(gaussian2):
