@@ -16,7 +16,6 @@ from fplab import (
     example_i_phi,
     mollifier_mass,
     phi_eps,
-    phi_eps_limits,
     vmo_modulus,
     vmo_product_inequality_check,
 )
@@ -31,14 +30,6 @@ print(f"\nphi_eps at eps = {eps} (clamp of t onto [0, 1], smoothed):")
 vals = phi_eps(ts, eps)
 for t, v in zip(ts, vals):
     print(f"  t {t:6.2f}: phi {v:9.6f}  clamp {np.clip(t, 0.0, 1.0):5.2f}")
-
-# the probe grid stays at least 1.5 eps away from the corners at 0 and 1
-probe = np.array([-0.5, -0.2, 0.3, 0.5, 0.7, 1.2, 1.5])
-lims = phi_eps_limits(probe, np.array([1e-1, 1e-2, 1e-3, 1e-4]))
-print("\npointwise limits phi_eps -> clamp and phi'_eps -> indicator, by eps:")
-for e, vd, dd in zip(lims.eps_seq, lims.value_dev, lims.deriv_dev):
-    print(f"  eps {e:7.4f}: value dev {vd:.2e} (allowance {2 * e:.0e}), "
-          f"derivative dev {dd:.2e}")
 
 big, big_p, big_pp = capital_phi_eps(np.array([0.5, 1.0, 1.0 + eps, 2.0]), eps)
 print(f"\nPhi_eps pins zero left of 1 and grows linearly past 1 + eps:")

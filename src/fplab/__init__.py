@@ -34,7 +34,6 @@ from .quadrature import (
     QuadratureRule,
     gauss_legendre,
     quadrature_rule,
-    reference_monomial_integral,
 )
 from .mesh import (
     Ball,
@@ -118,11 +117,9 @@ from .forms import (
 )
 from .mollifiers import (
     MollifierFamily,
-    MollifierLimitReport,
     capital_phi_eps,
     mollifier_mass,
     phi_eps,
-    phi_eps_limits,
     phi_eps_prime,
     phi_eps_quadrature,
     standard_mollifier,

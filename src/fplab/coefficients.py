@@ -451,7 +451,6 @@ def weak_divergence_matrix(mesh: SimplicialMesh, a) -> WeakDivergence:
     normalized by the test function mass.
     """
     grads, _ = element_geometry(mesh)
-    wr = _quad_weights(mesh, None)
     dim, nv = mesh.dim, mesh.num_vertices
 
     weights = lumped_weights(mesh)
@@ -461,9 +460,10 @@ def weak_divergence_matrix(mesh: SimplicialMesh, a) -> WeakDivergence:
     # int <a e_l, grad phi_i> dx per column l and element, a sampled per block
     local = np.empty((dim, mesh.num_elements, dim + 1))
     for block in _blocks(mesh.num_elements):
+        wr = _quad_weights(mesh, None, block=block)
         a_q = matrix_at_quad(a, mesh, block=block)
         for l in range(dim):
-            local[l, block] = _flux_local(wr[block], a_q[:, :, :, l], grads[block])
+            local[l, block] = _flux_local(wr, a_q[:, :, :, l], grads[block])
     moments = np.stack([_scatter_vector(mesh, x) for x in local], axis=1)
 
     facets, bary, fp, fw, normals = _boundary_facet_quadrature(mesh)
@@ -513,7 +513,9 @@ class MeshInterpolant:
     on element centroids with a brute-force barycentric fallback; points
     outside the triangulated hull are assigned to the element whose
     barycentric coordinates violate least, then clipped, which extends the
-    field continuously past polyhedral boundary facets.
+    field continuously past polyhedral boundary facets. fem's samplers take
+    the values of an interpolant of their own mesh as P1 vertex data, with
+    no lookup; on another mesh they call it.
     """
 
     def __init__(self, mesh: SimplicialMesh, values):

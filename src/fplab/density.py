@@ -29,20 +29,24 @@ from .errors import DensityNotPositive, KernelDimensionError
 from .fem import (
     _MULTIGRID_RTOL,
     FeFunction,
+    _at_quad,
     _blocks,
-    _drift_local,
+    _drift_element,
+    _flux_local,
     _gmres,
+    _quad_weights,
     _Restriction,
     _runs_multigrid,
     _scatter,
     _scatter_vector,
-    _stiffness_local,
-    assemble_load,
+    _stiffness_element,
+    element_geometry,
     lumped_weights,
-    matrix_at_quad,
-    vector_at_quad,
+    physical_quad_points,
+    quadrature_norm,
 )
 from .mesh import SimplicialMesh
+from .quadrature import quadrature_rule
 
 # multigrid GMRES on a pinned system stops within this many restart cycles
 _DENSITY_MAXITER = 10
@@ -65,9 +69,20 @@ class DensityField:
 
 @dataclass
 class DriftDecomposition:
-    """The divergence-free drift B = H - (a^T grad rho) / rho at quadrature points."""
+    """What the later stages need of the divergence-free drift
+    B = H - (a^T grad rho) / rho; decompose_drift forms B one block of
+    elements at a time and keeps no array over the quadrature points.
 
-    b_quad: np.ndarray  # (ne, nq, dim)
+    d is the raw drift block D[i, j] = -int <B, grad phi_j> phi_i rho dx on
+    the mesh's pattern (the D of assemble_form), flux the vector
+    int <B, grad phi_j> rho dx over every vertex j (divergence_free_residual)
+    and b_norm the Lebesgue norm ||B||_{L^d} with d the mesh dimension
+    (theoretical_sector_bound).
+    """
+
+    d: sp.csr_matrix
+    flux: np.ndarray  # (nv,)
+    b_norm: float
     rho: FeFunction
     quadratic_defect: float  # max_j |int <B, grad(phi_j^2)> rho dx|, interior j
 
@@ -77,10 +92,19 @@ def stationarity_matrix(mesh: SimplicialMesh, cs: CoefficientSet) -> sp.csr_matr
 
     Row j is the stationarity equation tested against phi_j; K is the
     transpose of the assembled drift-diffusion operator S + D, scattered
-    transposed straight from the element matrices of S + D.
+    transposed straight from the element matrices of S + D, for which a and
+    H are sampled at one computation of each block's quadrature points.
     """
-    local = _stiffness_local(mesh, cs.a, None)
-    local += _drift_local(mesh, cs.drift, None)
+    grads, _ = element_geometry(mesh)
+    shape = (mesh.dim,)
+    local = np.empty(grads.shape[:1] + grads.shape[2:] * 2)
+    for block in _blocks(mesh.num_elements):
+        wr = _quad_weights(mesh, None, block=block)
+        pts = physical_quad_points(mesh, block)
+        a_q = _at_quad(cs.a, mesh, block, shape * 2, "matrix field", pts)
+        h_q = _at_quad(cs.drift, mesh, block, shape, "vector field", pts)
+        local[block] = _stiffness_element(wr, a_q, grads[block])
+        local[block] += _drift_element(wr, h_q, grads[block])
     return _scatter(mesh, local, transpose=True)
 
 
@@ -210,32 +234,48 @@ def solve_invariant_density(mesh: SimplicialMesh, cs: CoefficientSet) -> Density
 def decompose_drift(
     mesh: SimplicialMesh, cs: CoefficientSet, density: DensityField
 ) -> DriftDecomposition:
-    """Evaluate B = H - (a^T grad rho) / rho at quadrature points.
+    """Decompose the drift: B = H - (a^T grad rho) / rho at quadrature points.
 
-    B is invariant under rescaling of rho. The quadratic defect
-    max_j |int <B, grad(phi_j^2)> rho dx| over interior j is reported (it
-    vanishes only in the continuum; it must decay under refinement). The
-    coefficients are sampled per block of elements into one preallocated B.
+    B is invariant under rescaling of rho. It is formed per block of
+    elements, and each block adds its part of D, of the flux vector and of
+    |B| (see DriftDecomposition), each by the arithmetic of a whole-mesh
+    call. The quadratic defect max_j |int <B, grad(phi_j^2)> rho dx| over
+    interior j is reported (it vanishes only in the continuum; it must
+    decay under refinement).
     """
-    rho_q = density.rho.at_quad()
-    if (rho_q <= 0).any():
-        raise DensityNotPositive(
-            f"density is not positive at a quadrature point: {rho_q.min():.3e}"
-        )
+    grads, vols = element_geometry(mesh)
+    weights = quadrature_rule(mesh.dim).weights
     grad_rho = density.rho.element_gradients()
-    b_quad = np.empty(rho_q.shape + (mesh.dim,))
+    local = np.empty(grads.shape[:1] + grads.shape[2:] * 2)
+    flux_local = np.empty(grads.shape[:1] + grads.shape[2:])
+    b_abs = np.empty((mesh.num_elements, weights.size))
     for block in _blocks(mesh.num_elements):
-        a_q = matrix_at_quad(cs.a, mesh, block=block)
-        h_q = vector_at_quad(cs.drift, mesh, block=block)
+        rho_q = density.rho.at_quad(block)
+        if (rho_q <= 0).any():
+            raise DensityNotPositive(
+                f"density is not positive at a quadrature point: {rho_q.min():.3e}"
+            )
+        pts = physical_quad_points(mesh, block)
+        a_q = _at_quad(cs.a, mesh, block, (mesh.dim,) * 2, "matrix field", pts)
+        h_q = _at_quad(cs.drift, mesh, block, (mesh.dim,), "vector field", pts)
         # (a^T grad rho)_a = sum_b a_ba (grad rho)_b, one row of a at a time
         flux = sum(grad_rho[block, None, b, None] * a_q[:, :, b] for b in range(mesh.dim))
-        b_quad[block] = h_q - flux / rho_q[block, :, None]
+        b_q = h_q - flux / rho_q[:, :, None]
+        wr = rho_q * (vols[block, None] * weights)
+        local[block] = _drift_element(wr, b_q, grads[block])
+        flux_local[block] = _flux_local(wr, b_q, grads[block])
+        # |B| as np.linalg.norm sums the squares, in a quarter of its time
+        b_abs[block] = np.sqrt(sum(b_q[:, :, k] * b_q[:, :, k] for k in range(mesh.dim)))
 
     # int <B, grad(phi_j^2)> rho dx is -2 D[j, j] for the drift block of B
-    local = _drift_local(mesh, b_quad, rho_q)
     defect_all = -2.0 * _scatter_vector(mesh, np.diagonal(local, axis1=1, axis2=2))
-    defect = float(np.abs(defect_all[mesh.interior]).max())
-    return DriftDecomposition(b_quad=b_quad, rho=density.rho, quadratic_defect=defect)
+    return DriftDecomposition(
+        d=_scatter(mesh, local),
+        flux=_scatter_vector(mesh, flux_local),
+        b_norm=quadrature_norm(mesh, b_abs, p=float(mesh.dim)),
+        rho=density.rho,
+        quadratic_defect=float(np.abs(defect_all[mesh.interior]).max()),
+    )
 
 
 def divergence_free_residual(
@@ -247,7 +287,7 @@ def divergence_free_residual(
     the solved density (same quadrature, same samples), so it inherits the
     linear-solver tolerance.
     """
-    vec = assemble_load(mesh, flux=decomposition.b_quad, rho=decomposition.rho)
+    vec = decomposition.flux
     interior = mesh.interior
     max_resid = float(np.abs(vec[interior]).max())
     return {

@@ -25,11 +25,12 @@ from .density import DensityField
 from .errors import DimensionUnsupported, InvalidRadii, MissingDerivative
 from .fem import (
     FeFunction,
+    _at_quad,
     _blocks,
     _eval_callable,
     assemble_weighted_stiffness,
     interpolate,
-    matrix_at_quad,
+    physical_quad_points,
     quadrature_norm,
     scalar_at_quad,
     vector_at_quad,
@@ -70,20 +71,23 @@ class CutoffSpec:
         out = 1.0 - s
         return float(out[0]) if single else out
 
-    def gradient(self, x):
-        pts, rad, t, width, single = self._profile(x)
-        slope = -30.0 * t * t * (1.0 - t) ** 2 / width
-        safe = np.where(rad > 0.0, rad, 1.0)
-        unit = (pts - self.center) / safe[:, None]
-        out = np.where(rad[:, None] > 0.0, slope[:, None] * unit, 0.0)
-        return out[0] if single else out
-
-    def hessian(self, x):
+    def _radial(self, x):
+        """The points, radii, unit vectors (zero at the center) and the
+        profile's first and second radial derivatives there."""
         pts, rad, t, width, single = self._profile(x)
         gp = -30.0 * t * t * (1.0 - t) ** 2 / width
         gpp = -60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) / (width * width)
         safe = np.where(rad > 0.0, rad, 1.0)
         unit = (pts - self.center) / safe[:, None]
+        return pts, rad, safe, unit, gp, gpp, single
+
+    def gradient(self, x):
+        _, rad, _, unit, gp, _, single = self._radial(x)
+        out = np.where(rad[:, None] > 0.0, gp[:, None] * unit, 0.0)
+        return out[0] if single else out
+
+    def hessian(self, x):
+        pts, rad, safe, unit, gp, gpp, single = self._radial(x)
         dim = pts.shape[1]
         # radial Hessian: g'' uu^T + (g'/r)(I - uu^T); zero on the plateaus.
         # Built in place, so that at most two (n, dim, dim) arrays are held
@@ -95,6 +99,16 @@ class CutoffSpec:
         out += tangential
         out[~(rad > 0.0)] = 0.0
         return out[0] if single else out
+
+    def _nondivergence_term(self, x, a, b) -> np.ndarray:
+        """trace(a hess chi) + <b, grad chi> at the points x (n, dim), from a
+        (n, dim, dim) and b (n, dim) sampled there, by the radial closed form
+        g'' u^T a u + (g'/r)(tr a - u^T a u) + g' <b, u> with u = (x - c)/r;
+        no Hessian is built. Zero on the plateaus, the center included."""
+        _, _, safe, unit, gp, gpp, _ = self._radial(x)
+        uau = np.einsum("na,nab,nb->n", unit, a, unit)
+        trace = np.einsum("naa->n", a)
+        return gpp * uau + (gp / safe) * (trace - uau) + gp * np.einsum("na,na->n", b, unit)
 
 
 def build_cutoff(center, inner: float, outer: float) -> CutoffSpec:
@@ -174,8 +188,10 @@ _LEDGER_KEYS = (
 
 
 def _lb_chi_at_quad(mesh, cs, cutoff):
-    """trace(A hess chi) + <div A + H, grad chi> at quadrature points, every
-    field sampled per block of elements."""
+    """trace(A hess chi) + <div A + H, grad chi> at quadrature points, shape
+    (ne, nq): evaluated on the elements with a quadrature point strictly
+    inside the cutoff's transition shell, block by block, and zero on every
+    other element, where chi is constant."""
     recovered = ()
     if cs.div_a is not None:
         div_a = cs.div_a
@@ -186,17 +202,22 @@ def _lb_chi_at_quad(mesh, cs, cutoff):
         raise MissingDerivative(
             f"preset {cs.name!r} has no analytic div A and recovery is not meaningful"
         )
-    lb = np.empty((mesh.num_elements, quadrature_rule(mesh.dim).weights.size))
+    d = mesh.dim
+    lb = np.zeros((mesh.num_elements, quadrature_rule(d).weights.size))
     for block in _blocks(mesh.num_elements):
-        lb[block] = np.einsum(
-            "eqab,eqba->eq",
-            matrix_at_quad(cs.a, mesh, block=block),
-            matrix_at_quad(cutoff.hessian, mesh, block=block),
+        pts = physical_quad_points(mesh, block)
+        rad = np.linalg.norm(pts - cutoff.center, axis=2)
+        on = ((rad > cutoff.inner) & (rad < cutoff.outer)).any(axis=1)
+        if not on.any():
+            continue
+        ids, pts = block.start + np.flatnonzero(on), pts[on]
+        a_q = _at_quad(cs.a, mesh, ids, (d, d), "matrix field", pts)
+        b_q = _at_quad(div_a, mesh, ids, (d,), "vector field", pts)
+        b_q = b_q + _at_quad(cs.drift, mesh, ids, (d,), "vector field", pts)
+        term = cutoff._nondivergence_term(
+            pts.reshape(-1, d), a_q.reshape(-1, d, d), b_q.reshape(-1, d)
         )
-        grad_chi = vector_at_quad(cutoff.gradient, mesh, block=block)
-        drift_q = vector_at_quad(cs.drift, mesh, block=block)
-        div_a_q = vector_at_quad(div_a, mesh, block=block)
-        lb[block] += np.einsum("eqa,eqa->eq", div_a_q + drift_q, grad_chi)
+        lb[ids] = term.reshape(len(ids), -1)
     return lb, recovered
 
 

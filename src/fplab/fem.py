@@ -8,12 +8,14 @@ Every volume integral uses one rule, quadrature_rule(mesh.dim): degree 4
 on triangles, degree 5 on tetrahedra. The samplers
 scalar_at_quad(field, mesh, *, block=slice(None)), vector_at_quad and
 matrix_at_quad (same signature) sample a field at that rule's points in a
-block of elements (all of them by default) themselves: a P1 field
-(FeFunction, WeakDivergence, whose at_quad(block) the samplers call) is
-interpolated on the block's elements, a pre-evaluated whole-mesh array of
-shape (ne, nq, ...) is cut to them, a constant is broadcast, and a
-callable is sampled at their quadrature points (vectorized over an
-(n, dim) array when the callable supports it, pointwise otherwise).
+block of elements (a slice or an index array; all of them by default)
+themselves: vertex data of the mesh (FeFunction, WeakDivergence and
+MeshInterpolant) is interpolated on the block's elements, a pre-evaluated
+whole-mesh array of shape (ne, nq, ...) is cut to them, a constant is
+broadcast, and a callable is sampled at their quadrature points
+(vectorized over an (n, dim) array when the callable supports it,
+pointwise otherwise). The mesh keeps no quadrature points:
+physical_quad_points computes those of a block.
 Fields are sampled and the element kernels run per block of _BLOCK_ELEMENTS
 (2^12) elements (_blocks) into one preallocated full-size result, which
 bounds temporaries by a block (Cuvelier, Japhet & Scarella, BIT 2016).
@@ -71,7 +73,7 @@ _MULTIGRID_RTOL = 1e-12
 
 def _p1_at_quad(mesh, values: np.ndarray, block: slice) -> np.ndarray:
     """P1 vertex data (nv, ...) at the quadrature points of the elements in
-    block, shape (nb, nq, ...)."""
+    block (a slice or an index array), shape (nb, nq, ...)."""
     bary = quadrature_rule(mesh.dim).points
     return np.einsum("qk,ek...->eq...", bary, values[mesh.elements[block]])
 
@@ -113,10 +115,26 @@ def element_geometry(mesh: SimplicialMesh):
     return mesh._gradients, mesh.volumes()
 
 
-def physical_quad_points(mesh: SimplicialMesh) -> np.ndarray:
-    """Quadrature point coordinates, shape (ne, nq, dim), read-only and cached
-    on the mesh."""
-    return mesh._quad_points
+def physical_quad_points(mesh: SimplicialMesh, block: slice = slice(None)) -> np.ndarray:
+    """Quadrature point coordinates of the elements in block (a slice or an
+    index array; all elements by default), shape (nb, nq, dim).
+
+    The points are computed on every call and not kept, so a caller holds
+    those of one block at a time. Each coordinate is the sum of
+    bary[q, k] x_k over the vertices k in order, from zero: the bits of
+    np.einsum("qk,ekd->eqd", bary, coords), whatever the block.
+    """
+    return _quad_points(mesh, mesh.elements[block])
+
+
+def _quad_points(mesh: SimplicialMesh, elements: np.ndarray) -> np.ndarray:
+    """physical_quad_points of the elements given by their vertex ids."""
+    bary = quadrature_rule(mesh.dim).points
+    # laid out (nq, nb, dim), so that each vertex adds one broadcast term
+    pts = np.zeros((len(bary), len(elements), mesh.dim))
+    for k in range(mesh.dim + 1):
+        pts += bary[:, k, None, None] * mesh.vertices[elements[:, k]]
+    return pts.transpose(1, 0, 2).copy()
 
 
 def _eval_callable(f: Callable, pts_flat: np.ndarray, out_shape: tuple):
@@ -145,28 +163,34 @@ def _blocks(ne: int):
     return [slice(start, start + size) for start in range(0, ne, size)]
 
 
-def _at_quad(field, mesh, block: slice, shape: tuple, what: str) -> np.ndarray:
-    """The field at the quadrature points of the elements in block, shape
-    (nb, nq) + shape. A P1 field (with at_quad) is interpolated on those
-    elements, a whole-mesh (ne, nq) + shape array is cut to them, a scalar or
-    a constant of shape is broadcast, and a callable is called per block of
-    elements at their quadrature points, so that its own temporaries are
-    bounded by a block. A P1 field of another mesh is a ValueError."""
+def _at_quad(field, mesh, block: slice, shape: tuple, what: str, pts=None) -> np.ndarray:
+    """The field at the quadrature points of the elements in block (a slice
+    or an index array), shape (nb, nq) + shape. Vertex data of this mesh
+    (`values` of an object whose `mesh` is it: FeFunction, WeakDivergence,
+    MeshInterpolant) is interpolated on those elements, a whole-mesh
+    (ne, nq) + shape array is cut to them, a scalar or a constant of shape
+    is broadcast, and a callable is called per block of elements at their
+    quadrature points, so that its own temporaries and the points are
+    bounded by a block; pts, when given, are the block's points
+    (physical_quad_points), which a caller sampling several fields on one
+    block computes once. A P1 field (with at_quad) of another mesh is a
+    ValueError; a MeshInterpolant of another mesh is a callable."""
+    if getattr(field, "mesh", None) is mesh:
+        return _p1_at_quad(mesh, field.values, block)
     if hasattr(field, "at_quad"):
-        if field.mesh is not mesh:
-            raise ValueError(f"{what} is a P1 field of another mesh")
-        return field.at_quad(block)
+        raise ValueError(f"{what} is a P1 field of another mesh")
+    elements = mesh.elements[block]
+    nb, nq = len(elements), quadrature_rule(mesh.dim).weights.size
     if callable(field):
-        pts = physical_quad_points(mesh)[block]
-        out = np.empty(pts.shape[:2] + shape)
-        for sub in _blocks(len(pts)):
-            flat = _eval_callable(field, pts[sub].reshape(-1, mesh.dim), shape)
+        out = np.empty((nb, nq) + shape)
+        for sub in _blocks(nb):
+            at = _quad_points(mesh, elements[sub]) if pts is None else pts[sub]
+            flat = _eval_callable(field, at.reshape(-1, mesh.dim), shape)
             out[sub] = flat.reshape(out[sub].shape)
         if not np.isfinite(out).all():
             raise NonFiniteValue(f"{what} produced a non-finite value")
         return out
-    ne, nq = mesh.num_elements, quadrature_rule(mesh.dim).weights.size
-    nb = len(range(ne)[block])
+    ne = mesh.num_elements
     if np.isscalar(field):
         return np.full((nb, nq) + shape, float(field))
     if np.shape(field) == shape:
@@ -191,8 +215,8 @@ def matrix_at_quad(field, mesh, *, block: slice = slice(None)) -> np.ndarray:
     return _at_quad(field, mesh, block, (mesh.dim,) * 2, "matrix field")
 
 
-def _density_at_quad(rho, mesh, allow_signed=False) -> np.ndarray:
-    vals = scalar_at_quad(1.0 if rho is None else rho, mesh)
+def _density_at_quad(rho, mesh, allow_signed=False, block=slice(None)) -> np.ndarray:
+    vals = scalar_at_quad(1.0 if rho is None else rho, mesh, block=block)
     if not allow_signed and (vals <= 0).any():
         raise NonPositiveDensity(
             f"weight has non-positive quadrature value {vals.min():.3e}"
@@ -233,11 +257,12 @@ def _scatter_vector(mesh: SimplicialMesh, local: np.ndarray) -> np.ndarray:
     return np.bincount(mesh.elements.ravel(), local.ravel(), minlength=mesh.num_vertices)
 
 
-def _quad_weights(mesh, rho, allow_signed=False) -> np.ndarray:
-    """rho times the physical quadrature weights, shape (ne, nq)."""
+def _quad_weights(mesh, rho, allow_signed=False, block=slice(None)) -> np.ndarray:
+    """rho times the physical quadrature weights of the elements in block,
+    shape (nb, nq)."""
     _, vols = element_geometry(mesh)
-    rho_q = _density_at_quad(rho, mesh, allow_signed=allow_signed)
-    return rho_q * (vols[:, None] * quadrature_rule(mesh.dim).weights)
+    rho_q = _density_at_quad(rho, mesh, allow_signed=allow_signed, block=block)
+    return rho_q * (vols[block, None] * quadrature_rule(mesh.dim).weights)
 
 
 def _quad_sum(phi: np.ndarray, wr: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -249,32 +274,19 @@ def _quad_sum(phi: np.ndarray, wr: np.ndarray, values: np.ndarray) -> np.ndarray
     return out.reshape(ne, *phi.shape[1:], *values.shape[2:])
 
 
-def _stiffness_local(mesh, a, rho) -> np.ndarray:
-    """Element matrices of S, shape (ne, nloc, nloc)."""
-    grads, _ = element_geometry(mesh)
-    wr = _quad_weights(mesh, rho)
-    ones = np.ones(wr.shape[1])
-    local = np.empty(grads.shape[:1] + grads.shape[2:] * 2)
-    for block in _blocks(mesh.num_elements):
-        a_q = matrix_at_quad(a, mesh, block=block)
-        a_e = _quad_sum(ones, wr[block], a_q)
-        g = grads[block]
-        local[block] = np.matmul(g.transpose(0, 2, 1), a_e @ g)
-    return local
+def _stiffness_element(wr: np.ndarray, a_q: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Element matrices of S, shape (nb, nloc, nloc), from the weights wr
+    (nb, nq), samples of a (nb, nq, dim, dim) and basis gradients."""
+    a_e = _quad_sum(np.ones(wr.shape[1]), wr, a_q)
+    return np.matmul(grads.transpose(0, 2, 1), a_e @ grads)
 
 
-def _drift_local(mesh, b, rho) -> np.ndarray:
-    """Element matrices of D, shape (ne, nloc, nloc)."""
-    grads, _ = element_geometry(mesh)
-    wr = _quad_weights(mesh, rho)
-    bary = quadrature_rule(mesh.dim).points
-    local = np.empty(grads.shape[:1] + grads.shape[2:] * 2)
-    for block in _blocks(mesh.num_elements):
-        b_q = vector_at_quad(b, mesh, block=block)
-        # int phi_i b rho dx per element, shape (nb, nloc, dim)
-        b_e = _quad_sum(bary, wr[block], b_q)
-        local[block] = -(b_e @ grads[block])
-    return local
+def _drift_element(wr: np.ndarray, b_q: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Element matrices of D, shape (nb, nloc, nloc), from the weights wr
+    (nb, nq), drift samples (nb, nq, dim) and basis gradients."""
+    bary = quadrature_rule(grads.shape[1]).points
+    # int phi_i b rho dx per element, shape (nb, nloc, dim)
+    return -(_quad_sum(bary, wr, b_q) @ grads)
 
 
 def _flux_local(wr: np.ndarray, flux_q: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -290,12 +302,24 @@ def _flux_local(wr: np.ndarray, flux_q: np.ndarray, grads: np.ndarray) -> np.nda
 
 def assemble_weighted_stiffness(mesh: SimplicialMesh, a, rho=None) -> sp.csr_matrix:
     """Assemble S with S[i, j] = int <a grad(phi_j), grad(phi_i)> rho dx."""
-    return _scatter(mesh, _stiffness_local(mesh, a, rho))
+    grads, _ = element_geometry(mesh)
+    local = np.empty(grads.shape[:1] + grads.shape[2:] * 2)
+    for block in _blocks(mesh.num_elements):
+        wr = _quad_weights(mesh, rho, block=block)
+        a_q = matrix_at_quad(a, mesh, block=block)
+        local[block] = _stiffness_element(wr, a_q, grads[block])
+    return _scatter(mesh, local)
 
 
 def assemble_drift(mesh: SimplicialMesh, b, rho=None) -> sp.csr_matrix:
     """Assemble D with D[i, j] = -int <b, grad(phi_j)> phi_i rho dx."""
-    return _scatter(mesh, _drift_local(mesh, b, rho))
+    grads, _ = element_geometry(mesh)
+    local = np.empty(grads.shape[:1] + grads.shape[2:] * 2)
+    for block in _blocks(mesh.num_elements):
+        wr = _quad_weights(mesh, rho, block=block)
+        b_q = vector_at_quad(b, mesh, block=block)
+        local[block] = _drift_element(wr, b_q, grads[block])
+    return _scatter(mesh, local)
 
 
 def assemble_weighted_mass(mesh: SimplicialMesh, rho=None) -> sp.csr_matrix:

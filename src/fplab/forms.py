@@ -51,10 +51,8 @@ from .fem import (
     _gmres,
     _Restriction,
     _runs_multigrid,
-    assemble_drift,
     assemble_weighted_mass,
     assemble_weighted_stiffness,
-    quadrature_norm,
 )
 from .mesh import SimplicialMesh
 
@@ -103,15 +101,19 @@ def assemble_form(
 ) -> FormMatrices:
     """Assemble S, D, M for the mu-weighted sectorial form.
 
-    d_mode "skew" antisymmetrizes the drift block (the discrete counterpart
-    of the continuum identity that kills the drift term in E(f, f)); "raw"
-    keeps the assembled block and leaves its symmetric part as a reported
-    defect that must decay under refinement.
+    The drift block is the decomposition's D, so the decomposition must
+    come from this density (a ValueError otherwise). d_mode "skew"
+    antisymmetrizes it (the discrete counterpart of the continuum identity
+    that kills the drift term in E(f, f)); "raw" keeps the assembled block
+    and leaves its symmetric part as a reported defect that must decay
+    under refinement.
     """
     if d_mode not in ("skew", "raw"):
         raise ValueError(f"d_mode must be 'skew' or 'raw', got {d_mode!r}")
+    if decomposition.rho is not density.rho:
+        raise ValueError("the drift decomposition was made from another density")
     s = assemble_weighted_stiffness(mesh, cs.a, rho=density.rho)
-    d_raw = assemble_drift(mesh, decomposition.b_quad, rho=density.rho)
+    d_raw = decomposition.d
     m = assemble_weighted_mass(mesh, rho=density.rho)
     # S, D and M share the mesh's pattern: D^T is a permutation of D's data
     mirrored = d_raw.data[mesh._csr_plan.transpose]
@@ -140,15 +142,14 @@ def theoretical_sector_bound(
 ) -> float:
     """1 + (gamma / lam) (max rho / min rho) ||B||_{L^d}, gamma = 2(d-1)/(d-2).
 
-    The Lebesgue (unweighted) L^d norm of |B| enters; only d = 3 admits the
-    Sobolev constant gamma.
+    The Lebesgue (unweighted) L^d norm of |B| enters, as the decomposition
+    holds it (b_norm); only d = 3 admits the Sobolev constant gamma.
     """
     d = mesh.dim
     if d != 3:
         raise DimensionUnsupported(f"theoretical sector bound needs d = 3, got {d}")
     gamma = 2.0 * (d - 1) / (d - 2)
-    b_norm = quadrature_norm(mesh, np.linalg.norm(decomposition.b_quad, axis=2), p=float(d))
-    return 1.0 + (gamma / cs.lam) * (density.rho_max / density.rho_min) * b_norm
+    return 1.0 + (gamma / cs.lam) * (density.rho_max / density.rho_min) * decomposition.b_norm
 
 
 @dataclass

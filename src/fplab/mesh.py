@@ -26,7 +26,6 @@ from .errors import (
     RefinementTooDeep,
     SingularElement,
 )
-from .quadrature import quadrature_rule
 
 MAX_LEVELS = 8
 _BOUNDARY_RTOL = 1e-12
@@ -149,11 +148,12 @@ class SimplicialMesh:
         """Interior vertex ids in index order, the unknowns of a resolvent."""
         return np.flatnonzero(~self.boundary)
 
-    # Element geometry (basis gradients, volumes, quadrature points)
-    # and the CSR plan of the P1 graph are computed on first use and kept
-    # read-only for the life of the mesh; every assembly, norm and audit
-    # reads them. Element coordinates are not kept: each cached array
-    # gathers them once.
+    # Element geometry (basis gradients and volumes) and the CSR plan of the
+    # P1 graph are computed on first use and kept read-only for the life of
+    # the mesh; every assembly, norm and audit reads them. Element
+    # coordinates and quadrature points are not kept: each cached array
+    # gathers the coordinates once, and fem computes the points of a block
+    # of elements when it samples a field there.
 
     @cached_property
     def _gradients(self) -> np.ndarray:
@@ -163,22 +163,6 @@ class SimplicialMesh:
     @cached_property
     def _volumes(self) -> np.ndarray:
         return _read_only(signed_volumes(self.vertices, self.elements, self.dim))
-
-    @cached_property
-    def _quad_points(self) -> np.ndarray:
-        """Physical coordinates of the points of quadrature_rule(dim) in
-        every element, shape (ne, nq, dim)."""
-        # sum bary[q, k] x_k over k in order, from zero: the bits of
-        # np.einsum("qk,ekd->eqd", bary, coords) at a fraction of its cost
-        bary = quadrature_rule(self.dim).points
-        coords = [self.vertices[self.elements[:, k]] for k in range(self.dim + 1)]
-        pts = np.empty((self.num_elements, len(bary), self.dim))
-        for q, weights in enumerate(bary):
-            acc = np.zeros_like(coords[0])
-            for w, x in zip(weights, coords):
-                acc += w * x
-            pts[:, q] = acc
-        return _read_only(pts)
 
     @cached_property
     def _csr_plan(self) -> CsrPlan:

@@ -1,4 +1,4 @@
-"""One-dimensional mollified cutoffs and their limit identities.
+"""One-dimensional mollified cutoffs.
 
 The family phi_eps is the convolution of the clamp psi_eps(t) =
 clip(t, -eps, 1+eps) with the standard bump scaled to width eps/2. On the
@@ -113,36 +113,6 @@ def phi_eps_prime(t, eps: float):
     """Central difference of the convolution at step eps^2."""
     h = eps * eps
     return (phi_eps(np.asarray(t) + h, eps) - phi_eps(np.asarray(t) - h, eps)) / (2.0 * h)
-
-
-@dataclass
-class MollifierLimitReport:
-    """Deviation of (phi_eps, phi_eps') from their pointwise limits."""
-
-    ts: np.ndarray
-    eps_seq: np.ndarray
-    value_dev: np.ndarray  # (neps,) max |phi_eps(t) - (t+ ^ 1)|
-    deriv_dev: np.ndarray  # (neps,) max |phi_eps'(t) - 1_[0,1](t)|
-
-
-def phi_eps_limits(ts, eps_seq) -> MollifierLimitReport:
-    """Compare phi_eps and its derivative against t+ ^ 1 and 1_[0,1].
-
-    The derivative limit only makes sense pointwise away from the corner
-    set {0, 1}; callers choose ts accordingly. Deviations should be O(eps).
-    """
-    ts = np.asarray(ts, dtype=float)
-    eps_seq = np.asarray(eps_seq, dtype=float)
-    target_val = np.minimum(np.maximum(ts, 0.0), 1.0)
-    target_der = ((ts >= 0.0) & (ts <= 1.0)).astype(float)
-    value_dev = np.zeros(eps_seq.size)
-    deriv_dev = np.zeros(eps_seq.size)
-    for i, eps in enumerate(eps_seq):
-        value_dev[i] = float(np.abs(phi_eps(ts, eps) - target_val).max())
-        deriv_dev[i] = float(np.abs(phi_eps_prime(ts, eps) - target_der).max())
-    return MollifierLimitReport(
-        ts=ts, eps_seq=eps_seq, value_dev=value_dev, deriv_dev=deriv_dev
-    )
 
 
 def _zeta(t: float, eps: float) -> float:

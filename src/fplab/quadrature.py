@@ -116,22 +116,6 @@ def quadrature_rule(dim: int, degree: int = DEFAULT_DEGREE) -> QuadratureRule:
     return table[admissible[0]]
 
 
-def reference_monomial_integral(dim: int, exponents) -> float:
-    """Exact integral of x^a over the reference simplex {x_i >= 0, sum x_i <= 1}.
-
-    Uses the Dirichlet formula: integral = prod(a_i!) / (dim + sum a_i)!.
-    """
-    from math import factorial
-
-    exponents = list(exponents)
-    if len(exponents) != dim:
-        raise ValueError("need one exponent per coordinate")
-    num = 1
-    for a in exponents:
-        num *= factorial(a)
-    return num / factorial(dim + sum(exponents))
-
-
 @functools.lru_cache(maxsize=64)
 def _leggauss(n: int):
     """Read-only reference nodes and weights on [-1, 1], computed once per n."""

@@ -129,7 +129,11 @@ def test_plan_assembly_identities(case):
         rho=weight, rho_min=1.0, rho_max=1.0, residual=0.0, residual_scale=1.0
     )
     decomposition = DriftDecomposition(
-        b_quad=vector_at_quad(b, mesh), rho=weight, quadratic_defect=0.0
+        d=assemble_drift(mesh, b, rho=weight),
+        flux=np.zeros(mesh.num_vertices),
+        b_norm=0.0,
+        rho=weight,
+        quadratic_defect=0.0,
     )
     cs = CoefficientSet(name="affine", dim=mesh.dim, a=a, lam=1.0, m_bound=1.0, drift=b)
     d = assemble_form(mesh, cs, density, decomposition, d_mode="skew").d

@@ -44,11 +44,14 @@ def test_samplers_share_the_block_contract():
         (matrix_at_quad, np.eye(2)),
         (matrix_at_quad, rotator.a),
     ]
+    ids = np.array([7, 2, 2, ne - 1])
     for sampler, field in fields:
-        # a block of a whole-mesh field is the block's rows of its whole sample
+        # a block of a whole-mesh field, a slice or an index array, is the
+        # block's rows of its whole sample
         whole = sampler(field, mesh)
         assert whole.shape[:2] == (ne, nq)
         assert np.array_equal(sampler(field, mesh, block=slice(3, 8)), whole[3:8])
+        assert np.array_equal(sampler(field, mesh, block=ids), whole[ids])
     with pytest.raises(ValueError, match="scalar field array"):
         scalar_at_quad(np.zeros((5, nq)), mesh, block=slice(3, 8))
     with pytest.raises(ValueError, match="vector field array"):
@@ -69,7 +72,8 @@ def test_pre_evaluated_fields_match_their_callables(dim, level, monkeypatch):
     outputs = []
     for c in (cs, sampled):
         density = solve_invariant_density(mesh, c)
-        out = {"rho": density.rho.values, "b_quad": decompose_drift(mesh, c, density).b_quad}
+        dec = decompose_drift(mesh, c, density)
+        out = {"rho": density.rho.values, "D": dec.d.data, "flux": dec.flux, "b_norm": dec.b_norm}
         if dim == 3:
             cutoff = build_cutoff(np.zeros(3), 0.4, 0.8)
             report = compute_constants(c, density, cutoff, density.rho)
@@ -97,7 +101,8 @@ def pipeline_outputs(dim, level, name):
         "S": form.s.data,
         "D": form.d.data,
         "M": form.m.data,
-        "b_quad": dec.b_quad,
+        "b_norm": dec.b_norm,
+        "quadratic_defect": dec.quadratic_defect,
         "per_test": divergence_free_residual(mesh, dec)["per_test"],
         "div_a": weak_divergence_matrix(mesh, cs.a).values,
     }
@@ -148,7 +153,7 @@ def test_bits_do_not_depend_on_the_block_size(whole, size, monkeypatch):
 def ball4():
     mesh = build_ball_mesh((0.0,) * 3, 1.0, levels=4)
     cs = preset("rotator", 3)
-    # the density solve builds the mesh's cached geometry and quadrature points
+    # the density solve builds the mesh's cached geometry
     return mesh, cs, solve_invariant_density(mesh, cs)
 
 
@@ -166,8 +171,20 @@ def traced_peak_mb(fn, *args):
 def test_compute_constants_transient_memory_is_bounded(ball4):
     mesh, cs, density = ball4
     cutoff = build_cutoff(np.zeros(3), 0.5, 0.9)
-    # 109 MiB when every field was sampled on all 32768 elements at once
-    assert traced_peak_mb(compute_constants, cs, density, cutoff, density.rho) < 40
+    # 109 MiB when every field was sampled on all 32768 elements at once, and
+    # 27 MiB when the cutoff term built a Hessian at every quadrature point
+    assert traced_peak_mb(compute_constants, cs, density, cutoff, density.rho) <= 18
+
+
+def test_drift_decomposition_keeps_no_quadrature_array(ball4):
+    mesh, cs, density = ball4
+    dec = decompose_drift(mesh, cs, density)
+    arrays = {"D": dec.d.data, "D indices": dec.d.indices, "flux": dec.flux, "rho": dec.rho.values}
+    # every other field is a number: b_norm and the quadratic defect
+    others = {f.name for f in dataclasses.fields(dec)} - {"d", "flux", "rho"}
+    assert all(np.ndim(getattr(dec, name)) == 0 for name in others)
+    limit = mesh.num_elements * quadrature_rule(3).weights.size
+    assert all(x.size < limit for x in arrays.values()), {k: x.size for k, x in arrays.items()}
 
 
 def test_stationarity_matrix_transient_memory_is_bounded(ball4):
@@ -178,11 +195,13 @@ def test_stationarity_matrix_transient_memory_is_bounded(ball4):
 
 def test_callables_are_sampled_per_block(monkeypatch):
     # locating points in a mesh holds (points, 16, dim, dim) temporaries,
-    # which sampling per block bounds by a block's points
+    # which sampling per block bounds by a block's points; the interpolant
+    # is built on a copy of the mesh, so that it is sampled as a callable
     mesh = build_ball_mesh((0.0,) * 3, 1.0, levels=3)
+    other = dataclasses.replace(mesh)
     x = mesh.vertices
     a = np.broadcast_to(np.eye(3), (len(x), 3, 3))
-    c = sampled_coefficient_set(mesh, a, c_values=(x * x).sum(axis=1)).c
+    c = sampled_coefficient_set(other, a, c_values=(x * x).sum(axis=1)).c
     peaks = {}
     for size in (mesh.num_elements, mesh.num_elements // 8):
         monkeypatch.setattr(fplab.fem, "_BLOCK_ELEMENTS", size)

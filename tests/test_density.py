@@ -10,6 +10,7 @@ import fplab.fem
 from fplab import (
     KernelDimensionError,
     SimplicialMesh,
+    assemble_drift,
     build_ball_mesh,
     build_box_mesh,
     decompose_drift,
@@ -18,6 +19,7 @@ from fplab import (
     lumped_weights,
     norm,
     preset,
+    quadrature_norm,
     refine_uniform,
     solve_invariant_density,
     vector_at_quad,
@@ -78,9 +80,12 @@ def test_decomposition_recovers_drift_for_constant_density(disk2):
     cs = preset("rotator", 2, omega=1.5)
     density = solve_invariant_density(disk2, cs)
     dec = decompose_drift(disk2, cs, density)
-    h_q = vector_at_quad(cs.drift, disk2)
     # rho is constant to solver tolerance, so B = H - (a grad rho)/rho = H
-    assert np.abs(dec.b_quad - h_q).max() <= 1e-6
+    # and the drift block of B is that of H
+    d_h = assemble_drift(disk2, cs.drift, rho=density.rho)
+    assert np.abs(dec.d.data - d_h.data).max() <= 1e-6 * np.abs(d_h.data).max()
+    h_abs = np.linalg.norm(vector_at_quad(cs.drift, disk2), axis=2)
+    assert dec.b_norm == pytest.approx(quadrature_norm(disk2, h_abs, p=2.0), rel=1e-6)
 
 
 def test_divergence_free_residual_inherits_solver_tolerance(disk2):

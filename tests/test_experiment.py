@@ -10,6 +10,7 @@ from fplab import (
     ConstantsReport,
     DimensionUnsupported,
     InvalidRadii,
+    CoefficientSet,
     assemble_form,
     build_ball_mesh,
     build_cutoff,
@@ -18,11 +19,14 @@ from fplab import (
     decompose_drift,
     first_dirichlet_eigenpair,
     interpolate,
+    nondivergence_apply,
+    physical_quad_points,
     preset,
     product_rule_residual,
     run_experiment,
     solve_invariant_density,
 )
+from fplab.experiment import _as_analytic, _lb_chi_at_quad
 
 
 def test_build_cutoff_guards():
@@ -59,6 +63,66 @@ def test_cutoff_gradient_plateaus_and_peak():
     pts = np.stack([rs, np.zeros_like(rs)], axis=1)
     norms = np.linalg.norm(chi.gradient(pts), axis=1)
     assert norms.max() <= chi.grad_inf_norm * (1 + 1e-12)
+
+
+def _anisotropic_coefficients():
+    """A full, nonsymmetric, varying a, with div a and H unrelated to it:
+    the cutoff term's algebra is checked, not an identity of the fields."""
+
+    def a(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (3, 3))
+        out[...] = 2.0 * np.eye(3)
+        out[..., 0, 1] = 0.3 * np.sin(x[..., 2])
+        out[..., 1, 0] = x[..., 0] - 0.2
+        out[..., 2, 0] = 0.5 * x[..., 1] ** 2
+        out[..., 1, 2] = 0.1
+        out[..., 2, 2] += x[..., 0] * x[..., 1]
+        return out
+
+    return CoefficientSet(
+        name="anisotropic", dim=3, a=a, lam=1.0, m_bound=3.0,
+        drift=lambda x: np.cos(x), div_a=lambda x: np.asarray(x) ** 2 - 0.5,
+    )
+
+
+def test_radial_cutoff_term_matches_the_hessian_form():
+    cs = _anisotropic_coefficients()
+    center = np.array([0.1, -0.2, 0.05])
+    chi = build_cutoff(center, 0.3, 0.7)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((300, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    # the center, both plateaus, the shell's edges and its inside
+    radii = np.concatenate([
+        [0.0, 0.1, 0.3, 0.3 + 1e-6, 0.7 - 1e-6, 0.7, 0.9],
+        rng.uniform(0.3, 0.7, 293),
+    ])
+    pts = center + radii[:, None] * u
+    pts[0] = center
+    ref = nondivergence_apply(cs, _as_analytic(chi), pts)
+    got = chi._nondivergence_term(pts, cs.a(pts), cs.div_a(pts) + cs.drift(pts))
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+    plateau = (radii < 0.3) | (radii > 0.7)
+    assert (got[plateau] == 0.0).all() and (ref[plateau] == 0.0).all()
+
+
+def test_cutoff_term_is_evaluated_on_the_transition_shell_only():
+    cs = _anisotropic_coefficients()
+    mesh = build_ball_mesh((0.0,) * 3, 1.0, levels=3)
+    chi = build_cutoff((0.1, -0.2, 0.05), 0.3, 0.7)
+    lb, recovered = _lb_chi_at_quad(mesh, cs, chi)
+    assert recovered == ()
+    pts = physical_quad_points(mesh)
+    rad = np.linalg.norm(pts - chi.center, axis=2)
+    on = ((rad > 0.3) & (rad < 0.7)).any(axis=1)
+    inside, outside = (rad <= 0.3).all(axis=1), (rad >= 0.7).all(axis=1)
+    assert on.sum() and inside.sum() and outside.sum()
+    assert (lb[~on] == 0.0).all()
+    ref = nondivergence_apply(cs, _as_analytic(chi), pts[on].reshape(-1, 3))
+    np.testing.assert_allclose(
+        lb[on].ravel(), ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max()
+    )
 
 
 def test_cutoff_derivatives_match_differences():

@@ -216,8 +216,7 @@ def test_gradients_are_computed_once_per_mesh(monkeypatch):
 
 def _cached_geometry(mesh):
     grads, vols = element_geometry(mesh)
-    pts = physical_quad_points(mesh)
-    return {"grads": grads, "vols": vols, "pts": pts}
+    return {"grads": grads, "vols": vols}
 
 
 @pytest.mark.parametrize("center", [(0.0, 0.0), (0.0, 0.0, 0.0)])
@@ -251,11 +250,9 @@ def test_cached_geometry_matches_a_fresh_computation(center):
     mesh = build_ball_mesh(center, 1.5, levels=2)
     vertices, elements = mesh.vertices.copy(), mesh.elements.copy()
     coords = vertices[elements]
-    rule = quadrature_rule(mesh.dim)
     fresh = {
         "grads": _p1_gradients(coords),
         "vols": signed_volumes(vertices, elements, mesh.dim),
-        "pts": np.einsum("qk,ekd->eqd", rule.points, coords),
     }
     cached = _cached_geometry(mesh)
     for name in fresh:
@@ -263,6 +260,20 @@ def test_cached_geometry_matches_a_fresh_computation(center):
     # a second read hands back the same arrays
     again = _cached_geometry(mesh)
     assert all(again[name] is cached[name] for name in cached)
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.2, -0.1, 0.3)])
+def test_quadrature_points_of_a_block_match_the_whole_mesh_points(center):
+    # the mesh keeps no points; those of any block (a slice or an index
+    # array) have the bits of the whole-mesh einsum
+    mesh = build_ball_mesh(center, 1.5, levels=2)
+    whole = np.einsum("qk,ekd->eqd", quadrature_rule(mesh.dim).points, mesh.element_coords())
+    assert np.array_equal(physical_quad_points(mesh), whole)
+    ne = mesh.num_elements
+    ids = np.random.default_rng(3).permutation(ne)[: ne // 3]
+    for block in (slice(5, 77), slice(ne - 9, None), slice(1, None, 7), ids, np.array([4, 4, 0])):
+        assert np.array_equal(physical_quad_points(mesh, block), whole[block]), block
+    assert physical_quad_points(mesh) is not physical_quad_points(mesh)
 
 
 def _fresh_copy(mesh):

@@ -1,4 +1,4 @@
-"""Mollified clamp family: closed forms, invariants, and limits."""
+"""Mollified clamp family: closed forms and invariants."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from fplab import (
     capital_phi_eps,
     mollifier_mass,
     phi_eps,
-    phi_eps_limits,
     phi_eps_prime,
     phi_eps_quadrature,
     standard_mollifier,
@@ -73,23 +72,6 @@ def test_phi_monotone_and_lipschitz(s, dt):
     # 1e-11 slack absorbs transition-band quadrature noise (~2e-12)
     assert hi - lo >= -1e-11
     assert hi - lo <= dt + 1e-11
-
-
-def test_phi_limits_are_linear_in_eps():
-    # stay 1.5 eps away from the corners of the limiting ramp so the
-    # pointwise derivative limit applies at every grid point
-    eps_seq = [0.1, 0.01]
-    for eps in eps_seq:
-        ts = np.concatenate(
-            [
-                np.linspace(-0.8, -1.5 * eps, 40),
-                np.linspace(1.5 * eps, 1.0 - 1.5 * eps, 40),
-                np.linspace(1.0 + 1.5 * eps, 1.8, 40),
-            ]
-        )
-        rep = phi_eps_limits(ts, [eps])
-        assert rep.value_dev[0] <= 2.0 * eps
-        assert rep.deriv_dev[0] <= 2.0 * eps
 
 
 def test_capital_phi_identities():

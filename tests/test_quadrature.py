@@ -6,7 +6,22 @@ import math
 import numpy as np
 import pytest
 
-from fplab import gauss_legendre, quadrature_rule, reference_monomial_integral
+from fplab import gauss_legendre, quadrature_rule
+
+
+def reference_monomial_integral(dim: int, exponents) -> float:
+    """Exact integral of x^a over the reference simplex {x_i >= 0, sum x_i <= 1},
+    the oracle of the exactness tests.
+
+    Uses the Dirichlet formula: integral = prod(a_i!) / (dim + sum a_i)!.
+    """
+    exponents = list(exponents)
+    if len(exponents) != dim:
+        raise ValueError("need one exponent per coordinate")
+    num = 1
+    for a in exponents:
+        num *= math.factorial(a)
+    return num / math.factorial(dim + sum(exponents))
 
 
 def test_reference_monomial_hand_values():
