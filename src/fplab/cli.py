@@ -125,6 +125,8 @@ def cmd_mesh(cfg: ExperimentConfig, emit_plots: bool) -> int:
 
 def _density_pipeline(cfg: ExperimentConfig):
     mesh = _build_mesh(cfg)
+    if not mesh.interior.size:
+        raise ConfigError(f"[domain] level {cfg.level} gives a mesh without an interior vertex")
     cs = _coefficients(cfg, mesh)
     density = solve_invariant_density(mesh, cs)
     decomposition = decompose_drift(mesh, cs, density)
@@ -178,9 +180,9 @@ def cmd_resolvent(cfg: ExperimentConfig, emit_plots: bool) -> int:
         "resolvent_identity_defect": sweep.identity_defect,
         "submarkov_min": sweep.submarkov_min,
         "submarkov_max": sweep.submarkov_max,
-        "backend": sweep.backend,
+        "backend": cfg.backend,
         "lu_solves": sweep.lu_solves,
-        "d_mode": sweep.d_mode,
+        "d_mode": form.d_mode,
         "sym_defect_max": form.sym_defect_max,
     }
     _write_json(out / "resolvent_report.json", report, cfg)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -529,14 +530,21 @@ class MeshInterpolant:
             raise ValueError("vertex data contains non-finite entries")
         self.mesh = mesh
         self.values = values
-        coords = mesh.element_coords()
-        self._origins = coords[:, 0, :]
         # grad of the barycentric coordinates of vertices 1..dim, (ne, dim, dim)
         self._grads = mesh._gradients[:, :, 1:]
+        self._k = min(16, mesh.num_elements)
+
+    # the lookup structures are built on the first locate: fem samples an
+    # interpolant of its own mesh as P1 data and never locates
+    @cached_property
+    def _origins(self) -> np.ndarray:
+        return self.mesh.vertices[self.mesh.elements[:, 0]]
+
+    @cached_property
+    def _tree(self):
         from scipy.spatial import cKDTree
 
-        self._tree = cKDTree(coords.mean(axis=1))
-        self._k = min(16, mesh.num_elements)
+        return cKDTree(self.mesh.element_coords().mean(axis=1))
 
     def locate(self, pts: np.ndarray):
         """Element index and clipped barycentric weights per query point."""

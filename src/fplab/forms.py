@@ -9,13 +9,13 @@ energy E(f, f) collapses to the diffusion part alone.
 A Resolvent solves alpha M + S + D on the interior. fem's one rule picks
 its solver: the V-cycle along the mesh's refinement lineage (a refined mesh
 or a box of 2**k cells per axis) from 2000 interior unknowns on, else a
-float64 sparse LU, whatever the backend. The backend picks the V-cycle's
-stopping rule: "gmres" runs V-cycle GMRES to its tolerance, and "direct"
-refines in float64 (Carson & Higham 2018), one restart cycle of that GMRES
-on b per step, each continuing from the last x, to a float64 backward
-error, or else falls back to the LU. The skew part D is small next to the
-SPD part alpha M + S, so the iteration count does not grow under
-refinement (Eisenstat, Elman & Schultz 1983). The checks
+float64 sparse LU, whatever the backend. A V-cycle solve is one loop of
+restart cycles of V-cycle GMRES, each continuing from the last x, and the
+backend picks its stopping test and failure action: "gmres" stops at its
+tolerance or raises, and "direct" refines in float64 (Carson & Higham 2018)
+to a float64 backward error or else falls back to the LU. The skew part D
+is small next to the SPD part alpha M + S, so the iteration count does not
+grow under refinement (Eisenstat, Elman & Schultz 1983). The checks
 (contraction, resolvent identity, sub-Markov range, strong continuity)
 solve with "gmres" to a relative residual of 1e-12. M^{-1} is applied by
 Jacobi-preconditioned CG (M is well conditioned) to 1e-14 from 2000
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -206,13 +206,13 @@ class Resolvent:
     """G_alpha = (alpha M + S + D)^{-1} on the interior DOFs of one form.
 
     The interior block of the mesh's pattern (where S, D and M must lie) is
-    indexed once, so the system for one alpha is a gather of its data. Its
-    solver (an LU or a V-cycle) is made on the first solve at that alpha and
-    reused for every further solve at it; a solve at another alpha replaces
-    it, so a Resolvent holds one system at a time. mass_solve applies
-    M^{-1}. A Resolvent is meant to live for one computation: the form
-    itself stores no factors, so holding on to them never stacks on later
-    stages' memory.
+    indexed once, so the system for one alpha is a gather of its data. It
+    is made, with its V-cycle and, once a solve needs one, its LU, on the
+    first solve at that alpha and reused for every further solve at it; a
+    solve at another alpha replaces it, so a Resolvent holds one system at a
+    time. mass_solve applies M^{-1}. A Resolvent is meant to live for one
+    computation: the form itself stores no factors, so holding on to them
+    never stacks on later stages' memory.
 
     The unknowns, `interior`, are `form.interior` (index order); every
     interior vector the Resolvent takes or returns is indexed by them.
@@ -224,19 +224,19 @@ class Resolvent:
     Jacobi (weight 0.6) on every level and a sparse LU on the coarsest one
     with interior unknowns. Its Galerkin operators P^T M P and P^T (S + D) P
     are built once, so an alpha only costs alpha M_l + (S + D)_l and one
-    small LU. Otherwise it is a float64 sparse LU, for either backend. The
-    backend picks the V-cycle's stopping rule for fem._gmres, GMRES (restart
-    20) right-preconditioned by the V-cycle. "gmres" runs it to relative
-    tolerance tol within maxiter restart cycles. "direct" runs it on b from
-    x = 0 one restart cycle per refinement step, each continuing from the
-    last x and ending at a residual estimate of 4 eps ||b||_2, until the
-    float64 residual meets ||b - K x|| <= 4 eps (||K|| ||x|| + ||b||) in the
-    infinity norm with eps that of float64. If a step does not halve that
-    residual or 10 steps after the first do not reach it, a float64 LU
-    solves this and every later right side at that alpha. Solves go
-    through solve_resolvent, which records the residual norm of the latest
-    solve in `residual` and its GMRES inner iterations (summed over the
-    restart cycles of a direct solve) in `iterations`, None after an LU.
+    small LU. Otherwise it is a float64 sparse LU, for either backend.
+    With the V-cycle, solve_resolvent runs restart cycles of fem._gmres,
+    GMRES (restart 20) right-preconditioned by it, on b from x = 0, each
+    continuing from the last x. "gmres" stops once a cycle meets relative
+    tolerance tol, and raises SolverDivergence after maxiter cycles.
+    "direct" ends each cycle at a residual estimate of 4 eps ||b||_2 and
+    stops once the float64 residual meets ||b - K x|| <= 4 eps (||K|| ||x||
+    + ||b||) in the infinity norm, with eps that of float64. If a cycle does
+    not halve that residual, or 10 cycles after the first do not reach it,
+    a float64 LU solves this and every later right side at that alpha.
+    solve_resolvent records the residual norm of the latest solve in
+    `residual` and its GMRES inner iterations, summed over its cycles, in
+    `iterations`, None after an LU.
     """
 
     def __init__(
@@ -266,7 +266,7 @@ class Resolvent:
             m = _csr(mesh, np.where(rows == plan.indices, row_sums[rows], 0.0))
         self.m = m
         self._block = _Restriction(mesh, interior)
-        self._alpha = self._k_int = self._solver = None
+        self._alpha = self._k_int = self._cycle = self._norm = self._lu = None
         self.residual = self.iterations = None
         self._mass = None
         self._levels = None
@@ -275,21 +275,19 @@ class Resolvent:
             self._levels = self._block.multigrid(self._block.matrix(m.data), k)
 
     def _system(self, alpha: float):
-        """Interior matrix alpha M + S + D and its solver: a _DirectSolver,
-        or the V-cycle that preconditions gmres (see Resolvent)."""
+        """Interior matrix alpha M + S + D, and above the cut its V-cycle and
+        infinity norm (else None); `_lu` holds its LU once a solve needs one."""
         if alpha != self._alpha:
-            # drop the old solver before building the next one
-            self._alpha = self._k_int = self._solver = None
+            # drop the old system before building the next one
+            self._alpha = self._k_int = self._cycle = self._norm = self._lu = None
             k = alpha * self.m.data + self.form.s.data + self.form.d.data
             k_int = self._block.matrix(k)
-            cycle = None
             if self._levels is not None:
                 levels = [(alpha * m + k).tocsr() for m, k in self._levels.levels]
-                cycle = self._levels.v_cycle(levels + [k_int])
-            gmres = cycle is not None and self.backend == "gmres"
-            solver = cycle if gmres else _DirectSolver(k_int, cycle)
-            self._alpha, self._k_int, self._solver = alpha, k_int, solver
-        return self._k_int, self._solver
+                self._cycle = self._levels.v_cycle(levels + [k_int])
+                self._norm = spla.norm(k_int, np.inf)
+            self._alpha, self._k_int = alpha, k_int
+        return self._k_int, self._cycle, self._norm
 
     def mass_solve(self, z: np.ndarray) -> np.ndarray:
         """M^{-1} z on interior DOFs: Jacobi-preconditioned CG to a relative
@@ -304,37 +302,9 @@ class Resolvent:
         return self._mass(z)
 
 
-class _DirectSolver:
-    """One interior system solved to float64 accuracy: by refinement whose
-    steps are restart cycles of one V-cycle GMRES run when given the
-    V-cycle, else (or once the refinement fails) by a float64 sparse LU (see
-    Resolvent). A call returns the solution and its GMRES inner iterations,
-    None after the LU."""
-
-    def __init__(self, k_int: sp.csr_matrix, cycle: Optional[Callable]):
-        self.k_int, self.cycle, self.lu = k_int, cycle, None
-        if cycle is None:
-            self.lu = spla.splu(k_int.tocsc())
-        else:
-            self.norm = spla.norm(k_int, np.inf)
-
-    def __call__(self, b: np.ndarray):
-        if self.lu is None:
-            rule = 4 * np.finfo(float).eps
-            x, last, iterations = None, np.inf, 0
-            for steps in range(11):
-                x, _, count = _gmres(self.k_int, b, self.cycle, rule, 1, x)
-                iterations += count
-                r = b - self.k_int @ x
-                size, scale = np.abs(r).max(), self.norm * np.abs(x).max() + np.abs(b).max()
-                if size <= rule * scale:
-                    return x, iterations
-                if steps == 10 or not size <= last / 2:  # capped, stagnating or not finite
-                    break
-                last = size
-            # the LU serves this and every later solve
-            self.lu = spla.splu(self.k_int.tocsc())
-        return self.lu.solve(b), None
+def _check_resolvent(form: FormMatrices, lumped: bool = False) -> Resolvent:
+    """The checks' Resolvent: gmres to a relative residual of 1e-12."""
+    return Resolvent(form, backend="gmres", lumped=lumped, tol=_MULTIGRID_RTOL)
 
 
 def _mass_cg(m_int: sp.csr_matrix, z: np.ndarray) -> np.ndarray:
@@ -356,7 +326,7 @@ def solve_resolvent(form, alpha: float, f) -> FeFunction:
     M-projection of f, leaving an alpha-independent gap for data with a
     nonzero boundary trace).
 
-    `form` is a Resolvent, which reuses its solver across solves at the
+    `form` is a Resolvent, which reuses its system across solves at the
     same alpha and solves with its own backend, tol and maxiter, or a
     FormMatrices, which gets a one-shot default (direct) Resolvent.
     GMRES that misses its tolerance within maxiter restart cycles of 20
@@ -371,16 +341,36 @@ def solve_resolvent(form, alpha: float, f) -> FeFunction:
     f_zeroed = np.zeros_like(f_vec)
     f_zeroed[interior] = f_vec[interior]
     rhs = (res.m @ f_zeroed)[interior]
-    k_int, solver = res._system(alpha)
-    if isinstance(solver, _DirectSolver):
-        u_int, iterations = solver(rhs)
-    else:
-        u_int, info, iterations = _gmres(k_int, rhs, solver, res.tol, res.maxiter)
-        if info != 0:
+    k_int, cycle, norm = res._system(alpha)
+    direct = res.backend == "direct"
+    rtol = 4 * np.finfo(float).eps if direct else res.tol
+    # restart cycles of V-cycle GMRES, each continuing from the last u_int,
+    # until the backend's stopping test holds; below the cut, or once the
+    # direct refinement has failed at this alpha, the LU solves instead
+    u_int, iterations, cycles, last = None, 0, 0, np.inf
+    use_lu = cycle is None or res._lu is not None
+    while not use_lu:
+        u_int, info, count = _gmres(k_int, rhs, cycle, rtol, 1, u_int)
+        cycles, iterations = cycles + 1, iterations + count
+        if direct:
+            size = np.abs(rhs - k_int @ u_int).max()
+            if size <= rtol * (norm * np.abs(u_int).max() + np.abs(rhs).max()):
+                break
+            use_lu = cycles == 11 or not size <= last / 2  # capped, stagnating or not finite
+            last = size
+        elif info == 0 and cycles <= res.maxiter:  # a maxiter below 1 allows no cycle
+            break
+        # a non-finite u_int ends the run, as it ends one _gmres call
+        elif cycles >= res.maxiter or not np.isfinite(u_int).all():
             raise SolverDivergence(
                 f"gmres failed to reach rtol={res.tol:.1e} "
                 f"within {res.maxiter} restart cycles of {_GMRES_RESTART} iterations"
             )
+    if use_lu:
+        if res._lu is None:
+            # the LU serves this and every later solve at this alpha
+            res._lu = spla.splu(k_int.tocsc())
+        u_int, iterations = res._lu.solve(rhs), None
     resid = np.linalg.norm(k_int @ u_int - rhs)
     scale = np.linalg.norm(rhs)
     if resid > max(1e-8, res.tol) * max(scale, 1e-30):
@@ -411,7 +401,7 @@ def check_contraction(
     Raises ContractionViolation if any ratio exceeds 1 + 1e-10.
     """
     rng = np.random.default_rng(seed)
-    res = Resolvent(form, backend="gmres", tol=_MULTIGRID_RTOL)
+    res = _check_resolvent(form)
     rows = []
     # all trials at one alpha share its factor
     for alpha in alphas:
@@ -441,7 +431,7 @@ def check_resolvent_identity(
     form: FormMatrices, alpha: float, beta: float, f
 ) -> ResolventIdentityReport:
     """Defect of G_alpha - G_beta - (beta - alpha) G_alpha G_beta applied to f."""
-    res = Resolvent(form, backend="gmres", tol=_MULTIGRID_RTOL)
+    res = _check_resolvent(form)
     # beta first, so that both alpha solves share one factor
     u_b = solve_resolvent(res, beta, f)
     return _identity_report(res, alpha, beta, f, solve_resolvent(res, alpha, f), u_b)
@@ -483,7 +473,7 @@ def check_submarkov(form, alpha: float) -> SubmarkovReport:
     """
     res = form
     if not isinstance(res, Resolvent):
-        res = Resolvent(form, backend="gmres", lumped=True, tol=_MULTIGRID_RTOL)
+        res = _check_resolvent(form, lumped=True)
     if not res.lumped:
         raise ValueError("check_submarkov needs a lumped Resolvent")
     u = solve_resolvent(res, alpha, (~res.form.mesh.boundary).astype(float))
@@ -563,7 +553,7 @@ def strong_continuity_gaps(
     f_vec = np.zeros_like(f_raw)
     f_vec[interior] = f_raw[interior]
     alphas = np.asarray(sorted(float(a) for a in alphas))
-    res = Resolvent(form, backend="gmres", tol=_MULTIGRID_RTOL)
+    res = _check_resolvent(form)
     gaps = np.array(
         [form.l2_norm(a * solve_resolvent(res, a, f_vec).values - f_vec) for a in alphas]
     )
@@ -591,8 +581,6 @@ class ResolventSweepReport:
     identity_defect: float
     submarkov_min: float
     submarkov_max: float
-    backend: str
-    d_mode: str
     lu_solves: int  # the per-alpha solves that a sparse LU answered
 
 
@@ -640,7 +628,5 @@ def resolvent_sweep(
         identity_defect=ident.relative_defect,
         submarkov_min=sub.min_value,
         submarkov_max=sub.max_value,
-        backend=backend,
-        d_mode=form.d_mode,
         lu_solves=lu_solves,
     )

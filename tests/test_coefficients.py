@@ -1,9 +1,11 @@
 """Coefficient presets, rough-field diagnostics, and sampled data."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from fplab import (
     AnalyticFunction,
@@ -36,6 +38,7 @@ from fplab import (
     vmo_product_inequality_check,
     weak_divergence_matrix,
 )
+from fplab.fem import scalar_at_quad
 
 DOMAIN2 = Ball(center=(0.0, 0.0), radius=1.0)
 
@@ -350,6 +353,39 @@ def test_mesh_interpolant_returns_vertex_values_at_vertices(dim):
     vals = np.random.default_rng(3).standard_normal(mesh.num_vertices)
     got = MeshInterpolant(mesh, vals)(mesh.element_coords())
     np.testing.assert_allclose(got, vals[mesh.elements], rtol=0, atol=1e-12)
+
+
+def test_mesh_interpolant_sampled_on_its_own_mesh_keeps_only_its_values():
+    # fem samples an interpolant of its own mesh as P1 data: no lookup
+    # structure is built, so it retains its values and little else
+    mesh = build_ball_mesh((0.0,) * 3, 1.0, levels=4)
+    values = np.random.default_rng(5).standard_normal(mesh.num_vertices)
+    scalar_at_quad(MeshInterpolant(mesh, values), mesh)  # the mesh's own caches
+    tracemalloc.start()
+    try:
+        interp = MeshInterpolant(mesh, values)
+        scalar_at_quad(interp, mesh)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20
+    assert "_tree" not in vars(interp) and "_origins" not in vars(interp)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mesh_interpolant_lookup_built_on_first_use_matches_an_eager_one(dim):
+    mesh = build_ball_mesh((0.0,) * dim, 1.0, levels=2)
+    values = np.random.default_rng(6).standard_normal(mesh.num_vertices)
+    lazy, eager = MeshInterpolant(mesh, values), MeshInterpolant(mesh, values)
+    # the structures as built at construction: a k-d tree on the centroids
+    # and the first vertex of every element
+    coords = mesh.element_coords()
+    eager._tree, eager._origins = cKDTree(coords.mean(axis=1)), coords[:, 0, :]
+    # points inside, on and outside the disk or ball, the last ones rescanned
+    pts = np.random.default_rng(7).uniform(-1.2, 1.2, (500, dim))
+    for got, expected in zip(lazy.locate(pts), eager.locate(pts)):
+        assert np.array_equal(got, expected)
+    assert np.array_equal(lazy(pts), eager(pts))
 
 
 def test_mesh_interpolant_shape_guard():

@@ -354,7 +354,7 @@ def test_cli_density_deterministic(tmp_path):
 def test_cli_resolvent_with_plot_data(tmp_path):
     cfg = small_mesh_config(
         tmp_path,
-        "[coefficients]\npreset = identity\n[resolvent]\nalphas = dyadic:3\n",
+        "[coefficients]\npreset = identity\n[resolvent]\nalphas = dyadic:3\nd_mode = raw\n",
     )
     assert main(["resolvent", "--config", cfg, "--emit-plot-data"]) == 0
     out = tmp_path / "out"
@@ -368,6 +368,7 @@ def test_cli_resolvent_with_plot_data(tmp_path):
     assert max(report["contraction_ratios"]) <= 1.0 + 1e-10
     # the level-1 disk is below the multigrid cut: an LU answers every alpha
     assert report["lu_solves"] == 3
+    assert report["backend"] == "direct" and report["d_mode"] == "raw"
 
 
 def test_cli_gmres_at_level_zero_is_the_direct_lu(tmp_path):
@@ -383,7 +384,24 @@ def test_cli_gmres_at_level_zero_is_the_direct_lu(tmp_path):
         )
         assert main(["resolvent", "--config", cfg]) == 0
         csv[backend] = (out / "resolvent.csv").read_bytes()
+        assert json.loads((out / "resolvent_report.json").read_text())["backend"] == backend
     assert csv["gmres"] == csv["direct"]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("stage", ["density", "resolvent", "experiment"])
+def test_cli_mesh_without_an_interior_vertex_exits_two(tmp_path, capsys, dim, stage):
+    # a box of one cell per axis has every vertex on its boundary
+    cfg = write_config(
+        tmp_path,
+        f"[run]\noutput_dir = {tmp_path / 'out'}\n"
+        f"[domain]\nkind = box\ndim = {dim}\nlo = {'-1 ' * dim}\nhi = {'1 ' * dim}\nlevel = 0\n",
+    )
+    assert main(["mesh", "--config", cfg]) == 0
+    assert main([stage, "--config", cfg]) == 2
+    assert "ConfigError: [domain] level 0 gives a mesh without an interior vertex" in (
+        capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize("stage", ["resolvent", "experiment"])

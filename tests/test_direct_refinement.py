@@ -1,5 +1,6 @@
-"""Direct resolvent solves above the size cut: float64 iterative refinement
-whose steps are restart cycles of one V-cycle-preconditioned GMRES run.
+"""Resolvent solves above the size cut: one loop of restart cycles of
+V-cycle-preconditioned GMRES, which the direct backend stops at a float64
+backward error (iterative refinement) and the gmres backend at its tolerance.
 
 The 2D level-5 disk has 12097 interior unknowns and the 3D box of 16 cells
 per axis 3375, above the 2000 from which the direct backend refines on a
@@ -17,6 +18,7 @@ import fplab.forms
 from fplab import (
     DEFAULT_ALPHAS,
     Resolvent,
+    SolverDivergence,
     assemble_form,
     build_ball_mesh,
     build_box_mesh,
@@ -195,3 +197,36 @@ def test_refinement_that_cannot_meet_the_rule_falls_back_to_float64_lu(disk5, lu
     # the sweep reports the fallbacks: alphas 1 and 4 fall back, while at
     # 4096 the mass dominates and the refinement meets its rule
     assert resolvent_sweep(form, alphas=(1.0, 4.0, 4096.0), seed=73).lu_solves == 2
+
+
+def test_gmres_restart_cycles_match_one_gmres_run(disk5, gmres_runs):
+    # a sixtyfold rotation needs several restart cycles at alpha 1
+    form = disk5["skew"]
+    form = dataclasses.replace(form, d=_csr(form.mesh, 60.0 * form.d.data))
+    res = Resolvent(form, backend="gmres", tol=1e-12, maxiter=50)
+    f = interior_data(form, 76)
+    k_int, rhs = system(res, 1.0, f)
+    x, info, iterations = fplab.fem._gmres(k_int, rhs, res._system(1.0)[1], 1e-12, 50)
+    assert info == 0
+    u = solve_resolvent(res, 1.0, f).values
+    # one call per restart cycle, each continuing from the last x: the same
+    # bits and the same inner iterations as one call with maxiter cycles
+    assert len(gmres_runs) >= 2 and sum(gmres_runs) == iterations == res.iterations
+    assert np.array_equal(u[res.interior], x)
+    # a run that misses its tolerance raises after maxiter cycles
+    del gmres_runs[:]
+    short = Resolvent(form, backend="gmres", tol=1e-12, maxiter=1)
+    with pytest.raises(SolverDivergence, match="within 1 restart cycles of 20 iterations"):
+        solve_resolvent(short, 1.0, f)
+    assert len(gmres_runs) == 1
+    # a cycle that leaves a non-finite x ends the run, as it ends one call
+    del gmres_runs[:]
+    broken = Resolvent(form, backend="gmres", tol=1e-12, maxiter=50)
+    broken._system(1.0)
+    broken._cycle = lambda v: np.full_like(v, np.nan)
+    with pytest.raises(SolverDivergence, match="within 50 restart cycles"):
+        solve_resolvent(broken, 1.0, f)
+    assert len(gmres_runs) == 1
+    # a maxiter below 1 allows no cycle, even one that meets tol
+    with pytest.raises(SolverDivergence, match="within 0 restart cycles"):
+        solve_resolvent(Resolvent(disk5["skew"], backend="gmres", maxiter=0), 1.0, f)
