@@ -70,11 +70,14 @@ def _write_json(path: Path, payload: dict, cfg: ExperimentConfig):
 
 
 def _write_csv(path: Path, header, columns):
-    """Write 1-D columns and 2-D column blocks side by side, repr-exact."""
-    rows = np.column_stack(columns).tolist()
+    """Write 1-D columns and 2-D column blocks side by side, repr-exact, as
+    Python floats of 4096 rows at a time."""
+    table = np.column_stack(columns)
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        for start in range(0, len(table), 4096):
+            rows = table[start : start + 4096].tolist()
+            f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _write_plot(path: Path, comment: str, rows):

@@ -25,7 +25,6 @@ from .errors import (
     UnknownPreset,
 )
 from .fem import (
-    _blocks,
     _eval_callable,
     _flux_local,
     _p1_at_quad,
@@ -458,14 +457,13 @@ def weak_divergence_matrix(mesh: SimplicialMesh, a) -> WeakDivergence:
     if (weights <= 0).any():
         raise SingularMass(f"lumped weight {weights.min():.3e} is not positive")
 
-    # int <a e_l, grad phi_i> dx per column l and element, a sampled per block
-    local = np.empty((dim, mesh.num_elements, dim + 1))
-    for block in _blocks(mesh.num_elements):
+    # int <a e_l, grad phi_i> dx per element, vertex and column l
+    def kernel(block):
         wr = _quad_weights(mesh, None, block=block)
         a_q = matrix_at_quad(a, mesh, block=block)
-        for l in range(dim):
-            local[l, block] = _flux_local(wr, a_q[:, :, :, l], grads[block])
-    moments = np.stack([_scatter_vector(mesh, x) for x in local], axis=1)
+        return np.stack([_flux_local(wr, a_q[..., l], grads[block]) for l in range(dim)], axis=2)
+
+    moments = _scatter_vector(mesh, kernel, (dim,))
 
     facets, bary, fp, fw, normals = _boundary_facet_quadrature(mesh)
     a_f = _eval_callable(a, fp.reshape(-1, dim), (dim, dim)).reshape(fp.shape + (dim,))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
@@ -165,6 +166,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"[resolvent] backend must be direct or gmres, got {cfg.backend!r}"
         )
+    if cfg.maxiter < 1:
+        raise ConfigError(f"[resolvent] maxiter must be >= 1, got {cfg.maxiter}")
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
+        raise ConfigError(f"[resolvent] tol must be positive and finite, got {cfg.tol}")
     if any(e <= 0 for e in cfg.mollifier_eps):
         raise ConfigError("[mollifier] eps values must be positive")
     return cfg

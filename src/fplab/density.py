@@ -31,6 +31,7 @@ from .fem import (
     FeFunction,
     _at_quad,
     _blocks,
+    _csr,
     _drift_element,
     _flux_local,
     _gmres,
@@ -38,7 +39,6 @@ from .fem import (
     _Restriction,
     _runs_multigrid,
     _scatter,
-    _scatter_vector,
     _stiffness_element,
     element_geometry,
     lumped_weights,
@@ -97,15 +97,17 @@ def stationarity_matrix(mesh: SimplicialMesh, cs: CoefficientSet) -> sp.csr_matr
     """
     grads, _ = element_geometry(mesh)
     shape = (mesh.dim,)
-    local = np.empty(grads.shape[:1] + grads.shape[2:] * 2)
-    for block in _blocks(mesh.num_elements):
+
+    def kernel(block):
         wr = _quad_weights(mesh, None, block=block)
         pts = physical_quad_points(mesh, block)
         a_q = _at_quad(cs.a, mesh, block, shape * 2, "matrix field", pts)
         h_q = _at_quad(cs.drift, mesh, block, shape, "vector field", pts)
-        local[block] = _stiffness_element(wr, a_q, grads[block])
-        local[block] += _drift_element(wr, h_q, grads[block])
-    return _scatter(mesh, local, transpose=True)
+        local = _stiffness_element(wr, a_q, grads[block])
+        local += _drift_element(wr, h_q, grads[block])
+        return local
+
+    return _scatter(mesh, kernel, transpose=True)
 
 
 def _pinned_solve(mesh: SimplicialMesh, k: sp.csr_matrix, pin: int, multigrid: bool):
@@ -246,8 +248,9 @@ def decompose_drift(
     grads, vols = element_geometry(mesh)
     weights = quadrature_rule(mesh.dim).weights
     grad_rho = density.rho.element_gradients()
-    local = np.empty(grads.shape[:1] + grads.shape[2:] * 2)
-    flux_local = np.empty(grads.shape[:1] + grads.shape[2:])
+    plan, elements = mesh._csr_plan, mesh.elements
+    d_data = np.zeros(plan.indices.size)
+    flux_vec, diagonal = np.zeros(mesh.num_vertices), np.zeros(mesh.num_vertices)
     b_abs = np.empty((mesh.num_elements, weights.size))
     for block in _blocks(mesh.num_elements):
         rho_q = density.rho.at_quad(block)
@@ -262,16 +265,20 @@ def decompose_drift(
         flux = sum(grad_rho[block, None, b, None] * a_q[:, :, b] for b in range(mesh.dim))
         b_q = h_q - flux / rho_q[:, :, None]
         wr = rho_q * (vols[block, None] * weights)
-        local[block] = _drift_element(wr, b_q, grads[block])
-        flux_local[block] = _flux_local(wr, b_q, grads[block])
+        local = _drift_element(wr, b_q, grads[block])
+        # the sums of fem's scatters, in element order
+        ids = elements[block].ravel()
+        np.add.at(d_data, plan.slots[block].ravel(), local.ravel())
+        np.add.at(flux_vec, ids, _flux_local(wr, b_q, grads[block]).ravel())
+        np.add.at(diagonal, ids, np.diagonal(local, axis1=1, axis2=2).ravel())
         # |B| as np.linalg.norm sums the squares, in a quarter of its time
         b_abs[block] = np.sqrt(sum(b_q[:, :, k] * b_q[:, :, k] for k in range(mesh.dim)))
 
     # int <B, grad(phi_j^2)> rho dx is -2 D[j, j] for the drift block of B
-    defect_all = -2.0 * _scatter_vector(mesh, np.diagonal(local, axis1=1, axis2=2))
+    defect_all = -2.0 * diagonal
     return DriftDecomposition(
-        d=_scatter(mesh, local),
-        flux=_scatter_vector(mesh, flux_local),
+        d=_csr(mesh, d_data),
+        flux=flux_vec,
         b_norm=quadrature_norm(mesh, b_abs, p=float(mesh.dim)),
         rho=density.rho,
         quadratic_defect=float(np.abs(defect_all[mesh.interior]).max()),

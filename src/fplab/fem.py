@@ -16,19 +16,21 @@ broadcast, and a callable is sampled at their quadrature points
 (vectorized over an (n, dim) array when the callable supports it,
 pointwise otherwise). The mesh keeps no quadrature points:
 physical_quad_points computes those of a block.
-Fields are sampled and the element kernels run per block of _BLOCK_ELEMENTS
-(2^12) elements (_blocks) into one preallocated full-size result, which
+Fields are sampled, and the element kernels run and their results are
+scattered, per block of _BLOCK_ELEMENTS (2^12) elements (_blocks), which
 bounds temporaries by a block (Cuvelier, Japhet & Scarella, BIT 2016).
-Reductions over all elements (the bincounts, quadrature_norm's einsum) stay
-single calls, so no bit depends on the block size.
+The scatters add in element order, and quadrature_norm's einsum stays one
+call over all elements, so no bit depends on the block size.
 
 Element kernels weight the field samples elementwise (exact, into a fresh
 array) before batched matmuls contract them, so their bits do not depend
-on the memory layout of a sampled field. A matrix is one `np.bincount` of
-its element matrices onto the mesh's cached CSR plan (`mesh._csr_plan`),
-and its transpose is the same onto the plan's mirrored slots: duplicates
-sum in element order, deterministically and without a sort. Every matrix
-of a mesh shares one pattern, so a sum of matrices is a sum of data arrays.
+on the memory layout of a sampled field. A matrix is the sum of the
+element matrices of a per-block kernel onto the mesh's cached CSR plan
+(`mesh._csr_plan`), added block by block by `np.add.at`, and its transpose
+is the same onto the plan's mirrored slots: duplicates sum in element
+order, the sequential sums of one `np.bincount` over all elements, without
+a sort. Every matrix of a mesh shares one pattern, so a sum of matrices is
+a sum of data arrays.
 
 _Restriction is the one restricted-system path of the package, for the
 resolvent and the invariant density's pinned systems alike: the pattern
@@ -243,18 +245,26 @@ def _csr(mesh: SimplicialMesh, data: np.ndarray) -> sp.csr_matrix:
 
 
 def _scatter(
-    mesh: SimplicialMesh, local: np.ndarray, transpose: bool = False
+    mesh: SimplicialMesh, kernel: Callable, transpose: bool = False
 ) -> sp.csr_matrix:
-    """Sum element matrices (ne, nloc, nloc) into a CSR matrix, or its transpose."""
+    """Sum the element matrices kernel(block) (nb, nloc, nloc) of every block
+    of elements into a CSR matrix, or its transpose."""
     plan = mesh._csr_plan
-    slots = plan.transpose[plan.slots] if transpose else plan.slots
-    data = np.bincount(slots.ravel(), local.ravel(), minlength=plan.indices.size)
+    data = np.zeros(plan.indices.size)
+    for block in _blocks(mesh.num_elements):
+        slots = plan.slots[block]
+        slots = plan.transpose[slots] if transpose else slots
+        np.add.at(data, slots.ravel(), kernel(block).ravel())
     return _csr(mesh, data)
 
 
-def _scatter_vector(mesh: SimplicialMesh, local: np.ndarray) -> np.ndarray:
-    """Sum element vectors (ne, nloc) into a vertex vector, in element order."""
-    return np.bincount(mesh.elements.ravel(), local.ravel(), minlength=mesh.num_vertices)
+def _scatter_vector(mesh: SimplicialMesh, kernel: Callable, shape: tuple = ()) -> np.ndarray:
+    """Sum the element vectors kernel(block) (nb, nloc) + shape of every block
+    of elements into vertex values (nv,) + shape."""
+    out = np.zeros((mesh.num_vertices,) + shape)
+    for block in _blocks(mesh.num_elements):
+        np.add.at(out, mesh.elements[block].ravel(), kernel(block).reshape((-1,) + shape))
+    return out
 
 
 def _quad_weights(mesh, rho, allow_signed=False, block=slice(None)) -> np.ndarray:
@@ -303,47 +313,54 @@ def _flux_local(wr: np.ndarray, flux_q: np.ndarray, grads: np.ndarray) -> np.nda
 def assemble_weighted_stiffness(mesh: SimplicialMesh, a, rho=None) -> sp.csr_matrix:
     """Assemble S with S[i, j] = int <a grad(phi_j), grad(phi_i)> rho dx."""
     grads, _ = element_geometry(mesh)
-    local = np.empty(grads.shape[:1] + grads.shape[2:] * 2)
-    for block in _blocks(mesh.num_elements):
+
+    def kernel(block):
         wr = _quad_weights(mesh, rho, block=block)
-        a_q = matrix_at_quad(a, mesh, block=block)
-        local[block] = _stiffness_element(wr, a_q, grads[block])
-    return _scatter(mesh, local)
+        return _stiffness_element(wr, matrix_at_quad(a, mesh, block=block), grads[block])
+
+    return _scatter(mesh, kernel)
 
 
 def assemble_drift(mesh: SimplicialMesh, b, rho=None) -> sp.csr_matrix:
     """Assemble D with D[i, j] = -int <b, grad(phi_j)> phi_i rho dx."""
     grads, _ = element_geometry(mesh)
-    local = np.empty(grads.shape[:1] + grads.shape[2:] * 2)
-    for block in _blocks(mesh.num_elements):
+
+    def kernel(block):
         wr = _quad_weights(mesh, rho, block=block)
-        b_q = vector_at_quad(b, mesh, block=block)
-        local[block] = _drift_element(wr, b_q, grads[block])
-    return _scatter(mesh, local)
+        return _drift_element(wr, vector_at_quad(b, mesh, block=block), grads[block])
+
+    return _scatter(mesh, kernel)
 
 
 def assemble_weighted_mass(mesh: SimplicialMesh, rho=None) -> sp.csr_matrix:
     """Assemble M with M[i, j] = int phi_i phi_j rho dx for a positive density."""
-    wr = _quad_weights(mesh, rho)
     bary = quadrature_rule(mesh.dim).points
     nq, nloc = bary.shape
     phi_phi = (bary[:, :, None] * bary[:, None, :]).reshape(nq, -1)
-    return _scatter(mesh, (wr[:, None, :] @ phi_phi).reshape(-1, nloc, nloc))
+
+    def kernel(block):
+        wr = _quad_weights(mesh, rho, block=block)
+        return (wr[:, None, :] @ phi_phi).reshape(-1, nloc, nloc)
+
+    return _scatter(mesh, kernel)
 
 
 def assemble_load(mesh: SimplicialMesh, f=None, flux=None, rho=None) -> np.ndarray:
     """Assemble the vector int f phi_i rho dx + int <flux, grad(phi_i)> rho dx;
     the weight rho may change sign."""
     grads, _ = element_geometry(mesh)
-    wr = _quad_weights(mesh, rho, allow_signed=True)
-    local = np.zeros((mesh.num_elements, mesh.dim + 1))
-    if f is not None:
-        local += _quad_sum(quadrature_rule(mesh.dim).points, wr, scalar_at_quad(f, mesh))
-    if flux is not None:
-        for block in _blocks(mesh.num_elements):
-            flux_q = vector_at_quad(flux, mesh, block=block)
-            local[block] += _flux_local(wr[block], flux_q, grads[block])
-    return _scatter_vector(mesh, local)
+    bary = quadrature_rule(mesh.dim).points
+
+    def kernel(block):
+        wr = _quad_weights(mesh, rho, allow_signed=True, block=block)
+        local = np.zeros((wr.shape[0], mesh.dim + 1))
+        if f is not None:
+            local += _quad_sum(bary, wr, scalar_at_quad(f, mesh, block=block))
+        if flux is not None:
+            local += _flux_local(wr, vector_at_quad(flux, mesh, block=block), grads[block])
+        return local
+
+    return _scatter_vector(mesh, kernel)
 
 
 def lumped_weights(mesh: SimplicialMesh, rho=None) -> np.ndarray:
@@ -365,10 +382,14 @@ def quadrature_norm(mesh: SimplicialMesh, values, p: float = 2.0, weight=None) -
     # |vals|^p in place, one (ne, nq) temporary fewer
     magnitude = np.abs(vals)
     magnitude **= p
-    rho_q = _density_at_quad(weight, mesh)
     _, vols = element_geometry(mesh)
     weights = quadrature_rule(mesh.dim).weights
-    total = np.einsum("eq,eq,q,e->", magnitude, rho_q, weights, vols)
+    if weight is None:
+        # the bits of a unit weight operand, without its (ne, nq) array
+        total = np.einsum("eq,q,e->", magnitude, weights, vols)
+    else:
+        rho_q = _density_at_quad(weight, mesh)
+        total = np.einsum("eq,eq,q,e->", magnitude, rho_q, weights, vols)
     return float(total ** (1.0 / p))
 
 
@@ -433,27 +454,37 @@ class _Multigrid:
             levels.append(tuple((xt @ a @ x).tocsr() for a in levels[-1]))
         self.levels = levels[:0:-1]
 
-    def v_cycle(self, a) -> Callable[[np.ndarray], np.ndarray]:
-        """The V(2,2)-cycle for the CSR level matrices a, coarsest first:
-        damped Jacobi (weight 0.6) on every level and a sparse LU of the
-        coarsest, which is factored here."""
-        coarse = spla.splu(a[0].tocsc())
-        weights = [_JACOBI_WEIGHT / x.diagonal() for x in a]
-        p, pt = self.p, self.pt
+    def v_cycle(self, a) -> _VCycle:
+        """The V(2,2)-cycle for the CSR level matrices a, coarsest first."""
+        return _VCycle(self, a)
 
-        def cycle(b, level):
-            if level == 0:
-                return coarse.solve(b)
-            x_a, w = a[level], weights[level]
-            x = w * b
-            for _ in range(_SMOOTHING_SWEEPS - 1):
-                x += w * (b - x_a @ x)
-            x += p[level - 1] @ cycle(pt[level - 1] @ (b - x_a @ x), level - 1)
-            for _ in range(_SMOOTHING_SWEEPS):
-                x += w * (b - x_a @ x)
-            return x
 
-        return lambda b: cycle(b, len(a) - 1)
+class _VCycle:
+    """The V(2,2)-cycle of a _Multigrid's prolongations for the CSR level
+    matrices a, coarsest first: damped Jacobi (weight 0.6) on every level
+    and a sparse LU of the coarsest, which is factored here. It refers to
+    nothing that refers back to it, so its matrices and LU are freed as
+    soon as the last reference to it goes."""
+
+    def __init__(self, multigrid: _Multigrid, a):
+        self.coarse = spla.splu(a[0].tocsc())
+        self.weights = [_JACOBI_WEIGHT / x.diagonal() for x in a]
+        self.a, self.p, self.pt = a, multigrid.p, multigrid.pt
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        return self._cycle(b, len(self.a) - 1)
+
+    def _cycle(self, b, level):
+        if level == 0:
+            return self.coarse.solve(b)
+        x_a, w = self.a[level], self.weights[level]
+        x = w * b
+        for _ in range(_SMOOTHING_SWEEPS - 1):
+            x += w * (b - x_a @ x)
+        x += self.p[level - 1] @ self._cycle(self.pt[level - 1] @ (b - x_a @ x), level - 1)
+        for _ in range(_SMOOTHING_SWEEPS):
+            x += w * (b - x_a @ x)
+        return x
 
 
 def _gmres(a, b, preconditioner, rtol: float, maxiter: int, x=None):

@@ -157,8 +157,10 @@ class SimplicialMesh:
 
     @cached_property
     def _gradients(self) -> np.ndarray:
-        # a compact copy, not a view that keeps the whole inverse alive
-        return _read_only(np.ascontiguousarray(_p1_gradients(self.element_coords())))
+        grads = np.empty((self.num_elements, self.dim, self.dim + 1))
+        for block in _blocks(self.num_elements):
+            grads[block] = _p1_gradients(self.vertices[self.elements[block]])
+        return _read_only(grads)
 
     @cached_property
     def _volumes(self) -> np.ndarray:
@@ -207,6 +209,13 @@ class SimplicialMesh:
         return float(self.volumes().sum())
 
 
+def _blocks(ne: int):
+    """fem's blocks of elements (fem imports this module, hence the late import)."""
+    from .fem import _blocks
+
+    return _blocks(ne)
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -249,19 +258,40 @@ class CsrPlan(NamedTuple):
 
 
 def _csr_plan(mesh: SimplicialMesh) -> CsrPlan:
+    """The plan from the mesh's edges: row i holds the entries (i, a) of the
+    edges (a, i), the diagonal, then the entries (i, b) of the edges (i, b),
+    each in column order."""
     nv, elements = mesh.num_vertices, mesh.elements
-    # one int64 key per entry sorts like (row, column), the CSR order
-    keys, slots = np.unique(
-        elements[:, :, None] * nv + elements[:, None, :], return_inverse=True
-    )
-    slots = slots.reshape(elements.shape + elements.shape[1:])
+    edges, element_edges = _mesh_edges(mesh)
+    below = np.bincount(edges[:, 1], minlength=nv)  # entries left of the diagonal
+    above = np.bincount(edges[:, 0], minlength=nv)
     indptr = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // nv, minlength=nv), out=indptr[1:])
-    # local (j, i) mirrors local (i, j) in every element
-    transpose = np.empty(keys.size, dtype=np.int64)
-    transpose[slots] = slots.transpose(0, 2, 1)
-    arrays = (indptr, keys % nv, slots, transpose)
-    return CsrPlan(*(_read_only(a.astype(np.int32)) for a in arrays))
+    np.cumsum(below + above + 1, out=indptr[1:])
+    diagonal = indptr[:-1] + below
+    # entry (a, b) of edge k follows the k edges before it, which are in
+    # (row, column) order, and the diagonal and left entries of rows up to a
+    ids = np.arange(len(edges))
+    upper = ids + np.cumsum(below + 1)[edges[:, 0]]
+    # a stable sort by column puts the mirrored entries (b, a) in CSR order,
+    # after the diagonal and right entries of the rows before b
+    order = np.argsort(edges[:, 1], kind="stable")
+    lower = np.empty_like(upper)
+    lower[order] = ids + (np.cumsum(above + 1) - above - 1)[edges[order, 1]]
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices[diagonal], indices[upper], indices[lower] = np.arange(nv), edges[:, 1], edges[:, 0]
+    transpose = np.empty_like(indices)
+    transpose[diagonal], transpose[upper], transpose[lower] = diagonal, lower, upper
+    nloc = mesh.dim + 1
+    slots = np.empty((len(elements), nloc, nloc), dtype=np.int32)
+    for i in range(nloc):
+        slots[:, i, i] = diagonal[elements[:, i]]
+    for m, (i, j) in enumerate(_LOCAL_EDGES[mesh.dim]):
+        ends = upper[element_edges[:, m]], lower[element_edges[:, m]]
+        ascending = elements[:, i] < elements[:, j]
+        slots[:, i, j] = np.where(ascending, *ends)
+        slots[:, j, i] = np.where(ascending, *ends[::-1])
+    arrays = (indptr, indices, slots, transpose)
+    return CsrPlan(*(_read_only(a.astype(np.int32, copy=False)) for a in arrays))
 
 
 def signed_volumes(vertices: np.ndarray, elements: np.ndarray, dim: int) -> np.ndarray:
@@ -579,47 +609,49 @@ def mesh_quality(mesh: SimplicialMesh) -> dict:
 
     The acuteness flag is true iff every element's identity-diffusion
     stiffness block has non-positive off-diagonal entries, which is the
-    property the discrete maximum principle needs.
+    property the discrete maximum principle needs. The per-element
+    quantities are formed one block of elements at a time.
     """
-    coords = mesh.element_coords()
     vols = mesh.volumes()
-    ne, nloc, dim = coords.shape
-
-    grads = mesh._gradients  # (ne, dim, nloc)
-
-    # sum over d in order, from zero: the bits of np.einsum("edi,edj->eij")
-    gram = np.zeros((ne, nloc, nloc))
-    for d in range(dim):
-        g = grads[:, d]
-        gram += g[:, :, None] * g[:, None, :]
-    gram *= vols[:, None, None]
+    dim, nloc = mesh.dim, mesh.dim + 1
     off = ~np.eye(nloc, dtype=bool)
-    max_off = gram[:, off].max()
-    scale = np.abs(gram).max()
-    acute = bool(max_off <= 1e-12 * scale)
-
     ends = np.array(_LOCAL_EDGES[dim]).T
-    edges_sq = ((coords[:, ends[0]] - coords[:, ends[1]]) ** 2).sum(axis=2)
-    longest = np.sqrt(edges_sq.max(axis=1))
+    max_off = scale = max_ratio = max_edge = -np.inf
+    for block in _blocks(mesh.num_elements):
+        coords = mesh.vertices[mesh.elements[block]]
+        grads = mesh._gradients[block]  # (nb, dim, nloc)
+        # sum over d in order, from zero: the bits of np.einsum("edi,edj->eij")
+        gram = np.zeros((len(coords), nloc, nloc))
+        for d in range(dim):
+            g = grads[:, d]
+            gram += g[:, :, None] * g[:, None, :]
+        gram *= vols[block, None, None]
+        max_off = max(max_off, gram[:, off].max())
+        scale = max(scale, np.abs(gram).max())
 
-    # inradius = dim * vol / (sum of facet measures)
-    facet_meas = np.zeros(ne)
-    for f in _LOCAL_FACETS[dim]:
-        fc = coords[:, list(f), :]
-        if dim == 2:
-            facet_meas += np.linalg.norm(fc[:, 1] - fc[:, 0], axis=1)
-        else:
-            cr = np.cross(fc[:, 1] - fc[:, 0], fc[:, 2] - fc[:, 0])
-            facet_meas += 0.5 * np.linalg.norm(cr, axis=1)
-    inradius = dim * vols / facet_meas
+        edges_sq = ((coords[:, ends[0]] - coords[:, ends[1]]) ** 2).sum(axis=2)
+        longest = np.sqrt(edges_sq.max(axis=1))
+
+        # inradius = dim * vol / (sum of facet measures)
+        facet_meas = np.zeros(len(coords))
+        for f in _LOCAL_FACETS[dim]:
+            fc = coords[:, list(f), :]
+            if dim == 2:
+                facet_meas += np.linalg.norm(fc[:, 1] - fc[:, 0], axis=1)
+            else:
+                cr = np.cross(fc[:, 1] - fc[:, 0], fc[:, 2] - fc[:, 0])
+                facet_meas += 0.5 * np.linalg.norm(cr, axis=1)
+        inradius = dim * vols[block] / facet_meas
+        max_ratio = max(max_ratio, (longest / inradius).max())
+        max_edge = max(max_edge, longest.max())
 
     return {
         "min_volume": float(vols.min()),
         "max_volume": float(vols.max()),
         "total_volume": float(vols.sum()),
-        "shape_regularity": float((longest / inradius).max()),
-        "max_edge": float(longest.max()),
-        "acute": acute,
+        "shape_regularity": float(max_ratio),
+        "max_edge": float(max_edge),
+        "acute": bool(max_off <= 1e-12 * scale),
         "num_vertices": mesh.num_vertices,
         "num_elements": mesh.num_elements,
     }

@@ -22,9 +22,11 @@ from fplab import (
     matrix_at_quad,
     physical_quad_points,
     quadrature_rule,
+    read_mesh,
     scalar_at_quad,
     stationarity_matrix,
     vector_at_quad,
+    write_mesh,
 )
 from fplab.fem import _scatter
 
@@ -105,9 +107,10 @@ def test_transposed_scatter_is_the_transpose(case):
     mesh, (a, b, _) = build(case)
     shape = (mesh.num_elements, mesh.dim + 1, mesh.dim + 1)
     local = np.random.default_rng(case[3]).standard_normal(shape)
-    transposed = _scatter(mesh, local, transpose=True)
+    kernel = local.__getitem__
+    transposed = _scatter(mesh, kernel, transpose=True)
     # the same entries summed in the same element order
-    assert (transposed != _scatter(mesh, local).T).nnz == 0
+    assert (transposed != _scatter(mesh, kernel).T).nnz == 0
     cs = CoefficientSet(name="affine", dim=mesh.dim, a=a, lam=1.0, m_bound=1.0, drift=b)
     s_ref, d_ref, _ = coo_reference(mesh, a, b, None)
     assert_close(stationarity_matrix(mesh, cs), (s_ref + d_ref).T.tocsr())
@@ -154,6 +157,46 @@ def test_plan_is_read_only_and_cached(center):
     rows = plan.rows()
     assert np.array_equal(plan.transpose[plan.transpose], np.arange(plan.indices.size))
     assert np.array_equal(plan.indices[plan.transpose], rows)
+
+
+def unique_plan(mesh):
+    """The plan from one np.unique over an int64 key per element entry,
+    which sorts like (row, column)."""
+    nv, elements = mesh.num_vertices, mesh.elements
+    keys, slots = np.unique(
+        elements[:, :, None] * nv + elements[:, None, :], return_inverse=True
+    )
+    slots = slots.reshape(elements.shape + elements.shape[1:])
+    indptr = np.zeros(nv + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // nv, minlength=nv), out=indptr[1:])
+    transpose = np.empty(keys.size, dtype=np.int64)
+    transpose[slots] = slots.transpose(0, 2, 1)
+    return [a.astype(np.int32) for a in (indptr, keys % nv, slots, transpose)]
+
+
+def read_back(mesh, tmp_path):
+    write_mesh(mesh, tmp_path / "mesh.npz")
+    return read_mesh(tmp_path / "mesh.npz")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda _: build_ball_mesh((0.0, 0.0), 1.0, levels=3),
+        lambda _: build_ball_mesh((0.0, 0.0, 0.0), 1.0, levels=2),
+        lambda _: build_box_mesh((0.0, 0.0, 0.0), (1.0, 2.0, 1.0), 4),
+        lambda _: build_box_mesh((0.0, 0.0), (1.0, 2.0), (3, 5)),
+        # a read mesh has no lineage
+        lambda tmp: read_back(build_ball_mesh((0.0, 0.0, 0.0), 1.0, levels=1), tmp),
+        lambda tmp: read_back(build_box_mesh((0.0, 0.0), (1.0, 1.0), 4), tmp),
+    ],
+    ids=["disk", "ball", "box 2**k", "box", "read ball", "read box"],
+)
+def test_plan_from_edges_equals_the_unique_plan(make, tmp_path):
+    mesh = make(tmp_path)
+    plan = mesh._csr_plan
+    for got, want in zip(plan, unique_plan(mesh)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("center", [(0.1, -0.2), (0.1, -0.2, 0.3)])

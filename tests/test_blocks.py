@@ -15,7 +15,9 @@ from fplab import (
     decompose_drift,
     divergence_free_residual,
     interpolate,
+    lumped_weights,
     matrix_at_quad,
+    mesh_quality,
     preset,
     quadrature_norm,
     quadrature_rule,
@@ -149,6 +151,19 @@ def test_bits_do_not_depend_on_the_block_size(whole, size, monkeypatch):
         assert np.array_equal(got[key], expected[key]), key
 
 
+@pytest.mark.parametrize("dim, level", [(2, 3), (3, 2)])
+def test_mesh_geometry_does_not_depend_on_the_block_size(dim, level, monkeypatch):
+    # the basis gradients and mesh_quality's extremes are formed per block
+    got = []
+    for size in (2**30, 97):
+        monkeypatch.setattr(fplab.fem, "_BLOCK_ELEMENTS", size)
+        mesh = build_ball_mesh((0.0,) * dim, 1.0, levels=level)
+        got.append((mesh_quality(mesh), mesh._gradients))
+    (quality, grads), (blocked_quality, blocked_grads) = got
+    assert quality == blocked_quality
+    assert np.array_equal(grads, blocked_grads)
+
+
 @pytest.fixture(scope="module")
 def ball4():
     mesh = build_ball_mesh((0.0,) * 3, 1.0, levels=4)
@@ -189,8 +204,35 @@ def test_drift_decomposition_keeps_no_quadrature_array(ball4):
 
 def test_stationarity_matrix_transient_memory_is_bounded(ball4):
     mesh, cs, _ = ball4
-    # 69 MiB when a was sampled on all 32768 elements at once
-    assert traced_peak_mb(stationarity_matrix, mesh, cs) < 40
+    # 69 MiB when a was sampled on all 32768 elements at once, and 19.4 MiB
+    # when the element matrices of all of them were scattered at once
+    assert traced_peak_mb(stationarity_matrix, mesh, cs) < 15
+
+
+def test_csr_plan_build_memory_is_bounded():
+    mesh = build_ball_mesh((0.0,) * 3, 1.0, levels=4)
+    # 25.2 MiB when the plan came from one np.unique over 16 keys per element
+    assert traced_peak_mb(lambda: mesh._csr_plan) < 15
+
+
+def test_lumped_weights_transient_memory_is_bounded(ball4):
+    mesh, _, _ = ball4
+    # 12.5 MiB when the load of all 32768 elements was formed at once
+    assert traced_peak_mb(lumped_weights, mesh) < 2
+
+
+def test_drift_decomposition_transient_memory_is_bounded(ball4):
+    mesh, cs, density = ball4
+    # 27.7 MiB when D and the flux were scattered from whole-mesh arrays and
+    # quadrature_norm weighted |B| by an array of ones
+    assert traced_peak_mb(decompose_drift, mesh, cs, density) < 26
+
+
+def test_form_assembly_transient_memory_is_bounded(ball4):
+    mesh, cs, density = ball4
+    decomposition = decompose_drift(mesh, cs, density)
+    # 18.1 MiB when S and M were scattered from whole-mesh element matrices
+    assert traced_peak_mb(assemble_form, mesh, cs, density, decomposition) < 13
 
 
 def test_callables_are_sampled_per_block(monkeypatch):

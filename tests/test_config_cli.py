@@ -132,8 +132,8 @@ def _configs(draw):
         alphas=tuple(draw(st.lists(_positive, min_size=1, max_size=5))),
         d_mode=draw(st.sampled_from(("skew", "raw"))),
         backend=draw(st.sampled_from(("direct", "gmres"))),
-        tol=draw(_finite),
-        maxiter=draw(_int),
+        tol=draw(_positive),
+        maxiter=draw(st.integers(1, 2**63)),
         vmo_radii=tuple(draw(st.lists(_finite, max_size=4))),
         vmo_samples=draw(_int),
         mollifier_eps=tuple(draw(st.lists(_positive, max_size=3))),
@@ -200,6 +200,8 @@ _BALL = "[domain]\nkind = ball\ndim = 2\nradius = 1.0\n"
         (_BALL + "[resolvent]\nbackend = magic\n",
          "[resolvent] backend must be direct or gmres, got 'magic'"),
         (_BALL + "[resolvent]\nmaxiter = 1.5\n", "invalid value for [resolvent] maxiter: '1.5'"),
+        (_BALL + "[resolvent]\nmaxiter = 0\n", "[resolvent] maxiter must be >= 1, got 0"),
+        (_BALL + "[resolvent]\ntol = nan\n", "[resolvent] tol must be positive and finite, got nan"),
         (_BALL + "[vmo]\nradii = a\n", "bad float list for [vmo] radii: 'a'"),
         (_BALL + "[mollifier]\neps = -0.1\n", "[mollifier] eps values must be positive"),
         (_BALL + "[mollifier]\ngrid = x\n", "invalid value for [mollifier] grid: 'x'"),
@@ -318,6 +320,18 @@ def test_preset_bounds_cover_a_domain_away_from_the_origin(domain, name):
     assert np.abs(a).max() <= cs.m_bound
     smallest = np.linalg.eigvalsh(0.5 * (a + a.transpose(0, 2, 1)))[:, 0]
     assert smallest.min() >= cs.lam
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("maxiter", "0"), ("maxiter", "-1"), ("tol", "0"), ("tol", "-1e-3"), ("tol", "nan"),
+     ("tol", "inf")],
+)
+def test_cli_resolvent_stopping_rule_out_of_range_exits_two(tmp_path, capsys, key, value):
+    # a stopping rule GMRES cannot meet is a usage error, caught before any stage runs
+    cfg = small_mesh_config(tmp_path, f"[resolvent]\n{key} = {value}\n")
+    assert main(["resolvent", "--config", cfg]) == 2
+    assert f"config error: {cfg}: [resolvent] {key} must be" in capsys.readouterr().err
 
 
 def test_cli_usage_errors_exit_two(tmp_path):

@@ -1,6 +1,8 @@
 """Refinement lineage and the multigrid-preconditioned GMRES backend."""
 
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -316,6 +318,30 @@ def test_iterations_do_not_grow_under_refinement(disk_forms, monkeypatch):
             counts.append(res.iterations)
         assert all(5 <= c <= 20 for c in counts), (alpha, counts)
         assert max(counts) - min(counts) <= 4, (alpha, counts)
+
+
+def test_v_cycles_are_freed_without_the_collector(monkeypatch):
+    # a V-cycle refers to nothing that refers back to it: the density's
+    # pinned systems and a Resolvent's replaced system go by reference count
+    monkeypatch.setattr(fplab.fem, "_MULTIGRID_MIN_UNKNOWNS", 0)
+    mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=3)
+    cs = preset("rotator", 2)
+    gc.collect()
+    gc.disable()
+    try:
+        density = solve_invariant_density(mesh, cs)
+        assert density.iterations
+        assert gc.collect() == 0
+        form = assemble_form(mesh, cs, density, decompose_drift(mesh, cs, density))
+        res = Resolvent(form, backend="gmres")
+        f = interior_data(form, 0)
+        solve_resolvent(res, 1.0, f)
+        replaced = [weakref.ref(x) for x in (res._k_int, res._cycle)]
+        solve_resolvent(res, 2.0, f)
+        assert all(ref() is None for ref in replaced)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_iterations_is_none_after_a_direct_solve(disk_forms, monkeypatch):
