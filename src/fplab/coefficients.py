@@ -35,7 +35,7 @@ from .fem import (
     lumped_weights,
     matrix_at_quad,
 )
-from .mesh import Ball, Box, SimplicialMesh, _facet_table
+from .mesh import Ball, Box, SimplicialMesh, _boundary_rows
 from .quadrature import gauss_legendre, quadrature_rule
 
 
@@ -409,9 +409,7 @@ def _boundary_facet_quadrature(mesh: SimplicialMesh):
     and outward unit normals (F, dim).
     """
     dim = mesh.dim
-    facets, ids, counts = _facet_table(mesh)
-    rows = np.flatnonzero(counts[ids] == 1)
-    facets = facets[rows]
+    rows, facets, _ = _boundary_rows(mesh)
     vs = mesh.vertices[facets]  # (F, dim, dim)
     if dim == 2:
         t = vs[:, 1] - vs[:, 0]

@@ -37,13 +37,13 @@ from .fem import (
     _gmres,
     _quad_weights,
     _Restriction,
+    _root_of_sum,
     _runs_multigrid,
     _scatter,
     _stiffness_element,
     element_geometry,
     lumped_weights,
     physical_quad_points,
-    quadrature_norm,
 )
 from .mesh import SimplicialMesh
 from .quadrature import quadrature_rule
@@ -239,9 +239,10 @@ def decompose_drift(
     """Decompose the drift: B = H - (a^T grad rho) / rho at quadrature points.
 
     B is invariant under rescaling of rho. It is formed per block of
-    elements, and each block adds its part of D, of the flux vector and of
-    |B| (see DriftDecomposition), each by the arithmetic of a whole-mesh
-    call. The quadratic defect max_j |int <B, grad(phi_j^2)> rho dx| over
+    elements: each block adds its part of D and of the flux vector, and
+    writes |B|^d into the one (ne, nq) array of ||B||_{L^d} (see
+    DriftDecomposition), each by the arithmetic of a whole-mesh call. The
+    quadratic defect max_j |int <B, grad(phi_j^2)> rho dx| over
     interior j is reported (it vanishes only in the continuum; it must
     decay under refinement).
     """
@@ -251,7 +252,8 @@ def decompose_drift(
     plan, elements = mesh._csr_plan, mesh.elements
     d_data = np.zeros(plan.indices.size)
     flux_vec, diagonal = np.zeros(mesh.num_vertices), np.zeros(mesh.num_vertices)
-    b_abs = np.empty((mesh.num_elements, weights.size))
+    # |B|^d, the one (ne, nq) array of the decomposition
+    b_powers = np.empty((mesh.num_elements, weights.size))
     for block in _blocks(mesh.num_elements):
         rho_q = density.rho.at_quad(block)
         if (rho_q <= 0).any():
@@ -271,15 +273,18 @@ def decompose_drift(
         np.add.at(d_data, plan.slots[block].ravel(), local.ravel())
         np.add.at(flux_vec, ids, _flux_local(wr, b_q, grads[block]).ravel())
         np.add.at(diagonal, ids, np.diagonal(local, axis1=1, axis2=2).ravel())
-        # |B| as np.linalg.norm sums the squares, in a quarter of its time
-        b_abs[block] = np.sqrt(sum(b_q[:, :, k] * b_q[:, :, k] for k in range(mesh.dim)))
+        # |B| as np.linalg.norm sums the squares, in a quarter of its time,
+        # raised to the power d in place, as quadrature_norm does
+        out = b_powers[block]
+        np.sqrt(sum(b_q[:, :, k] * b_q[:, :, k] for k in range(mesh.dim)), out=out)
+        out **= float(mesh.dim)
 
     # int <B, grad(phi_j^2)> rho dx is -2 D[j, j] for the drift block of B
     defect_all = -2.0 * diagonal
     return DriftDecomposition(
         d=_csr(mesh, d_data),
         flux=flux_vec,
-        b_norm=quadrature_norm(mesh, b_abs, p=float(mesh.dim)),
+        b_norm=_root_of_sum(mesh, b_powers, float(mesh.dim)),
         rho=density.rho,
         quadratic_defect=float(np.abs(defect_all[mesh.interior]).max()),
     )

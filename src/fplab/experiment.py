@@ -26,8 +26,8 @@ from .errors import DimensionUnsupported, InvalidRadii, MissingDerivative
 from .fem import (
     FeFunction,
     _at_quad,
-    _blocks,
     _eval_callable,
+    _sampled_norm,
     assemble_weighted_stiffness,
     interpolate,
     physical_quad_points,
@@ -36,7 +36,6 @@ from .fem import (
     vector_at_quad,
 )
 from .forms import DEFAULT_ALPHAS, FormMatrices, Resolvent, _monotone, solve_resolvent
-from .quadrature import quadrature_rule
 
 # max of d/dt (6t^5 - 15t^4 + 10t^3) = 30 t^2 (1-t)^2 on [0, 1], at t = 1/2
 _QUINTIC_SLOPE_MAX = 15.0 / 8.0
@@ -187,11 +186,13 @@ _LEDGER_KEYS = (
 )
 
 
-def _lb_chi_at_quad(mesh, cs, cutoff):
-    """trace(A hess chi) + <div A + H, grad chi> at quadrature points, shape
-    (ne, nq): evaluated on the elements with a quadrature point strictly
-    inside the cutoff's transition shell, block by block, and zero on every
-    other element, where chi is constant."""
+def _lb_chi_sampler(mesh, cs, cutoff):
+    """The sampler of trace(A hess chi) + <div A + H, grad chi>: a function
+    of a slice of elements (as _blocks makes them) that returns the term at
+    their quadrature points, shape (nb, nq), evaluated on the elements with
+    a quadrature point strictly inside the cutoff's transition shell and
+    zero on every other element, where chi is constant; and the recovered
+    ingredients."""
     recovered = ()
     if cs.div_a is not None:
         div_a = cs.div_a
@@ -203,13 +204,14 @@ def _lb_chi_at_quad(mesh, cs, cutoff):
             f"preset {cs.name!r} has no analytic div A and recovery is not meaningful"
         )
     d = mesh.dim
-    lb = np.zeros((mesh.num_elements, quadrature_rule(d).weights.size))
-    for block in _blocks(mesh.num_elements):
+
+    def sample(block):
         pts = physical_quad_points(mesh, block)
+        lb = np.zeros(pts.shape[:2])
         rad = np.linalg.norm(pts - cutoff.center, axis=2)
         on = ((rad > cutoff.inner) & (rad < cutoff.outer)).any(axis=1)
         if not on.any():
-            continue
+            return lb
         ids, pts = block.start + np.flatnonzero(on), pts[on]
         a_q = _at_quad(cs.a, mesh, ids, (d, d), "matrix field", pts)
         b_q = _at_quad(div_a, mesh, ids, (d,), "vector field", pts)
@@ -217,8 +219,10 @@ def _lb_chi_at_quad(mesh, cs, cutoff):
         term = cutoff._nondivergence_term(
             pts.reshape(-1, d), a_q.reshape(-1, d, d), b_q.reshape(-1, d)
         )
-        lb[ids] = term.reshape(len(ids), -1)
-    return lb, recovered
+        lb[on] = term.reshape(len(ids), -1)
+        return lb
+
+    return sample, recovered
 
 
 def compute_constants(
@@ -240,7 +244,7 @@ def compute_constants(
         raise DimensionUnsupported(
             f"energy-bound constants need dimension 3, got {d}"
         )
-    lb_chi, recovered = _lb_chi_at_quad(mesh, cs, cutoff)
+    lb_chi, recovered = _lb_chi_sampler(mesh, cs, cutoff)
 
     gamma = 2.0 * (d - 1) / (d - 2)
     k_d_rho = (
@@ -248,27 +252,31 @@ def compute_constants(
         / (np.sqrt(cs.lam) * np.sqrt(density.rho_min))
         * gamma
     )
-    h_l2 = quadrature_norm(mesh, h, p=2.0, weight=density.rho)
-    lb_chi_ld = quadrature_norm(mesh, lb_chi, p=float(d), weight=density.rho)
+    # every norm fills one (ne, nq) array; the sampled terms are formed per block
+    rho = density.rho
+    h_l2 = quadrature_norm(mesh, h, p=2.0, weight=rho)
+    lb_chi_ld = _sampled_norm(mesh, lb_chi, float(d), rho)
     grad_chi_inf = cutoff.grad_inf_norm
     if cs.c is not None:
-        c_ld = quadrature_norm(mesh, cs.c, p=float(d), weight=density.rho)
+        c_ld = quadrature_norm(mesh, cs.c, p=float(d), weight=rho)
     else:
         c_ld = 0.0
     if cs.f_data is not None:
-        f_mu = scalar_at_quad(cs.f_data, mesh) / density.rho.at_quad()
-        f_l2star = quadrature_norm(mesh, f_mu, p=2.0 * d / (d + 2.0), weight=density.rho)
+
+        def f_mu(block):
+            return scalar_at_quad(cs.f_data, mesh, block=block) / rho.at_quad(block)
+
+        f_l2star = _sampled_norm(mesh, f_mu, 2.0 * d / (d + 2.0), rho)
     else:
         f_l2star = 0.0
     if cs.flux_data is not None:
-        rho_q = density.rho.at_quad()
-        flux_mu = vector_at_quad(cs.flux_data, mesh) / rho_q[:, :, None]
-        flux_l2 = quadrature_norm(
-            mesh,
-            np.sqrt(np.einsum("eqa,eqa->eq", flux_mu, flux_mu)),
-            p=2.0,
-            weight=density.rho,
-        )
+
+        def flux_mu_abs(block):
+            rho_q = rho.at_quad(block)
+            flux_mu = vector_at_quad(cs.flux_data, mesh, block=block) / rho_q[:, :, None]
+            return np.sqrt(np.einsum("eqa,eqa->eq", flux_mu, flux_mu))
+
+        flux_l2 = _sampled_norm(mesh, flux_mu_abs, 2.0, rho)
     else:
         flux_l2 = 0.0
 

@@ -17,10 +17,12 @@ broadcast, and a callable is sampled at their quadrature points
 pointwise otherwise). The mesh keeps no quadrature points:
 physical_quad_points computes those of a block.
 Fields are sampled, and the element kernels run and their results are
-scattered, per block of _BLOCK_ELEMENTS (2^12) elements (_blocks), which
+scattered, per block of _BLOCK_ELEMENTS (2^10) elements (_blocks), which
 bounds temporaries by a block (Cuvelier, Japhet & Scarella, BIT 2016).
-The scatters add in element order, and quadrature_norm's einsum stays one
-call over all elements, so no bit depends on the block size.
+A norm holds one (ne, nq) array, |v|^p times the weight filled block by
+block, and sums it by one einsum over all elements. The scatters add in
+element order and that sum is one call, so no bit depends on the block
+size.
 
 Element kernels weight the field samples elementwise (exact, into a fresh
 array) before batched matmuls contract them, so their bits do not depend
@@ -58,7 +60,7 @@ from .mesh import SimplicialMesh, _read_only
 from .quadrature import quadrature_rule
 
 # quadrature fields and element kernels run over blocks of this many elements
-_BLOCK_ELEMENTS = 2**12
+_BLOCK_ELEMENTS = 2**10
 # inner GMRES iterations per restart cycle; maxiter counts cycles
 _GMRES_RESTART = 20
 # the V-cycle: damped Jacobi weight, and sweeps before and after the
@@ -218,11 +220,14 @@ def matrix_at_quad(field, mesh, *, block: slice = slice(None)) -> np.ndarray:
 
 
 def _density_at_quad(rho, mesh, allow_signed=False, block=slice(None)) -> np.ndarray:
+    """rho (1 for None) at the quadrature points of block; unless
+    allow_signed, a NonPositiveDensity when a value there is <= 0, which
+    names the least value over every element, whatever the block."""
     vals = scalar_at_quad(1.0 if rho is None else rho, mesh, block=block)
     if not allow_signed and (vals <= 0).any():
-        raise NonPositiveDensity(
-            f"weight has non-positive quadrature value {vals.min():.3e}"
-        )
+        blocks = _blocks(mesh.num_elements)
+        lowest = np.min([scalar_at_quad(rho, mesh, block=b).min() for b in blocks])
+        raise NonPositiveDensity(f"weight has non-positive quadrature value {lowest:.3e}")
     return vals
 
 
@@ -374,22 +379,43 @@ def quadrature_norm(mesh: SimplicialMesh, values, p: float = 2.0, weight=None) -
     `values` may be anything scalar_at_quad accepts. weight is a density
     (None for Lebesgue measure). p = inf takes the max over samples.
     """
-    vals = scalar_at_quad(values, mesh)
+    return _sampled_norm(mesh, lambda block: scalar_at_quad(values, mesh, block=block), p, weight)
+
+
+def _sampled_norm(mesh: SimplicialMesh, sample: Callable, p: float, weight=None) -> float:
+    """quadrature_norm of the scalar samples sample(block), shape (nb, nq),
+    of every block of elements.
+
+    One (ne, nq) array holds |v|^p rho: each block's samples are written
+    into it, raised to the power p and multiplied by the weight's samples in
+    place, so a block's samples and weight are the only other arrays held.
+    """
+    blocks = _blocks(mesh.num_elements)
     if np.isinf(p):
-        return float(np.abs(vals).max())
+        return float(np.max([np.abs(sample(block)).max() for block in blocks]))
     if p <= 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
-    # |vals|^p in place, one (ne, nq) temporary fewer
-    magnitude = np.abs(vals)
-    magnitude **= p
+    powers = np.empty((mesh.num_elements, quadrature_rule(mesh.dim).weights.size))
+    for block in blocks:
+        out = powers[block]
+        np.abs(sample(block), out=out)
+        out **= p
+        if weight is not None:
+            out *= _density_at_quad(weight, mesh, block=block)
+    return _root_of_sum(mesh, powers, p)
+
+
+def _root_of_sum(mesh: SimplicialMesh, powers: np.ndarray, p: float) -> float:
+    """(sum over elements and points of powers times the physical quadrature
+    weights) ** (1 / p), for powers of shape (ne, nq).
+
+    The sum is one einsum over all elements, so its bits do not depend on
+    the block size; with powers = |v|^p rho it is the bits of
+    einsum("eq,eq,q,e->", |v|^p, rho, weights, vols), whose first product
+    is |v|^p rho. Sums per block, added in order, would not be.
+    """
     _, vols = element_geometry(mesh)
-    weights = quadrature_rule(mesh.dim).weights
-    if weight is None:
-        # the bits of a unit weight operand, without its (ne, nq) array
-        total = np.einsum("eq,q,e->", magnitude, weights, vols)
-    else:
-        rho_q = _density_at_quad(weight, mesh)
-        total = np.einsum("eq,eq,q,e->", magnitude, rho_q, weights, vols)
+    total = np.einsum("eq,q,e->", powers, quadrature_rule(mesh.dim).weights, vols)
     return float(total ** (1.0 / p))
 
 
@@ -402,8 +428,11 @@ def norm(u: FeFunction, p: float = 2.0, weight=None) -> float:
 
 def l2_error(u: FeFunction, exact, weight=None) -> float:
     """L^2(weight dx) distance between an FE function and a callable."""
-    e_q = scalar_at_quad(exact, u.mesh)
-    return quadrature_norm(u.mesh, u.at_quad() - e_q, p=2.0, weight=weight)
+
+    def difference(block):
+        return u.at_quad(block) - scalar_at_quad(exact, u.mesh, block=block)
+
+    return _sampled_norm(u.mesh, difference, 2.0, weight)
 
 
 def _runs_multigrid(mesh: SimplicialMesh, unknowns: int) -> bool:

@@ -6,8 +6,10 @@ with radial projection of new boundary vertices; box meshes come from the
 Kuhn subdivision of a tensor grid. Meshes are immutable once built.
 
 All topology (boundary facets, the conformity audit, the boundary edges that
-refinement projects) comes from one facet table, and refinement and Kuhn
-subdivision are fixed local index tables applied to every element at once.
+refinement projects) comes from one search for the facets owned by one
+element (_boundary_rows: one key per element facet, one argsort), and
+refinement and Kuhn subdivision are fixed local index tables applied to
+every element at once.
 """
 
 from __future__ import annotations
@@ -476,24 +478,43 @@ def _mesh_edges(mesh: SimplicialMesh):
     return edges, element_edges.reshape(mesh.num_elements, -1)
 
 
-def _facet_table(mesh: SimplicialMesh):
-    """Every element facet as a sorted row, with its distinct-facet id and count.
+def _boundary_rows(mesh: SimplicialMesh):
+    """The facets owned by one element, and the count of facets owned by
+    more than two.
 
-    Rows are element-major: rows k*(dim+1) .. k*(dim+1)+dim are the facets of
-    element k in _LOCAL_FACETS order over its sorted vertex ids. Returns
-    (facets, ids, counts) with facets of shape (ne*(dim+1), dim), ids[row]
-    the row's distinct facet and counts[id] the number of rows sharing it.
+    Rows are element-major: row k*(dim+1) + f is facet f, in _LOCAL_FACETS
+    order over the sorted vertex ids, of element k. Returns (rows, facets,
+    overshared): the rows of the facets owned by one element, in row order,
+    their sorted vertex ids (F, dim), and the number of distinct facets
+    owned by more than two elements. Each row has one int64 key, sorted by
+    one argsort; equal neighbours share a facet. No (rows, dim) table is
+    built: the facets of the boundary rows are formed from their elements.
     """
-    dim, nv = mesh.dim, mesh.num_vertices
-    facets = np.sort(mesh.elements, axis=1)[:, _LOCAL_FACETS[dim]].reshape(-1, dim)
-    # one int64 key per row
-    key = facets[:, 0] * nv + facets[:, 1]
+    dim, nv, nloc = mesh.dim, mesh.num_vertices, mesh.dim + 1
+    local = np.array(_LOCAL_FACETS[dim])
+    ordered = np.sort(mesh.elements, axis=1)
+    key = (ordered[:, local[:, 0]] * nv).ravel()
+    key += ordered[:, local[:, 1]].ravel()
     if dim == 3:
-        # rank the leading pair first: (f0 nv + f1) nv + f2 would overflow
-        # int64 beyond 2^21 vertices, the rank times nv does not
-        key = np.unique(key, return_inverse=True)[1] * nv + facets[:, 2]
-    _, ids, counts = np.unique(key, return_inverse=True, return_counts=True)
-    return facets, ids, counts
+        if nv >= 2**21:
+            # rank the leading pair first: (f0 nv + f1) nv + f2 would
+            # overflow int64, the rank times nv does not
+            key = np.unique(key, return_inverse=True)[1].ravel()
+        key *= nv
+        key += ordered[:, local[:, 2]].ravel()
+    del ordered
+    order = np.argsort(key)
+    key = key[order]
+    shared = key[1:] == key[:-1]
+    del key
+    lone = np.ones(order.size, dtype=bool)
+    lone[1:] &= ~shared
+    lone[:-1] &= ~shared
+    rows = np.sort(order[lone])
+    counts = np.diff(np.flatnonzero(np.concatenate([[True], ~shared, [True]])))
+    vertex_ids = np.sort(mesh.elements[rows // nloc], axis=1)
+    facets = vertex_ids[np.arange(len(rows))[:, None], local[rows % nloc]]
+    return rows, facets, int((counts > 2).sum())
 
 
 def boundary_facets(mesh: SimplicialMesh):
@@ -508,10 +529,9 @@ def boundary_facets(mesh: SimplicialMesh):
     order fixes the last bits of the recovered divergence and of the
     constants computed from it.
     """
-    facets, ids, counts = _facet_table(mesh)
-    rows = np.flatnonzero(counts[ids] == 1)
+    rows, facets, _ = _boundary_rows(mesh)
     owners = rows // (mesh.dim + 1)
-    return list(zip(map(tuple, facets[rows].tolist()), owners.tolist()))
+    return list(zip(map(tuple, facets.tolist()), owners.tolist()))
 
 
 def check_conformity(mesh: SimplicialMesh) -> dict:
@@ -520,9 +540,7 @@ def check_conformity(mesh: SimplicialMesh) -> dict:
     Every facet must be owned by one element (boundary) or exactly two
     (interior); boundary-facet vertices must carry the boundary flag.
     """
-    facets, ids, counts = _facet_table(mesh)
-    boundary = facets[counts[ids] == 1]
-    over = int((counts > 2).sum())
+    _, boundary, over = _boundary_rows(mesh)
     flag_errors = int((~mesh.boundary[boundary].all(axis=1)).sum())
     return {
         "conforming": not over and not flag_errors,
@@ -548,8 +566,7 @@ def refine_uniform(mesh: SimplicialMesh) -> SimplicialMesh:
     edges, element_edges = _mesh_edges(mesh)
     mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
 
-    facets, ids, counts = _facet_table(mesh)
-    outer = facets[counts[ids] == 1]
+    _, outer, _ = _boundary_rows(mesh)
     facet_edges = outer[:, _LOCAL_EDGES[dim - 1]].reshape(-1, 2)
     edge_keys = edges[:, 0] * nv + edges[:, 1]
     on_facet = np.searchsorted(edge_keys, facet_edges[:, 0] * nv + facet_edges[:, 1])
@@ -586,6 +603,17 @@ def refine_uniform(mesh: SimplicialMesh) -> SimplicialMesh:
     )
 
 
+# each index's successor and the one after it, mod 3
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products along the last axis (of length 3): the bits of
+    np.cross(a, b), each component one product less another, in one call
+    per operation instead of np.cross's per-call checks and copies."""
+    return a[..., _NEXT] * b[..., _AFTER] - a[..., _AFTER] * b[..., _NEXT]
+
+
 def _p1_gradients(coords: np.ndarray) -> np.ndarray:
     """Barycentric basis gradients from element coordinates (ne, dim + 1, dim).
 
@@ -599,7 +627,8 @@ def _p1_gradients(coords: np.ndarray) -> np.ndarray:
     if coords.shape[2] == 2:
         cof = np.stack([e[:, 1, ::-1] * [1.0, -1.0], e[:, 0, ::-1] * [-1.0, 1.0]], axis=2)
     else:
-        cof = np.stack([np.cross(e[:, (k + 1) % 3], e[:, (k + 2) % 3]) for k in range(3)], axis=2)
+        # column k is the cross product of edges k + 1 and k + 2 (mod 3)
+        cof = _cross(e[:, _NEXT], e[:, _AFTER]).transpose(0, 2, 1).copy()
     grads = cof / np.einsum("ed,ed->e", e[:, 0], cof[:, :, 0])[:, None, None]
     return np.concatenate([-grads.sum(axis=2, keepdims=True), grads], axis=2)
 
@@ -616,6 +645,7 @@ def mesh_quality(mesh: SimplicialMesh) -> dict:
     dim, nloc = mesh.dim, mesh.dim + 1
     off = ~np.eye(nloc, dtype=bool)
     ends = np.array(_LOCAL_EDGES[dim]).T
+    facets = np.array(_LOCAL_FACETS[dim])
     max_off = scale = max_ratio = max_edge = -np.inf
     for block in _blocks(mesh.num_elements):
         coords = mesh.vertices[mesh.elements[block]]
@@ -632,15 +662,19 @@ def mesh_quality(mesh: SimplicialMesh) -> dict:
         edges_sq = ((coords[:, ends[0]] - coords[:, ends[1]]) ** 2).sum(axis=2)
         longest = np.sqrt(edges_sq.max(axis=1))
 
-        # inradius = dim * vol / (sum of facet measures)
+        # inradius = dim * vol / (sum of facet measures); a measure is the
+        # edge's length or half the cross product's, the square root of the
+        # sum of squares as np.linalg.norm takes it
+        fc = coords[:, facets]  # (nb, nloc, dim, dim)
+        span = fc[:, :, 1] - fc[:, :, 0]
+        if dim == 3:
+            span = _cross(span, fc[:, :, 2] - fc[:, :, 0])
+        meas = np.sqrt((span * span).sum(axis=2))
+        if dim == 3:
+            meas *= 0.5
         facet_meas = np.zeros(len(coords))
-        for f in _LOCAL_FACETS[dim]:
-            fc = coords[:, list(f), :]
-            if dim == 2:
-                facet_meas += np.linalg.norm(fc[:, 1] - fc[:, 0], axis=1)
-            else:
-                cr = np.cross(fc[:, 1] - fc[:, 0], fc[:, 2] - fc[:, 0])
-                facet_meas += 0.5 * np.linalg.norm(cr, axis=1)
+        for f in range(nloc):
+            facet_meas += meas[:, f]
         inradius = dim * vols[block] / facet_meas
         max_ratio = max(max_ratio, (longest / inradius).max())
         max_edge = max(max_edge, longest.max())

@@ -2,6 +2,7 @@
 transient memory bounded by a block rather than by the mesh."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,12 +10,16 @@ import pytest
 
 import fplab.fem
 from fplab import (
+    FeFunction,
     build_ball_mesh,
     build_cutoff,
+    check_conformity,
     compute_constants,
     decompose_drift,
     divergence_free_residual,
+    element_geometry,
     interpolate,
+    l2_error,
     lumped_weights,
     matrix_at_quad,
     mesh_quality,
@@ -29,6 +34,7 @@ from fplab import (
     weak_divergence_matrix,
 )
 from fplab.forms import assemble_form
+
 
 def test_samplers_share_the_block_contract():
     mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=2)
@@ -85,6 +91,63 @@ def test_pre_evaluated_fields_match_their_callables(dim, level, monkeypatch):
     assert got.keys() == expected.keys()
     for key in expected:
         assert np.array_equal(got[key], expected[key]), key
+
+
+def whole_mesh_quadrature_norm(mesh, values, p=2.0, weight=None):
+    """The oracle of quadrature_norm: every sample of the mesh at once, and
+    the weight as the second operand of one four-operand einsum."""
+    vals = scalar_at_quad(values, mesh)
+    if np.isinf(p):
+        return float(np.abs(vals).max())
+    magnitude = np.abs(vals)
+    magnitude **= p
+    _, vols = element_geometry(mesh)
+    weights = quadrature_rule(mesh.dim).weights
+    if weight is None:
+        total = np.einsum("eq,q,e->", magnitude, weights, vols)
+    else:
+        rho_q = scalar_at_quad(weight, mesh)
+        total = np.einsum("eq,eq,q,e->", magnitude, rho_q, weights, vols)
+    return float(total ** (1.0 / p))
+
+
+# 97 divides neither mesh's element count (1536 and 512)
+@pytest.mark.parametrize("size", [1, 97, 2**30])
+@pytest.mark.parametrize("dim, level", [(2, 3), (3, 2)])
+def test_quadrature_norm_matches_the_whole_mesh_oracle(dim, level, size, monkeypatch):
+    mesh = build_ball_mesh((0.0,) * dim, 1.0, levels=level)
+    ne, nq, nv = mesh.num_elements, quadrature_rule(dim).weights.size, mesh.num_vertices
+    rng = np.random.default_rng(10 * dim + level)
+    fields = {
+        "array": rng.standard_normal((ne, nq)) * 10.0 ** rng.uniform(-3, 3, (ne, 1)),
+        "P1": FeFunction(mesh, rng.standard_normal(nv)),
+        "callable": lambda x: np.sin(3.0 * x[:, 0]) * np.exp(x[:, -1]),
+    }
+    weights = {
+        "none": None,
+        "P1": FeFunction(mesh, rng.uniform(0.1, 2.0, nv)),
+        "callable": lambda x: 1.0 + x[:, 0] ** 2,
+    }
+    u = fields["P1"]
+
+    def exact(x):
+        return np.cos(x[:, 0])
+
+    def whole_mesh_l2_error(weight):
+        diff = u.at_quad() - scalar_at_quad(exact, mesh)
+        return whole_mesh_quadrature_norm(mesh, diff, 2.0, weight)
+
+    def norms(norm, l2):
+        out = {}
+        for (name, field), (tag, weight) in itertools.product(fields.items(), weights.items()):
+            for p in (0.5, 1.2, 2.0, 3.0, np.inf):
+                out[name, tag, p] = norm(mesh, field, p, weight)
+            out["l2_error", tag] = l2(weight)
+        return out
+
+    expected = norms(whole_mesh_quadrature_norm, whole_mesh_l2_error)
+    monkeypatch.setattr(fplab.fem, "_BLOCK_ELEMENTS", size)
+    assert norms(quadrature_norm, lambda weight: l2_error(u, exact, weight)) == expected
 
 
 CASES = {"3D L2 rotator": (3, 2, "rotator"), "2D L3 gaussian": (2, 3, "gaussian_gradient")}
@@ -187,8 +250,10 @@ def test_compute_constants_transient_memory_is_bounded(ball4):
     mesh, cs, density = ball4
     cutoff = build_cutoff(np.zeros(3), 0.5, 0.9)
     # 109 MiB when every field was sampled on all 32768 elements at once, and
-    # 27 MiB when the cutoff term built a Hessian at every quadrature point
-    assert traced_peak_mb(compute_constants, cs, density, cutoff, density.rho) <= 18
+    # 27 MiB when the cutoff term built a Hessian at every quadrature point,
+    # and 15.0 MiB when each norm sampled its values and weight on every
+    # element at once (6.2 MiB since)
+    assert traced_peak_mb(compute_constants, cs, density, cutoff, density.rho) <= 7.5
 
 
 def test_drift_decomposition_keeps_no_quadrature_array(ball4):
@@ -205,8 +270,25 @@ def test_drift_decomposition_keeps_no_quadrature_array(ball4):
 def test_stationarity_matrix_transient_memory_is_bounded(ball4):
     mesh, cs, _ = ball4
     # 69 MiB when a was sampled on all 32768 elements at once, and 19.4 MiB
-    # when the element matrices of all of them were scattered at once
-    assert traced_peak_mb(stationarity_matrix, mesh, cs) < 15
+    # when the element matrices of all of them were scattered at once, and
+    # 12.1 MiB with blocks of 4096 elements (3.5 MiB with blocks of 1024)
+    assert traced_peak_mb(stationarity_matrix, mesh, cs) < 4.4
+
+
+def test_weighted_norm_holds_one_quadrature_array(ball4):
+    mesh, _, density = ball4
+    array_mb = mesh.num_elements * quadrature_rule(3).weights.size * 8 / 2**20
+    # 11.5 MiB (3.3 arrays) when the samples, their powers and the weight
+    # were held for all elements at once
+    peak = traced_peak_mb(quadrature_norm, mesh, density.rho, 2.0, density.rho)
+    assert peak < 1.25 * array_mb
+
+
+def test_conformity_audit_memory_is_bounded():
+    mesh = build_ball_mesh((0.0,) * 3, 1.0, levels=4)
+    # 10.65 MiB when a (facets, 3) table and two np.unique inverses were held
+    # for every element facet
+    assert traced_peak_mb(check_conformity, mesh) < 5.3
 
 
 def test_csr_plan_build_memory_is_bounded():
@@ -224,15 +306,17 @@ def test_lumped_weights_transient_memory_is_bounded(ball4):
 def test_drift_decomposition_transient_memory_is_bounded(ball4):
     mesh, cs, density = ball4
     # 27.7 MiB when D and the flux were scattered from whole-mesh arrays and
-    # quadrature_norm weighted |B| by an array of ones
-    assert traced_peak_mb(decompose_drift, mesh, cs, density) < 26
+    # quadrature_norm weighted |B| by an array of ones, and 23.9 MiB when it
+    # held |B| and its d-th powers for all elements (9.7 MiB since)
+    assert traced_peak_mb(decompose_drift, mesh, cs, density) < 12
 
 
 def test_form_assembly_transient_memory_is_bounded(ball4):
     mesh, cs, density = ball4
     decomposition = decompose_drift(mesh, cs, density)
-    # 18.1 MiB when S and M were scattered from whole-mesh element matrices
-    assert traced_peak_mb(assemble_form, mesh, cs, density, decomposition) < 13
+    # 18.1 MiB when S and M were scattered from whole-mesh element matrices,
+    # and 10.8 MiB with blocks of 4096 elements (3.3 MiB with blocks of 1024)
+    assert traced_peak_mb(assemble_form, mesh, cs, density, decomposition) < 4.1
 
 
 def test_callables_are_sampled_per_block(monkeypatch):

@@ -26,7 +26,7 @@ from fplab import (
     run_experiment,
     solve_invariant_density,
 )
-from fplab.experiment import _as_analytic, _lb_chi_at_quad
+from fplab.experiment import _as_analytic, _lb_chi_sampler
 
 
 def test_build_cutoff_guards():
@@ -111,7 +111,8 @@ def test_cutoff_term_is_evaluated_on_the_transition_shell_only():
     cs = _anisotropic_coefficients()
     mesh = build_ball_mesh((0.0,) * 3, 1.0, levels=3)
     chi = build_cutoff((0.1, -0.2, 0.05), 0.3, 0.7)
-    lb, recovered = _lb_chi_at_quad(mesh, cs, chi)
+    sample, recovered = _lb_chi_sampler(mesh, cs, chi)
+    lb = sample(slice(0, mesh.num_elements))
     assert recovered == ()
     pts = physical_quad_points(mesh)
     rad = np.linalg.norm(pts - chi.center, axis=2)

@@ -1,9 +1,12 @@
 """P1 assembly against hand-computed element matrices."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fplab.fem
 import fplab.mesh
 from fplab import (
     Box,
@@ -30,6 +33,7 @@ from fplab import (
     preset,
     quadrature_norm,
     quadrature_rule,
+    scalar_at_quad,
     solve_invariant_density,
     vector_at_quad,
     weak_divergence_matrix,
@@ -158,6 +162,30 @@ def test_p1_field_of_another_mesh_is_refused():
         vector_at_quad(div_a, disk2)
     # on its own mesh the field samples as before
     assert quadrature_norm(disk1, u) == norm(u)
+
+
+@pytest.mark.parametrize("first, last", [(-2.0, -0.5), (-0.5, -2.0)])
+def test_positivity_guard_names_the_least_weight_of_the_mesh(first, last, monkeypatch):
+    # the weight is sampled per block; a non-positive value in a block still
+    # names the least value over every element, wherever it lies
+    monkeypatch.setattr(fplab.fem, "_BLOCK_ELEMENTS", 97)
+    mesh = build_ball_mesh((0.0, 0.0), 1.0, levels=3)
+    elements = mesh.elements
+    head, tail = elements[:97], elements[-(mesh.num_elements % 97 or 97):]
+    values = np.ones(mesh.num_vertices)
+    # a vertex of the first block's elements only, and one of the last's
+    only_head = np.setdiff1d(head, elements[97:])
+    only_tail = np.setdiff1d(tail, elements[: -len(tail)])
+    assert only_head.size and only_tail.size
+    values[only_head[0]], values[only_tail[0]] = first, last
+    weight = FeFunction(mesh, values)
+    lowest = scalar_at_quad(weight, mesh).min()
+    assert lowest < min(first, last) / 2
+    message = f"weight has non-positive quadrature value {lowest:.3e}"
+    with pytest.raises(NonPositiveDensity, match=re.escape(message)):
+        quadrature_norm(mesh, 1.0, weight=weight)
+    with pytest.raises(NonPositiveDensity, match=re.escape(message)):
+        assemble_weighted_mass(mesh, rho=weight)
 
 
 def test_positivity_guard():
